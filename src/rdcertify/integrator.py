@@ -29,12 +29,14 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from . import lyapunov, verify
 from .mesh import Grid, as_field, sup_norm
 
 NEGATIVITY_TOL = 1e-12
+
+_gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,10 @@ def solve_diffusion_implicit(f, coeff: float, dt: float, grid: Grid) -> np.ndarr
     """Backward Euler diffusion: solve (I - dt*coeff*Lap) w = f.
 
     The matrix rows mirror the reflected-ghost Laplacian stencil, so the
-    system is tridiagonal and strictly diagonally dominant.  The solve
+    system is tridiagonal and strictly diagonally dominant.  It is
+    solved by LAPACK ``?gtsv``, called directly: the routine that
+    ``scipy.linalg.solve_banded`` uses for one sub- and one
+    super-diagonal, without its per-call input validation.  The solve
     works on the deviation from f[0]: constants lie in the Neumann
     kernel, so a constant input returns exactly, with no round-off noise
     to re-excite stiff reaction modes on homogeneous states.
@@ -170,15 +175,16 @@ def solve_diffusion_implicit(f, coeff: float, dt: float, grid: Grid) -> np.ndarr
     f = as_field(f, grid)
     n = grid.n_nodes
     r = dt * coeff / grid.spacing ** 2
-    ab = np.empty((3, n))
-    ab[0] = -r
-    ab[0, 1] = -2.0 * r          # row 0 couples twice to node 1
-    ab[1] = 1.0 + 2.0 * r
-    ab[2] = -r
-    ab[2, n - 2] = -2.0 * r      # last row couples twice to node n-2
+    lower = np.full(n - 1, -r)
+    lower[-1] = -2.0 * r         # last row couples twice to node n-2
+    diag = np.full(n, 1.0 + 2.0 * r)
+    upper = np.full(n - 1, -r)
+    upper[0] = -2.0 * r          # row 0 couples twice to node 1
     shift = f[0]
-    w = solve_banded((1, 1), ab, f - shift, overwrite_ab=True,
-                     overwrite_b=True, check_finite=False)
+    *_, w, info = _gtsv(lower, diag, upper, f - shift, overwrite_dl=True,
+                        overwrite_d=True, overwrite_du=True, overwrite_b=True)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"?gtsv failed with info = {info}")
     w += shift
     return w
 
@@ -208,17 +214,20 @@ class StepResult(NamedTuple):
     dt_used: float              # step size actually taken (after halvings)
 
 
-def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid) -> StepResult:
+def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
+              rates0=None) -> StepResult:
     """Advance one accepted step starting from ``state.dt``.
 
     The verdict is None for an ordinary accepted step, ``blowup`` when
     the accepted state crossed the divergence threshold (the result
     carries the diverged fields) or the kinetics already overflow at the
     current state (no new state), and ``dt_underflow`` when halving
-    would drop below dt_min.
+    would drop below dt_min.  ``rates0`` is ``model.rates`` at the
+    state, for a caller that already has it.
     """
     u, v, t = state.u, state.v, state.t
-    rates0 = model.rates(u, v)
+    if rates0 is None:
+        rates0 = model.rates(u, v)
     if not (np.isfinite(rates0[0]).all() and np.isfinite(rates0[1]).all()):
         return StepResult(None, Verdict.blow_up(t), 0.0)
 
@@ -280,28 +289,33 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
 
     series = TimeSeries(functional.u_bar0, functional.v_bar0)
     state = SimState(0.0, u, v, cfg.dt_init)
-    _log(series, state, cfg.dt_init, model, cfg, grid, functional)
+    rates = _log(series, state, cfg.dt_init, model, cfg, grid, functional)
 
     t_stop = cfg.t_end * (1.0 - 1e-12)
     verdict = None
     while verdict is None and state.t < t_stop:
         trial = SimState(state.t, state.u, state.v,
                          min(state.dt, cfg.t_end - state.t))
-        result = step_imex(trial, model, cfg, grid)
+        result = step_imex(trial, model, cfg, grid, rates0=rates)
         if result.state is not None:
             state = result.state
-            _log(series, state, result.dt_used, model, cfg, grid, functional)
+            rates = _log(series, state, result.dt_used, model, cfg, grid,
+                         functional)
         verdict = result.verdict
     series.final_state = state
     return series, verdict if verdict is not None else Verdict.completed()
 
 
 def _log(series, state, dt_used, model, cfg, grid, functional):
+    """Append the row of an accepted state; return the rates there, which
+    J and the next step both use."""
+    rates = model.rates(state.u, state.v)
     L = lyapunov.lyapunov_L(functional, state, grid)
     I = lyapunov.dissipation_I(functional, state, grid, cfg.a, cfg.b)
-    J = lyapunov.reaction_J(functional, state, grid, model)
+    J = lyapunov.reaction_J(functional, state, grid, model, rates=rates)
     event = verify.monitor_bounds(state, functional.u_bar0, functional.v_bar0)
     if event is not None:
         series.events.append(event)
     series.append(state.t, sup_norm(state.u), sup_norm(state.v),
                   L, I, J, dt_used, event is not None)
+    return rates

@@ -19,6 +19,16 @@ as discrete diagnostics: I and J are reported up to one shared positive
 normalization constant (the weights are rescaled by their maximum), so
 their signs and zero sets are exact while their raw magnitudes, which
 carry no decision content, stay representable.
+
+While the fields are finite and no node lies above its bound, U, V and
+their sign flags vanish at every node, so every term of L, I and J
+carries a zero factor.  L, I and J then return their exact values
+without evaluating the sums: L = 0.0, J = 0.0 and I = -0.0, the signed
+zero that -p(p-1) times a zero integral gives, printed as ``-0`` in the
+CSV.  The shortcut also needs every other factor finite: the weights
+and binomials, the rates for J, the diffusion pair and the squared
+gradients for I.  Otherwise the full sums run, so their inf and NaN
+results (0 * inf) are unchanged.
 """
 
 from __future__ import annotations
@@ -35,6 +45,13 @@ LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 #: tolerance on the log-domain residual of the weight recurrence
 RECURRENCE_TOL = 1e-9
+
+# a gradient at most this large squares to a finite double
+_SAFE_SLOPE = 1e154
+
+# the binomials of degree n < p, and the products of their recurrence,
+# stay below n * 2^n: finite for p up to this
+_SAFE_P = 1000
 
 
 @dataclass(frozen=True)
@@ -210,6 +227,31 @@ def _field_parts(params: FunctionalParams, u: np.ndarray, v: np.ndarray):
     return U, V, (U > 0.0).astype(float), (V > 0.0).astype(float)
 
 
+def _below_bounds(params: FunctionalParams, u: np.ndarray, v: np.ndarray,
+                  grid: Grid | None = None) -> bool:
+    """True when u and v are finite, no node lies above its bound, and
+    the weights and binomials that scale the zero factors are finite.
+
+    With a grid, also require every difference quotient of u and v to
+    square to a finite number; otherwise I's 0 * inf products give NaN.
+    A quotient is at most (max - min) / spacing, and rounding is
+    monotone, so a bound on that ratio bounds all of them.
+    """
+    if not (params.p <= _SAFE_P and math.isfinite(
+            params.log_theta0 + params.log_theta1 + params.log_theta)):
+        return False
+    for f, bar in ((u, params.u_bar0), (v, params.v_bar0)):
+        hi = float(f.max())
+        if not hi <= bar:               # also false for NaN
+            return False
+        lo = float(f.min())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            return False
+        if grid is not None and not (hi - lo) / grid.spacing <= _SAFE_SLOPE:
+            return False
+    return True
+
+
 def _binomials(n: int) -> np.ndarray:
     # multiplicative recurrence binom(n, i+1) = binom(n, i)*(n-i)/(i+1)
     c = np.empty(n + 1)
@@ -267,6 +309,8 @@ def lyapunov_L(params: FunctionalParams, state, grid: Grid) -> float:
     v = as_field(state.v, grid)
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         return math.inf
+    if _below_bounds(params, u, v):
+        return 0.0
     return integrate(_h_field(params, u, v), grid)
 
 
@@ -324,6 +368,8 @@ def dissipation_I(params: FunctionalParams, state, grid: Grid,
         raise ValueError("dissipation requires p >= 2")
     u = as_field(state.u, grid)
     v = as_field(state.v, grid)
+    if math.isfinite(a + b) and _below_bounds(params, u, v, grid):
+        return -0.0
     U, V, sU, sV = _field_parts(params, u, v)
     du = _gradient(u, grid.spacing)
     dv = _gradient(v, grid.spacing)
@@ -339,22 +385,27 @@ def dissipation_I(params: FunctionalParams, state, grid: Grid,
     return float(-p * (p - 1) * integrate(acc, grid))
 
 
-def reaction_J(params: FunctionalParams, state, grid: Grid, model) -> float:
+def reaction_J(params: FunctionalParams, state, grid: Grid, model,
+               rates=None) -> float:
     """Discrete reaction term
 
         J = p * sum_i binom(p-1, i) * integral
             (theta_{i+1}*sgnU*f + theta_i*sgnV*g) * U^i * V^(p-1-i)
 
     with the same weight normalization as ``dissipation_I`` (one shared
-    positive constant per parameter set): the sign is exact.
+    positive constant per parameter set): the sign is exact.  ``rates``
+    is ``model.rates`` at the state, for a caller that already has it.
     """
     p = params.p
     if p < 1:
         raise ValueError("reaction term requires p >= 1")
     u = as_field(state.u, grid)
     v = as_field(state.v, grid)
+    f, g = model.rates(u, v) if rates is None else rates
+    if (_below_bounds(params, u, v)
+            and np.isfinite(f).all() and np.isfinite(g).all()):
+        return 0.0
     U, V, sU, sV = _field_parts(params, u, v)
-    f, g = model.rates(u, v)
     th = _normalized_thetas(params)
     binom = _binomials(p - 1)
     acc = np.zeros_like(u)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+import rdcertify.integrator as integrator
 from rdcertify.integrator import (SchemeConfig, SimState, TimeSeries, Verdict,
                                   run, solve_diffusion_implicit, step_imex)
 from rdcertify.kinetics import Absorption, BlowupExample, Combustion, Exp
@@ -52,6 +54,29 @@ def test_diffusion_solve_residual():
         w = solve_diffusion_implicit(f, coeff, dt, grid)
         residual = w - dt * coeff * laplacian(w, grid) - f
         assert sup_norm(residual) <= 1e-12 * sup_norm(f)
+
+
+@pytest.mark.parametrize("n", [3, 31, 2001])
+def test_diffusion_solve_bit_identical_to_solve_banded(n):
+    # reference: the same band handed to solve_banded((1, 1), ...), with
+    # the same shift by f[0]
+    grid = Grid(n, 1.0)
+    h2 = grid.spacing ** 2
+    rng = np.random.default_rng(n)
+    coeff = 1.5
+    for ratio in np.logspace(-12, 3, 16):          # dt*coeff/h^2
+        dt = ratio * h2 / coeff
+        f = rng.normal(size=n)
+        r = dt * coeff / h2
+        ab = np.empty((3, n))
+        ab[0] = -r
+        ab[0, 1] = -2.0 * r
+        ab[1] = 1.0 + 2.0 * r
+        ab[2] = -r
+        ab[2, n - 2] = -2.0 * r
+        expect = solve_banded((1, 1), ab, f - f[0]) + f[0]
+        assert np.array_equal(solve_diffusion_implicit(f, coeff, dt, grid),
+                              expect)
 
 
 def test_diffusion_solve_validates_arguments():
@@ -293,6 +318,62 @@ def test_timeseries_time_strictly_increasing():
     assert verdict.is_completed
     assert np.all(np.diff(series.t) > 0.0)
     assert series.t[-1] == pytest.approx(cfg.t_end, rel=1e-12)
+
+
+class CountingRates:
+    calls = 0
+
+    def rates(self, u, v):
+        self.calls += 1
+        return super().rates(u, v)
+
+
+class CountingCombustion(CountingRates, Combustion):
+    pass
+
+
+class CountingBlowup(CountingRates, BlowupExample):
+    pass
+
+
+@pytest.mark.parametrize("case", ["completed", "threshold", "overflow"])
+def test_rates_calls_per_row_and_trial(case, monkeypatch):
+    # One rates call per logged row, shared by J and the next step, plus
+    # one per trial for the second half step; every trial here runs all
+    # three substeps, so it costs exactly 6 solves.
+    solves = []
+
+    def counting_solve(*args):
+        solves.append(1)
+        return solve_diffusion_implicit(*args)
+
+    monkeypatch.setattr(integrator, "solve_diffusion_implicit", counting_solve)
+    if case == "completed":
+        grid = Grid(21, 1.0)
+        u0, v0 = np.ones(21), np.full(21, 0.5)
+        model = CountingCombustion(1)
+        cfg = SchemeConfig(a=1.0, b=1.0, t_end=0.3, rtol=1e-5)
+    elif case == "threshold":
+        grid = Grid(15, 1.0)
+        u0, v0 = np.full(15, 0.75), np.ones(15)
+        model = CountingBlowup()
+        cfg = SchemeConfig(a=1.0, b=1.0, t_end=3.0, rtol=1e-4, dt_init=1e-3,
+                           dt_max=0.05)
+    else:
+        grid = Grid(11, 1.0)
+        u0, v0 = np.ones(11), np.full(11, 800.0)
+        model = CountingCombustion(1)
+        cfg = SchemeConfig(a=1.0, b=1.0, t_end=1.0, rtol=1e-6)
+    series, verdict = run(model, cfg, grid, u0, v0, heat_params(u0, v0))
+    assert verdict.kind == ("completed" if case == "completed" else "blowup")
+    if case == "threshold":
+        assert series.sup_u[-1] + series.sup_v[-1] > cfg.blowup_threshold
+    if case == "overflow":          # rates overflow at t = 0: no step lands
+        assert len(series) == 1 and verdict.t == 0.0
+    assert len(solves) % 6 == 0
+    trials = len(solves) // 6
+    assert trials >= len(series) - 1
+    assert model.calls == len(series) + trials
 
 
 def test_scheme_config_validation():

@@ -386,3 +386,98 @@ def test_scale_consistency():
     below = SimState(0.0, np.full(15, 0.2), np.full(15, 0.2), 1e-3)
     assert lyapunov_L(params, below, grid) == 0.0
     assert lyapunov_L(scaled, below, grid) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Exact values below the bounds
+# ---------------------------------------------------------------------------
+
+def assert_zero_with_sign(value, sign):
+    assert value == 0.0
+    assert math.copysign(1.0, value) == sign
+
+
+@pytest.mark.parametrize("n", [3, 31, 2001])
+@pytest.mark.parametrize("p", [2, 4, 8])
+@pytest.mark.parametrize("theta", [None, 1e30])   # 1e30: exp overflows for p >= 4
+def test_below_bounds_values_are_signed_zeros(n, p, theta):
+    # the bounds are the state's own sup norms, so the largest node of
+    # each field sits exactly on its bound and none lies above it
+    grid = Grid(n, 1.0)
+    rng = np.random.default_rng(n * p)
+    u = rng.uniform(0.0, 2.0, n)
+    v = rng.uniform(0.0, 3.0, n)
+    params = build_params(1.0, 2.0, 0.5, 0.0, p, u, v, theta=theta)
+    state = SimState(0.0, u, v, 1e-3)
+    assert_zero_with_sign(lyapunov_L(params, state, grid), 1.0)
+    assert_zero_with_sign(dissipation_I(params, state, grid, 1.0, 2.0), -1.0)
+    for model in (BlowupExample(), Combustion(1)):
+        assert_zero_with_sign(reaction_J(params, state, grid, model), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["u", "v"])
+def test_nonfinite_field_values(bad, field):
+    grid = Grid(31, 1.0)
+    params = build_params(1.0, 2.0, 0.5, 0.0, 4,
+                          np.full(31, 2.0), np.full(31, 3.0))
+    u = np.ones(31)
+    v = np.ones(31)
+    (u if field == "u" else v)[15] = bad
+    state = SimState(0.0, u, v, 1e-3)
+    assert lyapunov_L(params, state, grid) == math.inf
+    assert math.isnan(dissipation_I(params, state, grid, 1.0, 2.0))
+    assert math.isnan(reaction_J(params, state, grid, BlowupExample()))
+
+
+def test_nonfinite_rates_below_bounds_give_nan_J():
+    # e^800 overflows: f = -inf, g = inf at every node, and 0 * inf = NaN
+    grid = Grid(31, 1.0)
+    u = np.ones(31)
+    v = np.full(31, 800.0)
+    params = build_params(1.0, 2.0, 0.5, 0.0, 4, u, v)
+    state = SimState(0.0, u, v, 1e-3)
+    assert_zero_with_sign(lyapunov_L(params, state, grid), 1.0)
+    assert_zero_with_sign(dissipation_I(params, state, grid, 1.0, 2.0), -1.0)
+    assert math.isnan(reaction_J(params, state, grid, Combustion(1)))
+
+
+def test_gradient_overflow_below_bounds_gives_nan_I():
+    # finite fields whose gradient squares past double precision: the
+    # zero sign flags meet inf and I is NaN, while L and J stay zero
+    grid = Grid(31, 1.0)
+    u = np.zeros(31)
+    u[0] = 1e300
+    v = np.ones(31)
+    params = build_params(1.0, 2.0, 0.5, 0.0, 4, u, v)
+    state = SimState(0.0, u, v, 1e-3)
+    assert_zero_with_sign(lyapunov_L(params, state, grid), 1.0)
+    assert math.isnan(dissipation_I(params, state, grid, 1.0, 2.0))
+    assert_zero_with_sign(reaction_J(params, state, grid, Combustion(1)), 1.0)
+
+
+@pytest.mark.parametrize("theta, p", [(math.inf, 4), (None, 1100)])
+def test_nonfinite_weights_below_bounds_keep_nan(theta, p):
+    # below the bounds, but theta = inf makes the log weights NaN and
+    # p = 1100 overflows the binomials: some 0 * inf in I and J gives NaN
+    grid = Grid(31, 1.0)
+    u = np.linspace(0.1, 1.0, 31)
+    v = np.linspace(0.2, 0.5, 31)
+    params = build_params(1.0, 2.0, 0.5, 0.0, p, u, v, theta=theta)
+    state = SimState(0.0, u, v, 1e-3)
+    with pytest.warns(RuntimeWarning):
+        assert_zero_with_sign(lyapunov_L(params, state, grid), 1.0)
+    with pytest.warns(RuntimeWarning):
+        assert math.isnan(dissipation_I(params, state, grid, 1.0, 2.0))
+    with pytest.warns(RuntimeWarning):
+        assert math.isnan(reaction_J(params, state, grid, Combustion(1)))
+
+
+def test_overflowing_diffusion_pair_below_bounds_gives_nan_I():
+    # a + b = inf meets the zero sign flags in the cross term of T_i
+    grid = Grid(31, 1.0)
+    u = np.linspace(0.1, 1.0, 31)
+    v = np.linspace(0.2, 0.5, 31)
+    params = build_params(1.0, 2.0, 0.5, 0.0, 4, u, v)
+    state = SimState(0.0, u, v, 1e-3)
+    assert math.isnan(dissipation_I(params, state, grid, 1e308, 1e308))
