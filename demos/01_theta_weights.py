@@ -10,7 +10,7 @@ and spot-checks the quadratics on random gradient pairs.
 
 import numpy as np
 
-from rdcertify import build_params, check_conditions, quadratic_Ti, theta_at
+from rdcertify import build_params, check_conditions, quadratic_Ti
 
 ZEROS = np.zeros(3)
 
@@ -20,9 +20,9 @@ for a, b, mu in ((1.0, 1.0, 1.0), (1.0, 4.0, 0.5), (0.2, 3.0, 0.1)):
     print(f"a={a} b={b} mu={mu}")
     print(f"  lower bound (a+b)^2/(4ab) = {rep.theta_sq_bound:.6g},"
           f" default theta^2 = {rep.theta_sq:.6g}")
-    seq = [theta_at(params, i) for i in range(params.p + 1)]
-    print("  weights:", ", ".join(f"{tv.value:.6g}" for tv in seq))
-    print("  log-weights:", ", ".join(f"{tv.log:.6g}" for tv in seq))
+    logs = params.log_theta_seq()
+    print("  weights:", ", ".join(f"{w:.6g}" for w in np.exp(logs)))
+    print("  log-weights:", ", ".join(f"{lg:.6g}" for lg in logs))
     print(f"  conditions pass: {rep.passed}"
           f" (recurrence residual {rep.recurrence_residual:.2e})")
 

@@ -14,12 +14,11 @@ from .integrator import (SchemeConfig, SimState, TimeSeries, Verdict, run,
                          solve_diffusion_implicit, step_imex)
 from .kinetics import (Absorption, BlowupExample, Combustion, DoubleExp,
                        DoubleExpMinusPoly, Exp, GrowthFunction, Power,
-                       ReactionModel, SubExp, evaluate, find_threshold_A,
+                       ReactionModel, SubExp, find_threshold_A,
                        growth_from_spec)
-from .lyapunov import (ConditionReport, FunctionalParams, bound_constants,
-                       build_params, check_conditions, dissipation_I,
-                       h_value, log_theta_at, lyapunov_L, positive_parts,
-                       quadratic_Ti, reaction_J, theta_at)
+from .lyapunov import (ConditionReport, FunctionalParams, build_params,
+                       check_conditions, dissipation_I, lyapunov_L,
+                       quadratic_Ti, reaction_J)
 from .mesh import Grid, as_field, integrate, laplacian, sup_norm
 from .verify import (BoundEvent, ClaimReport, GNonNegReport,
                      MassControlReport, assemble_claim_report,
@@ -33,10 +32,9 @@ __all__ = [
     "Exp", "FunctionalParams", "GNonNegReport", "Grid", "GrowthFunction",
     "MassControlReport", "Power", "ReactionModel", "SchemeConfig",
     "SimState", "SubExp", "TimeSeries", "Verdict", "as_field",
-    "assemble_claim_report", "bound_constants", "build_params",
-    "check_conditions", "check_g_nonneg", "check_mass_control",
-    "dissipation_I", "evaluate", "find_threshold_A", "growth_from_spec",
-    "h_value", "integrate", "laplacian", "log_theta_at", "lyapunov_L",
-    "monitor_bounds", "positive_parts", "quadratic_Ti", "reaction_J",
-    "run", "solve_diffusion_implicit", "step_imex", "sup_norm", "theta_at",
+    "assemble_claim_report", "build_params", "check_conditions",
+    "check_g_nonneg", "check_mass_control", "dissipation_I",
+    "find_threshold_A", "growth_from_spec", "integrate", "laplacian",
+    "lyapunov_L", "monitor_bounds", "quadratic_Ti", "reaction_J", "run",
+    "solve_diffusion_implicit", "step_imex", "sup_norm",
 ]

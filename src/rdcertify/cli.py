@@ -29,6 +29,9 @@ text, one ``key: value`` per line.
 Exit codes of ``rd-certify run``: 0 completed with bounds held,
 2 blow-up, 3 completed with a bound violation, 4 step-size underflow,
 1 config error.  ``rd-certify check``: 0 pass, 3 fail, 1 config error.
+The range rules on values live in the library, which raises
+:class:`rdcertify.mesh.ParamError`; this module maps the parameter it
+names to its config key.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,7 +47,7 @@ import numpy as np
 
 from . import kinetics, lyapunov, verify
 from .integrator import SchemeConfig, Verdict, run
-from .mesh import Grid, sup_norm
+from .mesh import Grid, ParamError, sup_norm
 
 CSV_HEADER = "t,sup_u,sup_v,L,I,J,dt,bound_violation"
 CHECK_N_PER_AXIS = 64
@@ -55,6 +59,27 @@ class ConfigError(Exception):
     def __init__(self, key: str, message: str):
         self.key = key
         super().__init__(f"config error at {key}: {message}")
+
+
+# library parameter name -> config key; theta0 = claimed_mu / 2 here
+_CONFIG_KEYS = {
+    "n_nodes": "grid.n_nodes", "length": "grid.length",
+    "a": "scheme.a", "b": "scheme.b", "t_end": "scheme.t_end",
+    "dt_min": "scheme.dt_min", "dt_init": "scheme.dt_init",
+    "rtol": "scheme.rtol", "blowup_threshold": "scheme.blowup_threshold",
+    "p": "functional.p", "theta": "functional.theta",
+    "mu": "model.claimed_mu", "theta0": "model.claimed_mu",
+    "C": "model.claimed_C", "u0": "initial_u", "v0": "initial_v",
+}
+
+
+@contextmanager
+def _config_keys():
+    """Re-raise a library ParamError as a ConfigError naming the key."""
+    try:
+        yield
+    except ParamError as exc:
+        raise ConfigError(_CONFIG_KEYS[exc.param], str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -222,48 +247,35 @@ def parse_config_text(text: str) -> RunConfig:
 
     # grid
     sec = section("grid")
-    n_nodes = sec.int("n_nodes", minimum=3)
-    length = sec.float("length", positive=True)
+    n_nodes = sec.int("n_nodes")
+    length = sec.float("length")
     sec.finish()
-    grid = Grid(n_nodes=n_nodes, length=length)
+    with _config_keys():
+        grid = Grid(n_nodes=n_nodes, length=length)
 
     # scheme
     sec = section("scheme")
-    a = sec.float("a", positive=True)
-    b = sec.float("b", positive=True)
-    t_end = sec.float("t_end", positive=True)
-    dt_init = sec.float("dt_init", default="1e-3", positive=True)
-    dt_min = sec.float("dt_min", default="1e-12", positive=True)
-    dt_max = sec.float("dt_max", default="0.1", positive=True)
-    rtol = sec.float("rtol", default="1e-6", positive=True)
-    blowup_threshold = sec.float("blowup_threshold", default="1e6",
-                                 positive=True)
-    enforce_positivity = sec.bool("enforce_positivity", default=True)
-    if not dt_min <= dt_init <= dt_max:
-        raise ConfigError("scheme.dt_init",
-                          f"need dt_min <= dt_init <= dt_max, got "
-                          f"{dt_min}, {dt_init}, {dt_max}")
+    with _config_keys():
+        scheme = SchemeConfig(
+            a=sec.float("a"), b=sec.float("b"), t_end=sec.float("t_end"),
+            dt_init=sec.float("dt_init", default="1e-3"),
+            dt_min=sec.float("dt_min", default="1e-12"),
+            dt_max=sec.float("dt_max", default="0.1"),
+            rtol=sec.float("rtol", default="1e-6"),
+            blowup_threshold=sec.float("blowup_threshold", default="1e6"),
+            enforce_positivity=sec.bool("enforce_positivity", default=True))
     sec.finish()
-    scheme = SchemeConfig(a=a, b=b, t_end=t_end, dt_init=dt_init,
-                          dt_min=dt_min, dt_max=dt_max, rtol=rtol,
-                          blowup_threshold=blowup_threshold,
-                          enforce_positivity=enforce_positivity)
 
     # functional
     sec = section("functional")
-    p = sec.int("p", default=4, minimum=2)
-    theta = sec.float("theta", default=None)
-    if theta is not None:
-        if not theta > 1.0:
-            raise ConfigError("functional.theta", f"must be > 1, got {theta}")
-        bound = (a + b) ** 2 / (4.0 * a * b)
-        if not theta ** 2 > bound:
-            raise ConfigError(
-                "functional.theta",
-                f"theta^2 = {theta ** 2} violates theta^2 > "
-                f"(a+b)^2/(4ab) = {bound}")
+    functional = FunctionalConfig(p=sec.int("p", default=4),
+                                  theta=sec.float("theta", default=None))
     sec.finish()
-    functional = FunctionalConfig(p=p, theta=theta)
+    # p and theta are checked by build_params; with mu = 1 and zero data
+    # its other rules hold, so only theirs can fail
+    with _config_keys():
+        lyapunov.build_params(scheme.a, scheme.b, 1.0, 0.0, functional.p,
+                              0.0, 0.0, theta=functional.theta)
 
     initial_u = _parse_initial(section("initial_u"), grid)
     initial_v = _parse_initial(section("initial_v"), grid)
@@ -428,27 +440,24 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_run(config_path) -> int:
+    # only config errors end the command here: a ValueError from deeper in
+    # the run (np.linalg.LinAlgError among them) propagates
     try:
-        cfg = parse_config(config_path)
-        model = make_model(cfg.model)
-        u0 = make_initial_field(cfg.initial_u, cfg.grid)
-        v0 = make_initial_field(cfg.initial_v, cfg.grid)
-        if cfg.scheme.enforce_positivity:
-            for name, data in (("initial_u", u0), ("initial_v", v0)):
-                if data.min() < 0:
-                    raise ConfigError(
-                        name, "negative initial values with "
-                        "scheme.enforce_positivity = true")
-        C_eff = model.claimed_C if model.claimed_C is not None else 0.0
-        mu_eff = model.claimed_mu if model.claimed_mu is not None else 0.5
-        params = lyapunov.build_params(cfg.scheme.a, cfg.scheme.b, mu_eff,
-                                       C_eff, cfg.functional.p, u0, v0,
-                                       theta=cfg.functional.theta)
-    except (ConfigError, ValueError) as exc:
+        with _config_keys():
+            cfg = parse_config(config_path)
+            model = make_model(cfg.model)
+            u0 = make_initial_field(cfg.initial_u, cfg.grid)
+            v0 = make_initial_field(cfg.initial_v, cfg.grid)
+            C_eff = model.claimed_C if model.claimed_C is not None else 0.0
+            mu_eff = model.claimed_mu if model.claimed_mu is not None else 0.5
+            params = lyapunov.build_params(cfg.scheme.a, cfg.scheme.b, mu_eff,
+                                           C_eff, cfg.functional.p, u0, v0,
+                                           theta=cfg.functional.theta)
+            series, verdict = run(model, cfg.scheme, cfg.grid, u0, v0, params)
+    except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
 
-    series, verdict = run(model, cfg.scheme, cfg.grid, u0, v0, params)
     claim = verify.assemble_claim_report(series, series.events)
     box = verify.default_box(C_eff, sup_norm(u0), sup_norm(v0))
     mass = verify.check_mass_control(model, C_eff, mu_eff, box, box,
@@ -498,16 +507,10 @@ def cmd_check(config_path) -> int:
 def cmd_theta(a: float, b: float, mu: float, p: int,
               theta: float | None = None) -> int:
     try:
-        if not (isinstance(p, int) and p >= 2):
-            raise ConfigError("functional.p", f"must be an integer >= 2, got {p}")
-        if not (a > 0 and b > 0):
-            raise ConfigError("scheme.a", "diffusion coefficients must be positive")
-        if not mu > 0:
-            raise ConfigError("model.claimed_mu", f"mu must be > 0, got {mu}")
-        zeros = np.zeros(3)
-        params = lyapunov.build_params(a, b, mu, 0.0, p, zeros, zeros,
-                                       theta=theta)
-    except (ConfigError, ValueError) as exc:
+        with _config_keys():
+            params = lyapunov.build_params(a, b, mu, 0.0, p, 0.0, 0.0,
+                                           theta=theta)
+    except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
 

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from . import lyapunov, verify
-from .mesh import Grid, as_field, sup_norm
+from .mesh import Grid, ParamError, as_field, check_positive, sup_norm
 
 NEGATIVITY_TOL = 1e-12
 
@@ -54,16 +54,17 @@ class SchemeConfig:
     enforce_positivity: bool = True
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("diffusion coefficients a, b must be positive")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
-        if not 0 < self.dt_min <= self.dt_init <= self.dt_max:
-            raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
+        check_positive(a=self.a, b=self.b, t_end=self.t_end)
+        if not self.dt_min > 0:
+            raise ParamError("dt_min", f"dt_min must be > 0, got {self.dt_min}")
+        if not self.dt_min <= self.dt_init <= self.dt_max:
+            raise ParamError("dt_init", f"need dt_min <= dt_init <= dt_max, got "
+                             f"{self.dt_min}, {self.dt_init}, {self.dt_max}")
         if not self.rtol > 0:
-            raise ValueError("rtol must be positive")
+            raise ParamError("rtol", f"rtol must be > 0, got {self.rtol}")
         if not self.blowup_threshold > 0:
-            raise ValueError("blowup_threshold must be positive")
+            raise ParamError("blowup_threshold", "blowup_threshold must be > 0, "
+                             f"got {self.blowup_threshold}")
 
 
 @dataclass
@@ -279,13 +280,18 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     Every accepted step is logged with sup norms, the functional L, the
     dissipation and reaction diagnostics I and J, the step size taken,
     and a bound-violation flag; bound events carry the first offending
-    node.  Identical inputs produce a bit-identical series.
+    node.  Identical inputs produce a bit-identical series.  Initial
+    data that is not finite, or negative while positivity is enforced,
+    raises ParamError naming ``u0`` or ``v0``.
     """
     u = as_field(u0, grid).copy()
     v = as_field(v0, grid).copy()
-    if cfg.enforce_positivity and (u.min() < 0 or v.min() < 0):
-        raise ValueError("initial data must be nonnegative "
-                         "(or disable enforce_positivity)")
+    for name, data in (("u0", u), ("v0", v)):
+        if not np.isfinite(data).all():
+            raise ParamError(name, "initial data must be finite")
+        if cfg.enforce_positivity and data.min() < 0:
+            raise ParamError(name, "initial data must be nonnegative "
+                             "(or disable enforce_positivity)")
 
     series = TimeSeries(functional.u_bar0, functional.v_bar0)
     state = SimState(0.0, u, v, cfg.dt_init)

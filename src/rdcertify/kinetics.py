@@ -54,12 +54,6 @@ class GrowthFunction:
     def __repr__(self):
         return f"{type(self).__name__}({self.spec!r})"
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.spec == other.spec
-
-    def __hash__(self):
-        return hash(self.spec)
-
 
 class Power(GrowthFunction):
     """F(s) = s**beta, beta > 0."""
@@ -178,32 +172,35 @@ class DoubleExpMinusPoly(GrowthFunction):
         return "doubleexp-poly:" + ",".join(repr(c) for c in self.coeffs)
 
 
+# kind -> constructor taking the comma-separated arguments as strings
 _GROWTH_KINDS = {
-    "power": Power,
+    "power": lambda beta: Power(float(beta)),
     "exp": Exp,
-    "subexp": SubExp,
+    "subexp": lambda gamma: SubExp(float(gamma)),
     "doubleexp": DoubleExp,
-    "doubleexp-poly": DoubleExpMinusPoly,
+    "doubleexp-poly": lambda *coeffs: DoubleExpMinusPoly(
+        [float(c) for c in coeffs]),
 }
 
 
 def growth_from_spec(text: str) -> GrowthFunction:
-    """Build a growth law from its config string, e.g. ``power:2.0``."""
-    kind, _, arg = text.strip().partition(":")
-    if kind == "exp":
-        return Exp()
-    if kind == "doubleexp":
-        return DoubleExp()
-    if kind == "power":
-        return Power(float(arg))
-    if kind == "subexp":
-        return SubExp(float(arg))
-    if kind == "doubleexp-poly":
-        return DoubleExpMinusPoly([float(c) for c in arg.split(",")])
-    raise ValueError(
-        f"unknown growth function {text!r}; expected one of "
-        f"{sorted(_GROWTH_KINDS)}"
-    )
+    """Build a growth law from its config string, e.g. ``power:2.0``.
+
+    Raises ValueError for an unknown kind or a wrong argument list
+    (``exp`` and ``doubleexp`` take none).
+    """
+    kind, sep, arg = text.strip().partition(":")
+    if kind not in _GROWTH_KINDS:
+        raise ValueError(
+            f"unknown growth function {text!r}; expected one of "
+            f"{sorted(_GROWTH_KINDS)}"
+        )
+    args = arg.split(",") if sep else []
+    try:
+        return _GROWTH_KINDS[kind](*args)
+    except TypeError:        # the constructor rejected the argument count
+        raise ValueError(f"wrong number of arguments in growth function "
+                         f"{text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -313,23 +310,6 @@ class BlowupExample(ReactionModel):
             f = _zero_where_zero(u - u * u, v2)
             g = _zero_where_zero(u, v2)
         return f, g
-
-
-def evaluate(model: ReactionModel, u, v):
-    """The pair (f, g) at u, v >= 0.
-
-    Raises ValueError on negative input; overflow is reported by
-    returning non-finite entries (the flagged divergence value), never
-    by raising.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any(u < 0) or np.any(v < 0):
-        raise ValueError("reaction evaluation requires u >= 0 and v >= 0")
-    f, g = model.rates(u, v)
-    if f.ndim == 0:
-        return float(f), float(g)
-    return f, g
 
 
 # ---------------------------------------------------------------------------

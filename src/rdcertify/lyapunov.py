@@ -35,13 +35,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import Grid, as_field, integrate, sup_norm
-
-LOG_DBL_MAX = math.log(np.finfo(float).max)
+from .mesh import Grid, ParamError, as_field, check_positive, integrate, sup_norm
 
 #: tolerance on the log-domain residual of the weight recurrence
 RECURRENCE_TOL = 1e-9
@@ -83,14 +80,9 @@ class FunctionalParams:
                 + i * (i - 1.0) * self.log_theta)
 
 
-class ThetaValue(NamedTuple):
-    log: float
-    value: float   # inf when not representable in double precision
-
-
-def bound_constants(C: float, u0, v0) -> tuple[float, float]:
-    """Candidate uniform bounds: max of C and the initial sup norms."""
-    return max(float(C), sup_norm(u0)), max(float(C), sup_norm(v0))
+def _theta_sq_bound(a: float, b: float) -> float:
+    """(a+b)^2/(4ab): theta^2 must exceed it for T_i to be semidefinite."""
+    return (a + b) ** 2 / (4.0 * a * b)
 
 
 def build_params(a: float, b: float, mu: float, C: float, p: int,
@@ -102,62 +94,45 @@ def build_params(a: float, b: float, mu: float, C: float, p: int,
     theta defaults to sqrt(1.1 * max((a+b)^2/(4ab), 1)); theta1 defaults
     to 1 and theta0 to mu/2, which guarantees theta0/theta1 < mu.
     Supplied values that violate theta > 1, theta^2 > (a+b)^2/(4ab) or
-    theta0/theta1 < mu raise ValueError naming the violated condition.
+    theta0/theta1 < mu raise ParamError naming the violated condition.
+    The candidate bounds are max(C, sup u0) and max(C, sup v0).
     """
-    if not (a > 0 and b > 0):
-        raise ValueError(f"diffusion coefficients must be positive, got a={a}, b={b}")
-    if not mu > 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    check_positive(a=a, b=b, mu=mu)
     if not C >= 0:
-        raise ValueError(f"C must be >= 0, got {C}")
+        raise ParamError("C", f"C must be >= 0, got {C}")
     if not (isinstance(p, int) and p >= 2):
-        raise ValueError(f"p must be an integer >= 2, got {p}")
+        raise ParamError("p", f"p must be an integer >= 2, got {p}")
 
-    bound = (a + b) ** 2 / (4.0 * a * b)
+    bound = _theta_sq_bound(a, b)
     if theta is None:
         theta = math.sqrt(1.1 * max(bound, 1.0))
     else:
         theta = float(theta)
         if not theta > 1.0:
-            raise ValueError(f"theta must be > 1, got {theta}")
+            raise ParamError("theta", f"theta must be > 1, got {theta}")
         if not theta ** 2 > bound:
-            raise ValueError(
-                f"theta^2 = {theta ** 2} violates the condition "
+            raise ParamError(
+                "theta", f"theta^2 = {theta ** 2} violates the condition "
                 f"theta^2 > (a+b)^2/(4ab) = {bound}"
             )
 
     theta1 = 1.0 if theta1 is None else float(theta1)
     theta0 = mu / 2.0 if theta0 is None else float(theta0)
-    if not (theta0 > 0 and theta1 > 0):
-        raise ValueError("theta0 and theta1 must be positive")
+    for name, value in (("theta0", theta0), ("theta1", theta1)):
+        if not value > 0:
+            raise ParamError(name, f"{name} must be > 0, got {value}")
     log_theta0 = math.log(theta0)
     log_theta1 = math.log(theta1)
     if not log_theta0 - log_theta1 < math.log(mu):
-        raise ValueError(
-            f"theta0/theta1 = {theta0 / theta1} violates the condition "
-            f"theta0/theta1 < mu = {mu}"
+        raise ParamError(
+            "theta0", f"theta0/theta1 = {theta0 / theta1} violates the "
+            f"condition theta0/theta1 < mu = {mu}"
         )
 
-    u_bar0, v_bar0 = bound_constants(C, u0, v0)
     return FunctionalParams(p=p, theta=theta, log_theta0=log_theta0,
                             log_theta1=log_theta1, mu=mu, C=float(C),
-                            u_bar0=u_bar0, v_bar0=v_bar0)
-
-
-def log_theta_at(params: FunctionalParams, i: int) -> float:
-    if not 0 <= i <= params.p:
-        raise IndexError(f"weight index {i} outside 0..{params.p}")
-    return (params.log_theta0
-            + i * (params.log_theta1 - params.log_theta0)
-            + i * (i - 1) * params.log_theta)
-
-
-def theta_at(params: FunctionalParams, i: int) -> ThetaValue:
-    """Weight theta_i as (log, linear) pair; the linear value is inf
-    when it exceeds double precision."""
-    lg = log_theta_at(params, i)
-    value = math.exp(lg) if lg <= LOG_DBL_MAX else math.inf
-    return ThetaValue(lg, value)
+                            u_bar0=max(float(C), sup_norm(u0)),
+                            v_bar0=max(float(C), sup_norm(v0)))
 
 
 @dataclass(frozen=True)
@@ -189,7 +164,7 @@ class ConditionReport:
 
 def check_conditions(params: FunctionalParams, a: float, b: float) -> ConditionReport:
     """Verify the weight conditions for the given diffusion pair."""
-    bound = (a + b) ** 2 / (4.0 * a * b)
+    bound = _theta_sq_bound(a, b)
     theta_sq = params.theta ** 2
     logs = params.log_theta_seq()
     if params.p >= 2:
@@ -213,15 +188,9 @@ def check_conditions(params: FunctionalParams, a: float, b: float) -> ConditionR
 # Positive parts and the polynomial H
 # ---------------------------------------------------------------------------
 
-def positive_parts(params: FunctionalParams, u: float, v: float):
+def _field_parts(params: FunctionalParams, u: np.ndarray, v: np.ndarray):
     """(U, V, sgnU, sgnV): excursions above the bounds and their sign
     flags, with sgn(0) = 0 (the positive-part derivative at the kink)."""
-    U = max(u - params.u_bar0, 0.0)
-    V = max(v - params.v_bar0, 0.0)
-    return U, V, int(U > 0.0), int(V > 0.0)
-
-
-def _field_parts(params: FunctionalParams, u: np.ndarray, v: np.ndarray):
     U = np.maximum(u - params.u_bar0, 0.0)
     V = np.maximum(v - params.v_bar0, 0.0)
     return U, V, (U > 0.0).astype(float), (V > 0.0).astype(float)
@@ -288,15 +257,6 @@ def _sum_descending(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def h_value(params: FunctionalParams, u: float, v: float) -> float:
-    """H(u, v); inf flags overflow (or a non-finite input)."""
-    if not (math.isfinite(u) and math.isfinite(v)):
-        return math.inf
-    U, V, _, _ = positive_parts(params, u, v)
-    terms = _h_terms(params, np.asarray(U), np.asarray(V))
-    return float(_sum_descending(terms))
-
-
 def _h_field(params: FunctionalParams, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     U, V, _, _ = _field_parts(params, u, v)
     return _sum_descending(_h_terms(params, U, V))
@@ -318,6 +278,14 @@ def lyapunov_L(params: FunctionalParams, state, grid: Grid) -> float:
 # Dissipation and reaction diagnostics
 # ---------------------------------------------------------------------------
 
+def _quadratic(a, b, w0, w1, w2, sU, sV, xi, eta):
+    # T_i with theta_i, theta_{i+1}, theta_{i+2} scaled to w0, w1, w2; the
+    # operation order is fixed, so both callers' values are pinned bit for bit
+    return (a * w2 * sU * xi ** 2
+            + (a + b) * w1 * sU * sV * xi * eta
+            + b * w0 * sV * eta ** 2)
+
+
 def quadratic_Ti(params: FunctionalParams, i: int, a: float, b: float,
                  sgnU, sgnV, xi, eta):
     """The gradient quadratic
@@ -331,16 +299,10 @@ def quadratic_Ti(params: FunctionalParams, i: int, a: float, b: float,
     """
     if not 0 <= i <= params.p - 2:
         raise IndexError(f"quadratic index {i} outside 0..{params.p - 2}")
-    l0 = log_theta_at(params, i)
-    l1 = log_theta_at(params, i + 1)
-    l2 = log_theta_at(params, i + 2)
-    r2 = math.exp(l2 - l1)
-    r0 = math.exp(l0 - l1)
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    out = (a * r2 * sgnU * xi ** 2
-           + (a + b) * sgnU * sgnV * xi * eta
-           + b * r0 * sgnV * eta ** 2)
+    l0, l1, l2 = params.log_theta_seq()[i:i + 3]
+    out = _quadratic(a, b, math.exp(l0 - l1), 1.0, math.exp(l2 - l1),
+                     sgnU, sgnV, np.asarray(xi, dtype=float),
+                     np.asarray(eta, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -378,9 +340,7 @@ def dissipation_I(params: FunctionalParams, state, grid: Grid,
     acc = np.zeros_like(u)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(p - 1):
-            Ti = (a * th[i + 2] * sU * du ** 2
-                  + (a + b) * th[i + 1] * sU * sV * du * dv
-                  + b * th[i] * sV * dv ** 2)
+            Ti = _quadratic(a, b, th[i], th[i + 1], th[i + 2], sU, sV, du, dv)
             acc += binom[i] * Ti * U ** i * V ** (p - 2 - i)
     return float(-p * (p - 1) * integrate(acc, grid))
 

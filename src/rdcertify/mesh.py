@@ -7,13 +7,33 @@ ends by ghost-node reflection (ghost[-1] = f[1], ghost[n] = f[n-2]), so
 the endpoints see 2*(f[1] - f[0])/h^2 and 2*(f[n-2] - f[n-1])/h^2.  With
 trapezoid quadrature this makes the discrete flux balance exact: the
 integral of any Laplacian is zero to round-off.
+
+``ParamError`` is the ValueError every layer raises for an invalid
+parameter; it names the parameter, so a caller can map it to its own
+key (the CLI maps it to the config key).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class ParamError(ValueError):
+    """A library parameter failed validation; ``param`` names it."""
+
+    def __init__(self, param: str, message: str):
+        self.param = param
+        super().__init__(message)
+
+
+def check_positive(**values) -> None:
+    """Raise ParamError naming the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ParamError(name, f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -25,9 +45,8 @@ class Grid:
 
     def __post_init__(self):
         if self.n_nodes < 3:
-            raise ValueError(f"n_nodes must be >= 3, got {self.n_nodes}")
-        if not self.length > 0:
-            raise ValueError(f"length must be > 0, got {self.length}")
+            raise ParamError("n_nodes", f"n_nodes must be >= 3, got {self.n_nodes}")
+        check_positive(length=self.length)
 
     @property
     def spacing(self) -> float:
@@ -62,14 +81,6 @@ def laplacian(f, grid: Grid) -> np.ndarray:
 def sup_norm(f) -> float:
     """Maximum absolute nodal value (discrete L-infinity norm)."""
     return float(np.max(np.abs(np.asarray(f, dtype=float))))
-
-
-def trapezoid_weights(grid: Grid) -> np.ndarray:
-    """Quadrature weights: h/2 at the ends, h inside."""
-    w = np.full(grid.n_nodes, grid.spacing)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def integrate(f, grid: Grid) -> float:

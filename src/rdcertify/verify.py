@@ -185,8 +185,7 @@ def check_g_nonneg(model, u_max: float, v_max: float,
 
 def default_box(C: float, *data_sups: float) -> float:
     """Default sampling box edge: max(2C, 10, 2 * largest data sup)."""
-    return max(2.0 * C, 10.0, *(2.0 * s for s in data_sups)) if data_sups \
-        else max(2.0 * C, 10.0)
+    return max(2.0 * C, 10.0, *(2.0 * s for s in data_sups))
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,25 @@ def test_cmd_run_negative_data_rejected(tmp_path, capsys):
     assert "initial_u" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("needle,old,new", [
+    ("grid.length", "length = 1.0", "length = inf"),
+    ("scheme.a", "a = 1.0", "a = inf"),
+    ("scheme.t_end", "t_end = 0.5", "t_end = inf"),
+    ("initial_u", "value = 0.0", "value = nan"),
+    ("model.F", "kind = combustion\nm = 1", "kind = absorption\nF = exp:3\nG = exp"),
+])
+def test_cmd_run_invalid_number_exit_one(tmp_path, capsys, needle, old, new):
+    # non-finite numbers and junk growth arguments are config errors:
+    # exit 1 naming the key, before any output is written
+    csv = tmp_path / "bad.csv"
+    path = tmp_path / "bad.ini"
+    path.write_text(COMBUSTION_ZERO.replace(old, new, 1) +
+                    f"\n[output]\ncsv = {csv}\nreport = {tmp_path / 'r.txt'}\n")
+    assert cmd_run(path) == 1
+    assert needle in capsys.readouterr().err
+    assert not csv.exists()
+
+
 def test_csv_17_digit_round_trip(tmp_path):
     path, csv, report = blowup_config(tmp_path, log_every=10)
     cmd_run(path)

@@ -6,7 +6,13 @@ import pytest
 from rdcertify.kinetics import (Absorption, BlowupExample, Combustion,
                                 DoubleExp, DoubleExpMinusPoly, Exp,
                                 GrowthFunction, Power, ReactionModel, SubExp,
-                                evaluate, find_threshold_A, growth_from_spec)
+                                find_threshold_A, growth_from_spec)
+
+
+def evaluate(model, u, v):
+    """``model.rates`` at one point, as a pair of floats."""
+    f, g = model.rates(u, v)
+    return float(f), float(g)
 
 
 def test_evaluate_combustion_at_origin_temperature():
@@ -23,13 +29,6 @@ def test_evaluate_blowup_example():
 def test_evaluate_absorption_exp():
     model = Absorption(Exp(), Exp())
     assert evaluate(model, 2.0, 0.0) == (-2.0, 2.0)
-
-
-def test_evaluate_rejects_negative_input():
-    with pytest.raises(ValueError):
-        evaluate(Combustion(1), -0.1, 0.0)
-    with pytest.raises(ValueError):
-        evaluate(BlowupExample(), 0.0, -1e-9)
 
 
 def test_evaluate_overflow_flags_divergence():
@@ -117,9 +116,18 @@ def test_double_exp_minus_poly_nonpositive_region():
 def test_growth_spec_round_trip():
     for g in (Power(2.0), Exp(), SubExp(0.5), DoubleExp(),
               DoubleExpMinusPoly([0.0, 1.0, 2.5])):
-        assert growth_from_spec(g.spec) == g
+        back = growth_from_spec(g.spec)
+        assert type(back) is type(g)
+        assert back.spec == g.spec
     with pytest.raises(ValueError):
         growth_from_spec("mystery:3")
+
+
+@pytest.mark.parametrize("text", ["exp:3", "doubleexp:7", "exp:", "power",
+                                  "power:1,2", "subexp:0.5,0.5"])
+def test_growth_spec_rejects_wrong_arguments(text):
+    with pytest.raises(ValueError, match="arguments"):
+        growth_from_spec(text)
 
 
 def test_growth_parameter_validation():

@@ -6,11 +6,9 @@ import pytest
 
 from rdcertify.integrator import SimState
 from rdcertify.kinetics import BlowupExample, Combustion
-from rdcertify.lyapunov import (FunctionalParams, bound_constants,
-                                build_params, check_conditions, dissipation_I,
-                                h_value, log_theta_at, lyapunov_L,
-                                positive_parts, quadratic_Ti, reaction_J,
-                                theta_at)
+from rdcertify.lyapunov import (FunctionalParams, build_params,
+                                check_conditions, dissipation_I, lyapunov_L,
+                                quadratic_Ti, reaction_J)
 from rdcertify.mesh import Grid
 
 ZEROS = np.zeros(3)
@@ -35,12 +33,17 @@ def recurrence_logs(params):
 # Construction and the weight sequence
 # ---------------------------------------------------------------------------
 
+def bounds(C, u0, v0):
+    params = build_params(1.0, 1.0, 1.0, C, 4, u0, v0)
+    return params.u_bar0, params.v_bar0
+
+
 def test_bound_constants():
     u0 = np.array([0.0, 5.0, -1.0])
     v0 = np.array([1.0, 0.5, 0.0])
-    assert bound_constants(2.0, u0, v0) == (5.0, 2.0)
-    assert bound_constants(0.0, u0, v0) == (5.0, 1.0)
-    assert bound_constants(10.0, np.ones(3), np.ones(3)) == (10.0, 10.0)
+    assert bounds(2.0, u0, v0) == (5.0, 2.0)
+    assert bounds(0.0, u0, v0) == (5.0, 1.0)
+    assert bounds(10.0, np.ones(3), np.ones(3)) == (10.0, 10.0)
 
 
 def test_default_theta():
@@ -77,11 +80,11 @@ def test_parameter_validation():
 
 def test_theta_sequence_1_2_8_64_1024():
     params = params_128(p=4)
-    values = [theta_at(params, i).value for i in range(5)]
+    values = list(np.exp(params.log_theta_seq()))
     assert values == pytest.approx([1.0, 2.0, 8.0, 64.0, 1024.0], rel=1e-12)
     # anchors are the supplied first two weights
-    assert theta_at(params, 0).value == pytest.approx(1.0)
-    assert theta_at(params, 1).value == pytest.approx(2.0)
+    assert values[0] == pytest.approx(1.0)
+    assert values[1] == pytest.approx(2.0)
     # second-order ratio is theta^2 = 2 all along
     for i in range(3):
         ratio = values[i] * values[i + 2] / values[i + 1] ** 2
@@ -92,23 +95,27 @@ def test_theta_sequence_1_2_8_64_1024():
 
 
 def test_theta_at_log_and_linear_agree():
+    # each entry of the sequence is, bit for bit, the scalar closed form
+    # at its index in integer arithmetic, and exponentiates to the weight
     params = params_128(p=4)
+    logs = params.log_theta_seq()
     for i in range(5):
-        tv = theta_at(params, i)
-        assert tv.value == pytest.approx(math.exp(tv.log), rel=1e-14)
-    with pytest.raises(IndexError):
-        theta_at(params, 5)
-    with pytest.raises(IndexError):
-        log_theta_at(params, -1)
+        closed = (params.log_theta0
+                  + i * (params.log_theta1 - params.log_theta0)
+                  + i * (i - 1) * params.log_theta)
+        assert logs[i] == closed
+        assert math.exp(logs[i]) == pytest.approx(2.0 ** (i * (i + 1) / 2),
+                                                  rel=1e-14)
 
 
 def test_theta_at_overflow_reports_inf():
     # large p with theta0 = 1, theta1 = 4, theta^2 = 4: theta_i = 4^(i^2/2)-ish
     params = build_params(1.0, 1.0, 8.0, 0.0, 40, ZEROS, ZEROS,
                           theta=2.0, theta0=1.0, theta1=4.0)
-    tv = theta_at(params, 40)
-    assert math.isinf(tv.value)
-    assert math.isfinite(tv.log)
+    log40 = params.log_theta_seq()[40]
+    assert math.isfinite(log40)
+    with np.errstate(over="ignore"):
+        assert math.isinf(np.exp(log40))
 
 
 def test_check_conditions_for_random_valid_params():
@@ -148,21 +155,34 @@ def test_tampered_weights_fail_ratio_check():
 # ---------------------------------------------------------------------------
 
 def test_positive_parts():
-    params = dataclasses.replace(params_128(), u_bar0=1.0, v_bar0=2.0)
-    assert positive_parts(params, 0.5, 1.0) == (0.0, 0.0, 0, 0)
-    U, V, sU, sV = positive_parts(params, 1.5, 2.25)
-    assert (U, V, sU, sV) == (0.5, 0.25, 1, 1)
-    # the kink: sgn(0) = 0
-    assert positive_parts(params, 1.0, 5.0)[2] == 0
+    # the kink: a node exactly on its bound has sgn(0) = 0, so its square
+    # term drops out of T_i.  u ramps up to u_bar0, reached at the last
+    # node with slope 1, and V = 1 keeps the pure-V monomial alive: only
+    # b*v_x^2 remains, and v is constant, so I is exactly zero.
+    grid = Grid(11, 1.0)
+    params = dataclasses.replace(params_128(p=2), u_bar0=1.0, v_bar0=2.0)
+    ramp = np.linspace(0.0, 1.0, 11)
+    on_bound = SimState(0.0, ramp, np.full(11, 3.0), 1e-3)
+    assert dissipation_I(params, on_bound, grid, 1.0, 1.0) == 0.0
+    # just above the bound the flag is 1 and the a*u_x^2 term counts
+    above = SimState(0.0, ramp + 1e-9, np.full(11, 3.0), 1e-3)
+    assert dissipation_I(params, above, grid, 1.0, 1.0) < 0.0
+
+
+def H(params, u, v):
+    """H(u, v) as L of the constant fields over a unit interval."""
+    grid = Grid(3, 1.0)
+    state = SimState(0.0, np.full(3, u), np.full(3, v), 1e-3)
+    return lyapunov_L(params, state, grid)
 
 
 def test_h_value_examples():
     params = params_128(p=2)
-    assert h_value(params, 0.0, 0.0) == 0.0
+    assert H(params, 0.0, 0.0) == 0.0
     # binom * theta * U^i V^(2-i): 1*1*1 + 2*2*1 + 1*8*1 = 13
-    assert h_value(params, 1.0, 1.0) == pytest.approx(13.0)
+    assert H(params, 1.0, 1.0) == pytest.approx(13.0)
     # only the pure-V monomial survives: theta_0 * 3^2 = 9
-    assert h_value(params, 0.0, 3.0) == pytest.approx(9.0)
+    assert H(params, 0.0, 3.0) == pytest.approx(9.0)
 
 
 def test_h_value_nonnegative():
@@ -171,13 +191,13 @@ def test_h_value_nonnegative():
                           np.full(3, 1.0), np.full(3, 0.5))
     for _ in range(200):
         u, v = rng.uniform(0.0, 10.0, size=2)
-        assert h_value(params, float(u), float(v)) >= 0.0
+        assert H(params, float(u), float(v)) >= 0.0
 
 
 def test_h_value_flags_non_finite():
     params = params_128()
-    assert math.isinf(h_value(params, math.inf, 0.0))
-    assert math.isinf(h_value(params, math.nan, 0.0))
+    assert math.isinf(H(params, math.inf, 0.0))
+    assert math.isinf(H(params, math.nan, 0.0))
 
 
 def test_lyapunov_L_zero_iff_below_bounds():
@@ -300,6 +320,24 @@ def test_dissipation_trivial_cases():
     assert dissipation_I(params, below, grid, 1.0, 2.0) == 0.0
     homogeneous = SimState(0.0, np.full(21, 9.0), np.full(21, 9.0), 1e-3)
     assert dissipation_I(params, homogeneous, grid, 1.0, 2.0) == 0.0
+
+
+# -I on fixed non-uniform states above the bounds, recorded with
+# float.hex before T_i was shared by quadratic_Ti and dissipation_I
+PINNED_MINUS_I = {2: "0x1.874c66ad619c3p+6", 4: "0x1.5255844aef4a2p+9",
+                  8: "0x1.128b43abc004dp+11"}
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_MINUS_I))
+def test_dissipation_I_pinned_bit_for_bit(p):
+    grid = Grid(17, 1.3)
+    rng = np.random.default_rng(100 + p)
+    u = rng.uniform(0.0, 3.0, grid.n_nodes)
+    v = rng.uniform(0.0, 3.0, grid.n_nodes)
+    params = build_params(0.7, 2.5, 0.5, 0.0, p, ZEROS, ZEROS)
+    params = dataclasses.replace(params, u_bar0=1.0, v_bar0=1.0)
+    val = dissipation_I(params, SimState(0.0, u, v, 1e-3), grid, 0.7, 2.5)
+    assert val == -float.fromhex(PINNED_MINUS_I[p])
 
 
 def test_dissipation_nonpositive_and_matches_brute_force():
