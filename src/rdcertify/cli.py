@@ -10,7 +10,7 @@ sections are::
     [grid]       n_nodes, length
     [scheme]     a, b, t_end; optional dt_init, dt_min, dt_max, rtol,
                  blowup_threshold, enforce_positivity
-    [functional] p (default 4), optional theta
+    [functional] p (default 4, at most 1000), optional theta
     [initial_u]  kind = uniform | bump | nodes, plus kind fields:
     [initial_v]  value | center,width,height,baseline | nodes=v0,v1,...
     [output]     csv, report, log_every
@@ -29,15 +29,26 @@ text, one ``key: value`` per line.
 Exit codes of ``rd-certify run``: 0 completed with bounds held,
 2 blow-up, 3 completed with a bound violation, 4 step-size underflow,
 1 config error.  ``rd-certify check``: 0 pass, 3 fail, 1 config error.
-The range rules on values live in the library, which raises
-:class:`rdcertify.mesh.ParamError`; this module maps the parameter it
-names to its config key.
+
+``run`` and ``check`` share one set-up: the parse builds the model,
+grid, scheme, initial fields and functional parameters, and the
+sampling seed is read once.  Any failure there exits 1 with a message
+naming the key, before anything runs or is written.  That covers
+non-finite numbers, ``claimed_C`` and ``claimed_mu`` that are not
+finite (C >= 0, mu > 0), a ``theta`` that is not finite, ``p`` outside
+[2, 1000], ``m`` < 1, ``lam`` outside (0, 1), an ``RD_CERTIFY_SEED``
+that is not an integer >= 0, and an ``[output]`` ``csv`` or ``report``
+path whose directory does not exist.  The range rules on values live
+in the library, which raises :class:`rdcertify.mesh.ParamError`; this
+module maps the parameter it names to its config key.  Only bump
+``width > 0`` and ``log_every >= 1`` are the parser's own.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -47,7 +58,7 @@ import numpy as np
 
 from . import kinetics, lyapunov, verify
 from .integrator import SchemeConfig, Verdict, run
-from .mesh import Grid, ParamError, sup_norm
+from .mesh import Grid, ParamError
 
 CSV_HEADER = "t,sup_u,sup_v,L,I,J,dt,bound_violation"
 CHECK_N_PER_AXIS = 64
@@ -69,7 +80,8 @@ _CONFIG_KEYS = {
     "rtol": "scheme.rtol", "blowup_threshold": "scheme.blowup_threshold",
     "p": "functional.p", "theta": "functional.theta",
     "mu": "model.claimed_mu", "theta0": "model.claimed_mu",
-    "C": "model.claimed_C", "u0": "initial_u", "v0": "initial_v",
+    "C": "model.claimed_C", "m": "model.m", "lam": "model.lam",
+    "u0": "initial_u", "v0": "initial_v", "seed": "RD_CERTIFY_SEED",
 }
 
 
@@ -83,53 +95,23 @@ def _config_keys():
 
 
 # ---------------------------------------------------------------------------
-# Config model
+# Config parsing
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ModelConfig:
-    kind: str
-    m: int = 1
-    F: str | None = None
-    G: str | None = None
-    lam: float = 0.5
-    claimed_C: float | None = None
-    claimed_mu: float | None = None
-
-
-@dataclass(frozen=True)
-class FunctionalConfig:
-    p: int = 4
-    theta: float | None = None
-
-
-@dataclass(frozen=True)
-class InitialConfig:
-    kind: str
-    value: float | None = None
-    center: float | None = None
-    width: float | None = None
-    height: float | None = None
-    baseline: float | None = None
-    nodes: tuple | None = None
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    csv: str = "run.csv"
-    report: str = "run_report.txt"
-    log_every: int = 1
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    model: ModelConfig
+    """A parsed config: the library objects it describes, plus the
+    output settings."""
+
+    model: kinetics.ReactionModel
     grid: Grid
     scheme: SchemeConfig
-    functional: FunctionalConfig
-    initial_u: InitialConfig
-    initial_v: InitialConfig
-    output: OutputConfig
+    u0: np.ndarray
+    v0: np.ndarray
+    params: lyapunov.FunctionalParams
+    csv: str
+    report: str
+    log_every: int
 
 
 class _Section:
@@ -151,33 +133,21 @@ class _Section:
             raise ConfigError(f"{self.name}.{key}", "missing required key")
         return default
 
-    def _convert(self, key, conv, text, kindname):
+    def _convert(self, key, default, conv, kindname):
+        text = self.raw(key, default)
+        if not isinstance(text, str):
+            return text
         try:
             return conv(text)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{self.name}.{key}",
                               f"expected {kindname}, got {text!r} ({exc})")
 
-    def float(self, key, default=_REQUIRED, positive=False, nonnegative=False):
-        text = self.raw(key, default)
-        if not isinstance(text, str):
-            return text
-        value = self._convert(key, float, text, "a number")
-        if positive and not value > 0:
-            raise ConfigError(f"{self.name}.{key}", f"must be > 0, got {value}")
-        if nonnegative and not value >= 0:
-            raise ConfigError(f"{self.name}.{key}", f"must be >= 0, got {value}")
-        return value
+    def float(self, key, default=_REQUIRED):
+        return self._convert(key, default, float, "a number")
 
-    def int(self, key, default=_REQUIRED, minimum=None):
-        text = self.raw(key, default)
-        if not isinstance(text, str):
-            return text
-        value = self._convert(key, int, text, "an integer")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{self.name}.{key}",
-                              f"must be >= {minimum}, got {value}")
-        return value
+    def int(self, key, default=_REQUIRED):
+        return self._convert(key, default, int, "an integer")
 
     def bool(self, key, default=_REQUIRED):
         text = self.raw(key, default)
@@ -208,8 +178,13 @@ _KNOWN_SECTIONS = ("model", "grid", "scheme", "functional",
                    "initial_u", "initial_v", "output")
 
 
+@_config_keys()
 def parse_config_text(text: str) -> RunConfig:
-    """Parse and fully validate a config document."""
+    """Parse a config document into the library objects it describes.
+
+    The range rules are the library's; the ParamError it raises comes
+    out as a ConfigError naming the config key.
+    """
     cp = configparser.ConfigParser(
         delimiters=("=",), comment_prefixes=("#",),
         inline_comment_prefixes=None, interpolation=None, strict=True,
@@ -227,102 +202,99 @@ def parse_config_text(text: str) -> RunConfig:
     def section(name):
         return _Section(name, cp[name] if cp.has_section(name) else {})
 
-    # model
     sec = section("model")
     kind = sec.choice("kind", {"combustion", "absorption", "blowup_example"})
-    m = sec.int("m", default=1, minimum=1) if kind == "combustion" else 1
-    F = G = None
-    lam = 0.5
-    if kind == "absorption":
-        F = _normalize_growth(sec, "F")
-        G = _normalize_growth(sec, "G")
-        lam = sec.float("lam", default=0.5)
-        if not 0.0 < lam < 1.0:
-            raise ConfigError("model.lam", f"must lie in (0, 1), got {lam}")
-    claimed_C = sec.float("claimed_C", default=None, nonnegative=True)
-    claimed_mu = sec.float("claimed_mu", default=None, positive=True)
+    if kind == "combustion":
+        model = kinetics.Combustion(m=sec.int("m", default=1))
+    elif kind == "absorption":
+        model = kinetics.Absorption(_growth(sec, "F"), _growth(sec, "G"),
+                                    lam=sec.float("lam", default=0.5))
+    else:
+        model = kinetics.BlowupExample()
+    # a claim overrides the model's own, after any threshold search
+    claimed_C = sec.float("claimed_C", default=None)
+    if claimed_C is not None:
+        model.claimed_C = claimed_C
+    claimed_mu = sec.float("claimed_mu", default=None)
+    if claimed_mu is not None:
+        model.claimed_mu = claimed_mu
     sec.finish()
-    model = ModelConfig(kind=kind, m=m, F=F, G=G, lam=lam,
-                        claimed_C=claimed_C, claimed_mu=claimed_mu)
 
-    # grid
     sec = section("grid")
-    n_nodes = sec.int("n_nodes")
-    length = sec.float("length")
+    grid = Grid(n_nodes=sec.int("n_nodes"), length=sec.float("length"))
     sec.finish()
-    with _config_keys():
-        grid = Grid(n_nodes=n_nodes, length=length)
 
-    # scheme
     sec = section("scheme")
-    with _config_keys():
-        scheme = SchemeConfig(
-            a=sec.float("a"), b=sec.float("b"), t_end=sec.float("t_end"),
-            dt_init=sec.float("dt_init", default="1e-3"),
-            dt_min=sec.float("dt_min", default="1e-12"),
-            dt_max=sec.float("dt_max", default="0.1"),
-            rtol=sec.float("rtol", default="1e-6"),
-            blowup_threshold=sec.float("blowup_threshold", default="1e6"),
-            enforce_positivity=sec.bool("enforce_positivity", default=True))
+    scheme = SchemeConfig(
+        a=sec.float("a"), b=sec.float("b"), t_end=sec.float("t_end"),
+        dt_init=sec.float("dt_init", default="1e-3"),
+        dt_min=sec.float("dt_min", default="1e-12"),
+        dt_max=sec.float("dt_max", default="0.1"),
+        rtol=sec.float("rtol", default="1e-6"),
+        blowup_threshold=sec.float("blowup_threshold", default="1e6"),
+        enforce_positivity=sec.bool("enforce_positivity", default=True))
     sec.finish()
 
-    # functional
     sec = section("functional")
-    functional = FunctionalConfig(p=sec.int("p", default=4),
-                                  theta=sec.float("theta", default=None))
+    p = sec.int("p", default=4)
+    theta = sec.float("theta", default=None)
     sec.finish()
-    # p and theta are checked by build_params; with mu = 1 and zero data
-    # its other rules hold, so only theirs can fail
-    with _config_keys():
-        lyapunov.build_params(scheme.a, scheme.b, 1.0, 0.0, functional.p,
-                              0.0, 0.0, theta=functional.theta)
 
-    initial_u = _parse_initial(section("initial_u"), grid)
-    initial_v = _parse_initial(section("initial_v"), grid)
+    u0 = _initial_field(section("initial_u"), grid)
+    v0 = _initial_field(section("initial_v"), grid)
 
     sec = section("output")
-    output = OutputConfig(
-        csv=sec.raw("csv", default="run.csv"),
-        report=sec.raw("report", default="run_report.txt"),
-        log_every=sec.int("log_every", default=1, minimum=1))
+    csv = sec.raw("csv", default="run.csv")
+    report = sec.raw("report", default="run_report.txt")
+    log_every = sec.int("log_every", default=1)
+    if log_every < 1:
+        raise ConfigError("output.log_every", f"must be >= 1, got {log_every}")
     sec.finish()
 
-    return RunConfig(model=model, grid=grid, scheme=scheme,
-                     functional=functional, initial_u=initial_u,
-                     initial_v=initial_v, output=output)
+    # with no claim, the functional uses C = 0 and mu = 1/2
+    C = model.claimed_C if model.claimed_C is not None else 0.0
+    mu = model.claimed_mu if model.claimed_mu is not None else 0.5
+    params = lyapunov.build_params(scheme.a, scheme.b, mu, C, p, u0, v0,
+                                   theta=theta)
+    return RunConfig(model=model, grid=grid, scheme=scheme, u0=u0, v0=v0,
+                     params=params, csv=csv, report=report,
+                     log_every=log_every)
 
 
-def _normalize_growth(sec: _Section, key: str) -> str:
+def _growth(sec: _Section, key: str) -> kinetics.GrowthFunction:
     text = sec.raw(key)
     try:
-        return kinetics.growth_from_spec(text).spec
+        return kinetics.growth_from_spec(text)
     except ValueError as exc:
         raise ConfigError(f"{sec.name}.{key}", str(exc))
 
 
-def _parse_initial(sec: _Section, grid: Grid) -> InitialConfig:
+def _initial_field(sec: _Section, grid: Grid) -> np.ndarray:
     kind = sec.choice("kind", {"uniform", "bump", "nodes"})
     if kind == "uniform":
-        cfg = InitialConfig(kind=kind, value=sec.float("value"))
+        field = np.full(grid.n_nodes, sec.float("value"), dtype=float)
     elif kind == "bump":
-        width = sec.float("width", positive=True)
-        cfg = InitialConfig(kind=kind, center=sec.float("center"),
-                            width=width, height=sec.float("height"),
-                            baseline=sec.float("baseline", default="0.0"))
+        center = sec.float("center")
+        width = sec.float("width")
+        if not width > 0:
+            raise ConfigError(f"{sec.name}.width", f"must be > 0, got {width}")
+        height = sec.float("height")
+        baseline = sec.float("baseline", default="0.0")
+        x = grid.nodes()
+        field = baseline + height * np.exp(-((x - center) / width) ** 2)
     else:
-        text = sec.raw("nodes")
+        tokens = sec.raw("nodes").split(",")
         try:
-            nodes = tuple(float(tok) for tok in text.split(","))
+            field = np.array([float(tok) for tok in tokens])
         except ValueError as exc:
             raise ConfigError(f"{sec.name}.nodes",
                               f"expected comma-separated numbers ({exc})")
-        if len(nodes) != grid.n_nodes:
+        if len(field) != grid.n_nodes:
             raise ConfigError(f"{sec.name}.nodes",
-                              f"{len(nodes)} values for a grid of "
+                              f"{len(field)} values for a grid of "
                               f"{grid.n_nodes} nodes")
-        cfg = InitialConfig(kind=kind, nodes=nodes)
     sec.finish()
-    return cfg
+    return field
 
 
 def parse_config(path) -> RunConfig:
@@ -333,78 +305,18 @@ def parse_config(path) -> RunConfig:
     return parse_config_text(text)
 
 
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical INI text; reparsing yields an identical RunConfig."""
-    lines = ["[model]", f"kind = {cfg.model.kind}"]
-    if cfg.model.kind == "combustion":
-        lines.append(f"m = {cfg.model.m}")
-    if cfg.model.kind == "absorption":
-        lines += [f"F = {cfg.model.F}", f"G = {cfg.model.G}",
-                  f"lam = {cfg.model.lam!r}"]
-    if cfg.model.claimed_C is not None:
-        lines.append(f"claimed_C = {cfg.model.claimed_C!r}")
-    if cfg.model.claimed_mu is not None:
-        lines.append(f"claimed_mu = {cfg.model.claimed_mu!r}")
-
-    lines += ["", "[grid]",
-              f"n_nodes = {cfg.grid.n_nodes}",
-              f"length = {cfg.grid.length!r}"]
-
-    s = cfg.scheme
-    lines += ["", "[scheme]",
-              f"a = {s.a!r}", f"b = {s.b!r}", f"t_end = {s.t_end!r}",
-              f"dt_init = {s.dt_init!r}", f"dt_min = {s.dt_min!r}",
-              f"dt_max = {s.dt_max!r}", f"rtol = {s.rtol!r}",
-              f"blowup_threshold = {s.blowup_threshold!r}",
-              f"enforce_positivity = {str(s.enforce_positivity).lower()}"]
-
-    lines += ["", "[functional]", f"p = {cfg.functional.p}"]
-    if cfg.functional.theta is not None:
-        lines.append(f"theta = {cfg.functional.theta!r}")
-
-    for name, ic in (("initial_u", cfg.initial_u), ("initial_v", cfg.initial_v)):
-        lines += ["", f"[{name}]", f"kind = {ic.kind}"]
-        if ic.kind == "uniform":
-            lines.append(f"value = {ic.value!r}")
-        elif ic.kind == "bump":
-            lines += [f"center = {ic.center!r}", f"width = {ic.width!r}",
-                      f"height = {ic.height!r}", f"baseline = {ic.baseline!r}"]
-        else:
-            lines.append("nodes = " + ",".join(repr(x) for x in ic.nodes))
-
-    o = cfg.output
-    lines += ["", "[output]", f"csv = {o.csv}", f"report = {o.report}",
-              f"log_every = {o.log_every}"]
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Materialize config pieces
-# ---------------------------------------------------------------------------
-
-def make_model(mc: ModelConfig) -> kinetics.ReactionModel:
-    if mc.kind == "combustion":
-        model = kinetics.Combustion(m=mc.m)
-    elif mc.kind == "absorption":
-        model = kinetics.Absorption(kinetics.growth_from_spec(mc.F),
-                                    kinetics.growth_from_spec(mc.G),
-                                    lam=mc.lam)
-    else:
-        model = kinetics.BlowupExample()
-    if mc.claimed_C is not None:
-        model.claimed_C = mc.claimed_C
-    if mc.claimed_mu is not None:
-        model.claimed_mu = mc.claimed_mu
-    return model
-
-
-def make_initial_field(ic: InitialConfig, grid: Grid) -> np.ndarray:
-    if ic.kind == "uniform":
-        return np.full(grid.n_nodes, ic.value, dtype=float)
-    if ic.kind == "bump":
-        x = grid.nodes()
-        return ic.baseline + ic.height * np.exp(-((x - ic.center) / ic.width) ** 2)
-    return np.asarray(ic.nodes, dtype=float)
+def _setup(config_path) -> tuple[RunConfig, int]:
+    """The set-up ``run`` and ``check`` share: the parsed config and the
+    sampling seed.  Raises ConfigError before anything runs or is
+    written, also for an output path that cannot be written."""
+    cfg = parse_config(config_path)
+    for key, path in (("output.csv", cfg.csv), ("output.report", cfg.report)):
+        target = Path(path)
+        if target.is_dir() or not os.access(target.parent, os.W_OK):
+            raise ConfigError(key, f"cannot write {path}")
+    with _config_keys():
+        seed = verify.sampling_seed()
+    return cfg, seed
 
 
 # ---------------------------------------------------------------------------
@@ -443,35 +355,29 @@ def cmd_run(config_path) -> int:
     # only config errors end the command here: a ValueError from deeper in
     # the run (np.linalg.LinAlgError among them) propagates
     try:
+        cfg, seed = _setup(config_path)
         with _config_keys():
-            cfg = parse_config(config_path)
-            model = make_model(cfg.model)
-            u0 = make_initial_field(cfg.initial_u, cfg.grid)
-            v0 = make_initial_field(cfg.initial_v, cfg.grid)
-            C_eff = model.claimed_C if model.claimed_C is not None else 0.0
-            mu_eff = model.claimed_mu if model.claimed_mu is not None else 0.5
-            params = lyapunov.build_params(cfg.scheme.a, cfg.scheme.b, mu_eff,
-                                           C_eff, cfg.functional.p, u0, v0,
-                                           theta=cfg.functional.theta)
-            series, verdict = run(model, cfg.scheme, cfg.grid, u0, v0, params)
+            series, verdict = run(cfg.model, cfg.scheme, cfg.grid, cfg.u0,
+                                  cfg.v0, cfg.params)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
 
+    params = cfg.params
     claim = verify.assemble_claim_report(series, series.events)
-    box = verify.default_box(C_eff, sup_norm(u0), sup_norm(v0))
-    mass = verify.check_mass_control(model, C_eff, mu_eff, box, box,
-                                     CHECK_N_PER_AXIS)
+    box = verify.default_box(params.C, params.u_bar0, params.v_bar0)
+    mass = verify.check_mass_control(cfg.model, params.C, params.mu, box, box,
+                                     CHECK_N_PER_AXIS, seed=seed)
 
-    write_csv(series, cfg.output.csv, cfg.output.log_every)
+    write_csv(series, cfg.csv, cfg.log_every)
     report_lines = (_verdict_lines(verdict) + claim.to_lines()
                     + mass.to_lines())
-    Path(cfg.output.report).write_text("\n".join(report_lines) + "\n")
+    Path(cfg.report).write_text("\n".join(report_lines) + "\n")
 
     for line in _verdict_lines(verdict):
         print(line)
-    print(f"csv: {cfg.output.csv}")
-    print(f"report: {cfg.output.report}")
+    print(f"csv: {cfg.csv}")
+    print(f"report: {cfg.report}")
 
     if verdict.is_blowup:
         return 2
@@ -482,21 +388,19 @@ def cmd_run(config_path) -> int:
 
 def cmd_check(config_path) -> int:
     try:
-        cfg = parse_config(config_path)
-        model = make_model(cfg.model)
-        u0 = make_initial_field(cfg.initial_u, cfg.grid)
-        v0 = make_initial_field(cfg.initial_v, cfg.grid)
-    except (ConfigError, ValueError) as exc:
+        cfg, seed = _setup(config_path)
+    except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
 
-    C_eff = model.claimed_C if model.claimed_C is not None else 0.0
-    box = verify.default_box(C_eff, sup_norm(u0), sup_norm(v0))
+    model, params = cfg.model, cfg.params
+    box = verify.default_box(params.C, params.u_bar0, params.v_bar0)
     if model.claimed_mu is not None:
-        mass = verify.check_mass_control(model, C_eff, model.claimed_mu,
-                                         box, box, CHECK_N_PER_AXIS)
+        mass = verify.check_mass_control(model, params.C, params.mu, box, box,
+                                         CHECK_N_PER_AXIS, seed=seed)
     else:
-        mass = verify.search_mu(model, C_eff, box, box, CHECK_N_PER_AXIS)
+        mass = verify.search_mu(model, params.C, box, box, CHECK_N_PER_AXIS,
+                                seed=seed)
     gn = verify.check_g_nonneg(model, box, box, CHECK_N_PER_AXIS)
 
     for line in mass.to_lines() + gn.to_lines():

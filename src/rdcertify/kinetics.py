@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from .mesh import ParamError
+
 LOG_DBL_MAX = math.log(np.finfo(float).max)          # ~709.78
 DOUBLE_EXP_GUARD = math.log(LOG_DBL_MAX)             # ~6.565, e^(e^s) limit
 
@@ -241,7 +243,7 @@ class Absorption(ReactionModel):
 
     The claimed constants default to C = A, mu = lam where A is the
     sampled threshold past which F/G stays above lam (None when the
-    search fails).
+    search fails); that search refuses a lam outside (0, 1).
     """
 
     kind = "absorption"
@@ -278,7 +280,7 @@ class Combustion(ReactionModel):
     def __init__(self, m: int = 1, claimed_C: float = 0.0,
                  claimed_mu: float = 0.5):
         if not (isinstance(m, int) and m >= 1):
-            raise ValueError(f"m must be a positive integer, got {m}")
+            raise ParamError("m", f"m must be a positive integer, got {m}")
         self.m = m
         self.claimed_C = claimed_C
         self.claimed_mu = claimed_mu
@@ -323,10 +325,11 @@ def find_threshold_A(F: GrowthFunction, G: GrowthFunction, lam: float,
     The ratio test runs entirely in the log domain (log F - log G >
     log lam), so F and G may individually overflow where their ratio is
     benign.  Returns None when the tail condition fails at s_max or the
-    log ratio is unrepresentable there.
+    log ratio is unrepresentable there.  A lam outside (0, 1) raises
+    ParamError naming ``lam``.
     """
     if not 0.0 < lam < 1.0:
-        raise ValueError(f"lam must lie in (0, 1), got {lam}")
+        raise ParamError("lam", f"lam must lie in (0, 1), got {lam}")
     if not (s_max > 0 and n_samples >= 2):
         raise ValueError("need s_max > 0 and n_samples >= 2")
     s = np.linspace(0.0, float(s_max), int(n_samples))

@@ -25,10 +25,11 @@ their sign flags vanish at every node, so every term of L, I and J
 carries a zero factor.  L, I and J then return their exact values
 without evaluating the sums: L = 0.0, J = 0.0 and I = -0.0, the signed
 zero that -p(p-1) times a zero integral gives, printed as ``-0`` in the
-CSV.  The shortcut also needs every other factor finite: the weights
-and binomials, the rates for J, the diffusion pair and the squared
-gradients for I.  Otherwise the full sums run, so their inf and NaN
-results (0 * inf) are unchanged.
+CSV.  The weights and binomials are finite for every
+``FunctionalParams`` (finite theta and log weights, p <= 1000); the
+shortcut also needs the rates for J, the diffusion pair and the squared
+gradients for I finite.  Otherwise the full sums run, so their inf and
+NaN results (0 * inf) are unchanged.
 """
 
 from __future__ import annotations
@@ -55,7 +56,12 @@ _SAFE_P = 1000
 class FunctionalParams:
     """Everything the functional needs: degree p, ratio theta, the first
     two weights (as logs), the mass-control constants, and the candidate
-    bounds derived from the initial data."""
+    bounds derived from the initial data.
+
+    Every instance has an integer p in [2, 1000] and finite theta and
+    log weights, so the weights and binomials are finite; otherwise
+    construction raises ParamError naming ``p`` or ``theta``.
+    """
 
     p: int
     theta: float
@@ -65,6 +71,15 @@ class FunctionalParams:
     C: float
     u_bar0: float
     v_bar0: float
+
+    def __post_init__(self):
+        if not (isinstance(self.p, int) and 2 <= self.p <= _SAFE_P):
+            raise ParamError("p", f"p must be an integer in [2, {_SAFE_P}], "
+                             f"got {self.p}")
+        for value in (self.theta, self.log_theta0, self.log_theta1):
+            if not math.isfinite(value):
+                raise ParamError("theta", "theta and the log weights must be "
+                                 f"finite, got {value}")
 
     @property
     def log_theta(self) -> float:
@@ -95,13 +110,16 @@ def build_params(a: float, b: float, mu: float, C: float, p: int,
     to 1 and theta0 to mu/2, which guarantees theta0/theta1 < mu.
     Supplied values that violate theta > 1, theta^2 > (a+b)^2/(4ab) or
     theta0/theta1 < mu raise ParamError naming the violated condition.
-    The candidate bounds are max(C, sup u0) and max(C, sup v0).
+    C must be finite and >= 0, and u0, v0 finite.  The candidate bounds
+    are max(C, sup u0) and max(C, sup v0).
     """
     check_positive(a=a, b=b, mu=mu)
-    if not C >= 0:
-        raise ParamError("C", f"C must be >= 0, got {C}")
-    if not (isinstance(p, int) and p >= 2):
-        raise ParamError("p", f"p must be an integer >= 2, got {p}")
+    if not 0 <= C < math.inf:
+        raise ParamError("C", f"C must be finite and >= 0, got {C}")
+    sup_u, sup_v = sup_norm(u0), sup_norm(v0)
+    for name, sup in (("u0", sup_u), ("v0", sup_v)):
+        if not math.isfinite(sup):
+            raise ParamError(name, "initial data must be finite")
 
     bound = _theta_sq_bound(a, b)
     if theta is None:
@@ -131,8 +149,8 @@ def build_params(a: float, b: float, mu: float, C: float, p: int,
 
     return FunctionalParams(p=p, theta=theta, log_theta0=log_theta0,
                             log_theta1=log_theta1, mu=mu, C=float(C),
-                            u_bar0=max(float(C), sup_norm(u0)),
-                            v_bar0=max(float(C), sup_norm(v0)))
+                            u_bar0=max(float(C), sup_u),
+                            v_bar0=max(float(C), sup_v))
 
 
 @dataclass(frozen=True)
@@ -167,11 +185,8 @@ def check_conditions(params: FunctionalParams, a: float, b: float) -> ConditionR
     bound = _theta_sq_bound(a, b)
     theta_sq = params.theta ** 2
     logs = params.log_theta_seq()
-    if params.p >= 2:
-        resid = logs[:-2] + logs[2:] - 2.0 * logs[1:-1] - 2.0 * params.log_theta
-        residual = float(np.max(np.abs(resid)))
-    else:
-        residual = 0.0
+    resid = logs[:-2] + logs[2:] - 2.0 * logs[1:-1] - 2.0 * params.log_theta
+    residual = float(np.max(np.abs(resid)))
     log_mu = math.log(params.mu)
     mu_ok = bool(np.all(logs[:-1] - logs[1:] < log_mu))
     return ConditionReport(
@@ -198,17 +213,13 @@ def _field_parts(params: FunctionalParams, u: np.ndarray, v: np.ndarray):
 
 def _below_bounds(params: FunctionalParams, u: np.ndarray, v: np.ndarray,
                   grid: Grid | None = None) -> bool:
-    """True when u and v are finite, no node lies above its bound, and
-    the weights and binomials that scale the zero factors are finite.
+    """True when u and v are finite and no node lies above its bound.
 
     With a grid, also require every difference quotient of u and v to
     square to a finite number; otherwise I's 0 * inf products give NaN.
     A quotient is at most (max - min) / spacing, and rounding is
     monotone, so a bound on that ratio bounds all of them.
     """
-    if not (params.p <= _SAFE_P and math.isfinite(
-            params.log_theta0 + params.log_theta1 + params.log_theta)):
-        return False
     for f, bar in ((u, params.u_bar0), (v, params.v_bar0)):
         hi = float(f.max())
         if not hi <= bar:               # also false for NaN
@@ -326,8 +337,6 @@ def dissipation_I(params: FunctionalParams, state, grid: Grid,
     state whenever the weight conditions hold.
     """
     p = params.p
-    if p < 2:
-        raise ValueError("dissipation requires p >= 2")
     u = as_field(state.u, grid)
     v = as_field(state.v, grid)
     if math.isfinite(a + b) and _below_bounds(params, u, v, grid):
@@ -357,8 +366,6 @@ def reaction_J(params: FunctionalParams, state, grid: Grid, model,
     is ``model.rates`` at the state, for a caller that already has it.
     """
     p = params.p
-    if p < 1:
-        raise ValueError("reaction term requires p >= 1")
     u = as_field(state.u, grid)
     v = as_field(state.v, grid)
     f, g = model.rates(u, v) if rates is None else rates

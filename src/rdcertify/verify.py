@@ -22,13 +22,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .mesh import ParamError
+
 DEFAULT_SEED = 20240817
 MAX_WITNESSES = 100
 
 
 def sampling_seed() -> int:
-    """Seed for the random half of the sampling (RD_CERTIFY_SEED overrides)."""
-    return int(os.environ.get("RD_CERTIFY_SEED", DEFAULT_SEED))
+    """Seed for the random half of the sampling: the integer >= 0 in
+    RD_CERTIFY_SEED when it is set (anything else raises ParamError
+    naming ``seed``), DEFAULT_SEED otherwise."""
+    text = os.environ.get("RD_CERTIFY_SEED")
+    if text is None:
+        return DEFAULT_SEED
+    if not text.strip().isdecimal():
+        raise ParamError("seed", "RD_CERTIFY_SEED must be an integer >= 0, "
+                         f"got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +87,16 @@ class MassControlReport:
         return lines
 
 
-def _sample_box(C, u_max, v_max, n_per_axis, seed):
+def _lattice(u_max, v_max, n_per_axis):
+    """The n_per_axis^2 lattice of [0, u_max] x [0, v_max], flattened to
+    (u, v), u running fastest."""
     uu, vv = np.meshgrid(np.linspace(0.0, u_max, n_per_axis),
                          np.linspace(0.0, v_max, n_per_axis))
-    lattice = np.column_stack([uu.ravel(), vv.ravel()])
+    return uu.ravel(), vv.ravel()
+
+
+def _sample_box(C, u_max, v_max, n_per_axis, seed):
+    lattice = np.column_stack(_lattice(u_max, v_max, n_per_axis))
     rng = np.random.default_rng(seed)
     rand = rng.uniform([0.0, 0.0], [u_max, v_max],
                        size=(n_per_axis * n_per_axis, 2))
@@ -169,9 +185,7 @@ def check_g_nonneg(model, u_max: float, v_max: float,
     """Sampled check that g >= 0 on the lattice of the box."""
     if not (u_max > 0 and v_max > 0 and n_per_axis >= 2):
         raise ValueError("need a positive box and n_per_axis >= 2")
-    uu, vv = np.meshgrid(np.linspace(0.0, u_max, int(n_per_axis)),
-                         np.linspace(0.0, v_max, int(n_per_axis)))
-    u, v = uu.ravel(), vv.ravel()
+    u, v = _lattice(u_max, v_max, int(n_per_axis))
     with np.errstate(over="ignore", invalid="ignore"):
         _, g = model.rates(u, v)
     finite = np.isfinite(g)

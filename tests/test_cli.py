@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rdcertify.cli import (CSV_HEADER, ConfigError, InitialConfig,
-                           RunConfig, cmd_check, cmd_run, cmd_theta, main,
-                           make_initial_field, make_model, parse_config,
-                           parse_config_text, serialize_config)
+from rdcertify.cli import (CSV_HEADER, ConfigError, cmd_check, cmd_run,
+                           cmd_theta, main, parse_config_text)
+from rdcertify.kinetics import Power, find_threshold_A
+from rdcertify.lyapunov import build_params
 from rdcertify.mesh import Grid
 
 COMBUSTION_ZERO = """
@@ -82,9 +82,11 @@ def test_parse_minimal_config_defaults():
     assert cfg.scheme.rtol == 1e-6
     assert cfg.scheme.dt_min == 1e-12
     assert cfg.scheme.enforce_positivity is True
-    assert cfg.functional.p == 4
-    assert cfg.functional.theta is None
-    assert cfg.output.log_every == 1
+    # p = 4 and the default theta, at the combustion claims C = 0, mu = 1/2
+    assert cfg.params.p == 4
+    assert cfg.params == build_params(1.0, 2.0, 0.5, 0.0, 4, cfg.u0, cfg.v0)
+    assert cfg.log_every == 1
+    assert (cfg.csv, cfg.report) == ("run.csv", "run_report.txt")
 
 
 @pytest.mark.parametrize("needle,broken", [
@@ -137,74 +139,35 @@ def test_bool_values_are_strict():
             "t_end = 0.5", "t_end = 0.5\nenforce_positivity = yes"))
 
 
-def test_round_trip_uniform_and_bump_and_nodes():
-    nodes = ",".join(repr(float(x)) for x in np.linspace(0.0, 1.0, 21))
-    text = f"""
-[model]
-kind = absorption
-F = power:2.0
-G = exp
-lam = 0.25
-claimed_mu = 0.25
-
-[grid]
-n_nodes = 21
-length = 2.0
-
-[scheme]
-a = 0.5
-b = 1.5
-t_end = 1.0
-rtol = 1e-7
-enforce_positivity = false
-
-[functional]
-p = 6
-theta = 1.9
-
-[initial_u]
-kind = bump
-center = 1.0
-width = 0.2
-height = 1.5
-baseline = 0.1
-
-[initial_v]
-kind = nodes
-nodes = {nodes}
-
-[output]
-csv = out.csv
-report = rep.txt
-log_every = 5
-"""
-    cfg = parse_config_text(text)
-    assert parse_config_text(serialize_config(cfg)) == cfg
-    cfg2 = parse_config_text(COMBUSTION_ZERO)
-    assert parse_config_text(serialize_config(cfg2)) == cfg2
-
-
 def test_make_model_and_fields():
     cfg = parse_config_text(COMBUSTION_ZERO)
-    model = make_model(cfg.model)
-    assert model.kind == "combustion"
-    assert model.claimed_mu == 0.5
-    grid = cfg.grid
-    bump = InitialConfig(kind="bump", center=0.5, width=0.1, height=2.0,
-                         baseline=0.25)
-    field = make_initial_field(bump, grid)
-    x = grid.nodes()
-    assert np.allclose(field, 0.25 + 2.0 * np.exp(-((x - 0.5) / 0.1) ** 2))
-    uni = make_initial_field(InitialConfig(kind="uniform", value=0.3), grid)
-    assert np.array_equal(uni, np.full(21, 0.3))
+    assert cfg.model.kind == "combustion"
+    assert cfg.model.claimed_mu == 0.5
+    x = cfg.grid.nodes()
+    cfg = parse_config_text(COMBUSTION_ZERO.replace(
+        "[initial_u]\nkind = uniform\nvalue = 0.0",
+        "[initial_u]\nkind = bump\ncenter = 0.5\nwidth = 0.1\n"
+        "height = 2.0\nbaseline = 0.25").replace(
+        "[initial_v]\nkind = uniform\nvalue = 0.0",
+        "[initial_v]\nkind = uniform\nvalue = 0.3"))
+    assert np.allclose(cfg.u0, 0.25 + 2.0 * np.exp(-((x - 0.5) / 0.1) ** 2))
+    assert np.array_equal(cfg.v0, np.full(21, 0.3))
 
 
 def test_claim_overrides_applied():
     cfg = parse_config_text(COMBUSTION_ZERO.replace(
         "m = 1", "m = 1\nclaimed_C = 2.0\nclaimed_mu = 0.125"))
-    model = make_model(cfg.model)
-    assert model.claimed_C == 2.0
-    assert model.claimed_mu == 0.125
+    assert cfg.model.claimed_C == 2.0
+    assert cfg.model.claimed_mu == 0.125
+    assert (cfg.params.C, cfg.params.mu) == (2.0, 0.125)
+    # the threshold search still sets C = A when only mu is claimed
+    cfg = parse_config_text(COMBUSTION_ZERO.replace(
+        "kind = combustion\nm = 1", "kind = absorption\nF = power:2.0\n"
+        "G = power:1.0\nlam = 0.5\nclaimed_mu = 0.25"))
+    A = find_threshold_A(Power(2.0), Power(1.0), 0.5)
+    assert A > 0
+    assert (cfg.model.claimed_C, cfg.model.claimed_mu) == (A, 0.25)
+    assert (cfg.params.C, cfg.params.mu) == (A, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +292,49 @@ def test_cmd_run_negative_data_rejected(tmp_path, capsys):
     ("scheme.t_end", "t_end = 0.5", "t_end = inf"),
     ("initial_u", "value = 0.0", "value = nan"),
     ("model.F", "kind = combustion\nm = 1", "kind = absorption\nF = exp:3\nG = exp"),
+    ("grid.n_nodes", "n_nodes = 21", "n_nodes = 2"),
+    ("scheme.b", "b = 2.0", "b = -2.0"),
+    ("scheme.dt_min", "t_end = 0.5", "t_end = 0.5\ndt_min = 0"),
+    ("scheme.dt_init", "t_end = 0.5", "t_end = 0.5\ndt_init = 1.0"),
+    ("scheme.rtol", "t_end = 0.5", "t_end = 0.5\nrtol = 0"),
+    ("scheme.blowup_threshold", "t_end = 0.5",
+     "t_end = 0.5\nblowup_threshold = -1"),
+    ("model.m", "m = 1", "m = 0"),
+    ("model.lam", "kind = combustion\nm = 1",
+     "kind = absorption\nF = exp\nG = exp\nlam = 1.5"),
+    ("model.claimed_C", "m = 1", "m = 1\nclaimed_C = inf"),
+    ("model.claimed_mu", "m = 1", "m = 1\nclaimed_mu = inf"),
+    # mu / 2 underflows: the weight theta0 = mu / 2 is refused
+    ("model.claimed_mu", "m = 1", "m = 1\nclaimed_mu = 5e-324"),
+    ("functional.theta", "[initial_u]", "[functional]\ntheta = inf\n\n[initial_u]"),
+    ("functional.p", "[initial_u]", "[functional]\np = 1100\n\n[initial_u]"),
+    ("initial_v", "[initial_v]\nkind = uniform\nvalue = 0.0",
+     "[initial_v]\nkind = uniform\nvalue = inf"),
+    ("output.csv", "bad.csv", "nodir/bad.csv"),
+    ("output.report", "r.txt", "nodir/r.txt"),
+    # no config edit: the environment sets the sampling seed
+    ("RD_CERTIFY_SEED", None, "abc"),
+    ("RD_CERTIFY_SEED", None, "-1"),
 ])
-def test_cmd_run_invalid_number_exit_one(tmp_path, capsys, needle, old, new):
-    # non-finite numbers and junk growth arguments are config errors:
-    # exit 1 naming the key, before any output is written
+def test_cmd_run_invalid_number_exit_one(tmp_path, capsys, monkeypatch,
+                                         needle, old, new):
+    # every key the library validates: run and check both exit 1 naming
+    # the key, before any output is written
     csv = tmp_path / "bad.csv"
+    text = (COMBUSTION_ZERO +
+            f"\n[output]\ncsv = {csv}\nreport = {tmp_path / 'r.txt'}\n")
+    if old is None:
+        monkeypatch.setenv(needle, new)
+    else:
+        text = text.replace(old, new, 1)
     path = tmp_path / "bad.ini"
-    path.write_text(COMBUSTION_ZERO.replace(old, new, 1) +
-                    f"\n[output]\ncsv = {csv}\nreport = {tmp_path / 'r.txt'}\n")
-    assert cmd_run(path) == 1
-    assert needle in capsys.readouterr().err
-    assert not csv.exists()
+    path.write_text(text)
+    for command in (cmd_run, cmd_check):
+        assert command(path) == 1
+        captured = capsys.readouterr()
+        assert needle in captured.err
+        assert captured.out == ""
+        assert not csv.exists()
 
 
 def test_csv_17_digit_round_trip(tmp_path):

@@ -9,7 +9,7 @@ from rdcertify.kinetics import BlowupExample, Combustion
 from rdcertify.lyapunov import (FunctionalParams, build_params,
                                 check_conditions, dissipation_I, lyapunov_L,
                                 quadratic_Ti, reaction_J)
-from rdcertify.mesh import Grid
+from rdcertify.mesh import Grid, ParamError
 
 ZEROS = np.zeros(3)
 
@@ -76,6 +76,12 @@ def test_parameter_validation():
         build_params(1.0, 1.0, -0.5, 0.0, 4, ZEROS, ZEROS)
     with pytest.raises(ValueError):
         build_params(1.0, 1.0, 1.0, -1.0, 4, ZEROS, ZEROS)
+    with pytest.raises(ParamError, match="finite") as err:
+        build_params(1.0, 1.0, 1.0, math.inf, 4, ZEROS, ZEROS)
+    assert err.value.param == "C"
+    with pytest.raises(ParamError, match="finite") as err:
+        build_params(1.0, 1.0, 1.0, 0.0, 4, ZEROS, np.full(3, np.nan))
+    assert err.value.param == "v0"
 
 
 def test_theta_sequence_1_2_8_64_1024():
@@ -495,20 +501,24 @@ def test_gradient_overflow_below_bounds_gives_nan_I():
 
 
 @pytest.mark.parametrize("theta, p", [(math.inf, 4), (None, 1100)])
-def test_nonfinite_weights_below_bounds_keep_nan(theta, p):
-    # below the bounds, but theta = inf makes the log weights NaN and
-    # p = 1100 overflows the binomials: some 0 * inf in I and J gives NaN
-    grid = Grid(31, 1.0)
-    u = np.linspace(0.1, 1.0, 31)
-    v = np.linspace(0.2, 0.5, 31)
-    params = build_params(1.0, 2.0, 0.5, 0.0, p, u, v, theta=theta)
-    state = SimState(0.0, u, v, 1e-3)
-    with pytest.warns(RuntimeWarning):
-        assert_zero_with_sign(lyapunov_L(params, state, grid), 1.0)
-    with pytest.warns(RuntimeWarning):
-        assert math.isnan(dissipation_I(params, state, grid, 1.0, 2.0))
-    with pytest.warns(RuntimeWarning):
-        assert math.isnan(reaction_J(params, state, grid, Combustion(1)))
+def test_build_params_refuses_nonfinite_theta_and_large_p(theta, p):
+    # theta = inf would make the log weights NaN and p = 1100 overflows
+    # the binomials; both are refused, so I and J never see them
+    with pytest.raises(ParamError) as err:
+        build_params(1.0, 2.0, 0.5, 0.0, p, ZEROS, ZEROS, theta=theta)
+    assert err.value.param == ("p" if theta is None else "theta")
+    assert build_params(1.0, 2.0, 0.5, 0.0, 1000, ZEROS, ZEROS).p == 1000
+
+
+@pytest.mark.parametrize("field, value", [
+    ("theta", math.inf), ("theta", math.nan), ("log_theta0", math.inf),
+    ("log_theta1", -math.inf), ("p", 1), ("p", 1001), ("p", 4.0),
+])
+def test_every_params_instance_has_finite_weights(field, value):
+    params = build_params(1.0, 2.0, 0.5, 0.0, 4, ZEROS, ZEROS)
+    with pytest.raises(ParamError) as err:
+        dataclasses.replace(params, **{field: value})
+    assert err.value.param == ("p" if field == "p" else "theta")
 
 
 def test_overflowing_diffusion_pair_below_bounds_gives_nan_I():

@@ -4,9 +4,10 @@ import pytest
 from rdcertify.integrator import SimState, TimeSeries
 from rdcertify.kinetics import (Absorption, BlowupExample, Combustion, Exp,
                                 ReactionModel)
+from rdcertify.mesh import ParamError
 from rdcertify.verify import (BoundEvent, assemble_claim_report,
                               check_g_nonneg, check_mass_control, default_box,
-                              monitor_bounds, search_mu)
+                              monitor_bounds, sampling_seed, search_mu)
 
 
 class SignFlip(ReactionModel):
@@ -81,6 +82,11 @@ def test_mass_control_seed_is_reproducible(monkeypatch):
     r2 = check_mass_control(BlowupExample(), 0.0, 0.5, 4.0, 4.0, 9)
     assert r1.seed == 123
     assert r1.violations == r2.violations
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("RD_CERTIFY_SEED", bad)
+        with pytest.raises(ParamError) as err:
+            sampling_seed()
+        assert err.value.param == "seed"
 
 
 def test_mass_control_validates_arguments():
