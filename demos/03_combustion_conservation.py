@@ -34,7 +34,7 @@ print(f"integral of Y+T at t=0: {m0:.15f}")
 print(f"integral of Y+T at t=1: {m1:.15f}")
 print(f"relative drift: {abs(m1 - m0) / m0:.3e}")
 
-claim = assemble_claim_report(series, series.events)
+claim = assemble_claim_report(series)
 print()
 print(f"reactant bound held: {claim.bound_u_held}"
       f" (sup Y stays below {series.u_bar0:.4f})")

@@ -22,7 +22,7 @@ model = Combustion(1)
 params = build_params(cfg.a, cfg.b, model.claimed_mu, model.claimed_C, 4,
                       u0, v0)
 series, verdict = run(model, cfg, grid, u0, v0, params)
-claim = assemble_claim_report(series, series.events)
+claim = assemble_claim_report(series)
 
 print(f"verdict: {verdict.kind}, candidate bounds"
       f" sup Y <= {series.u_bar0}, sup T <= {series.v_bar0}")

@@ -32,13 +32,17 @@ Exit codes of ``rd-certify run``: 0 completed with bounds held,
 
 ``run`` and ``check`` share one set-up: the parse builds the model,
 grid, scheme, initial fields and functional parameters, and the
-sampling seed is read once.  Any failure there exits 1 with a message
-naming the key, before anything runs or is written.  That covers
-non-finite numbers, ``claimed_C`` and ``claimed_mu`` that are not
-finite (C >= 0, mu > 0), a ``theta`` that is not finite, ``p`` outside
-[2, 1000], ``m`` < 1, ``lam`` outside (0, 1), an ``RD_CERTIFY_SEED``
-that is not an integer >= 0, and an ``[output]`` ``csv`` or ``report``
-path whose directory does not exist.  The range rules on values live
+sampling seed and sampling box are computed once.  The seed comes from
+``RD_CERTIFY_SEED``, which nothing else reads.  Any failure there exits
+1 with a message naming the key, before anything runs or is written.
+That covers non-finite numbers, negative initial data while
+``enforce_positivity`` is set, ``claimed_C`` and ``claimed_mu`` that
+are not finite (C >= 0, mu > 0), a ``claimed_C`` or initial data so
+large that the sampling box (twice the larger of C and the data sups)
+overflows, a ``theta`` that is not finite, ``p`` outside [2, 1000],
+``m`` < 1, ``lam`` outside (0, 1), an ``RD_CERTIFY_SEED`` that is not
+an integer >= 0, and an ``[output]`` ``csv`` or ``report`` path whose
+directory does not exist.  The range rules on values live
 in the library, which raises :class:`rdcertify.mesh.ParamError`; this
 module maps the parameter it names to its config key.  Only bump
 ``width > 0`` and ``log_every >= 1`` are the parser's own.
@@ -251,6 +255,7 @@ def parse_config_text(text: str) -> RunConfig:
         raise ConfigError("output.log_every", f"must be >= 1, got {log_every}")
     sec.finish()
 
+    scheme.check_initial_data(u0, v0)
     # with no claim, the functional uses C = 0 and mu = 1/2
     C = model.claimed_C if model.claimed_C is not None else 0.0
     mu = model.claimed_mu if model.claimed_mu is not None else 0.5
@@ -305,18 +310,21 @@ def parse_config(path) -> RunConfig:
     return parse_config_text(text)
 
 
-def _setup(config_path) -> tuple[RunConfig, int]:
-    """The set-up ``run`` and ``check`` share: the parsed config and the
-    sampling seed.  Raises ConfigError before anything runs or is
+def _setup(config_path) -> tuple[RunConfig, int, float]:
+    """The set-up ``run`` and ``check`` share: the parsed config, the
+    sampling seed (the only read of RD_CERTIFY_SEED) and the edge of the
+    square sampling box.  Raises ConfigError before anything runs or is
     written, also for an output path that cannot be written."""
     cfg = parse_config(config_path)
     for key, path in (("output.csv", cfg.csv), ("output.report", cfg.report)):
         target = Path(path)
         if target.is_dir() or not os.access(target.parent, os.W_OK):
             raise ConfigError(key, f"cannot write {path}")
+    params = cfg.params
     with _config_keys():
         seed = verify.sampling_seed()
-    return cfg, seed
+        box = verify.default_box(params.C, params.u_bar0, params.v_bar0)
+    return cfg, seed, box
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +363,7 @@ def cmd_run(config_path) -> int:
     # only config errors end the command here: a ValueError from deeper in
     # the run (np.linalg.LinAlgError among them) propagates
     try:
-        cfg, seed = _setup(config_path)
+        cfg, seed, box = _setup(config_path)
         with _config_keys():
             series, verdict = run(cfg.model, cfg.scheme, cfg.grid, cfg.u0,
                                   cfg.v0, cfg.params)
@@ -364,8 +372,7 @@ def cmd_run(config_path) -> int:
         return 1
 
     params = cfg.params
-    claim = verify.assemble_claim_report(series, series.events)
-    box = verify.default_box(params.C, params.u_bar0, params.v_bar0)
+    claim = verify.assemble_claim_report(series)
     mass = verify.check_mass_control(cfg.model, params.C, params.mu, box, box,
                                      CHECK_N_PER_AXIS, seed=seed)
 
@@ -388,13 +395,12 @@ def cmd_run(config_path) -> int:
 
 def cmd_check(config_path) -> int:
     try:
-        cfg, seed = _setup(config_path)
+        cfg, seed, box = _setup(config_path)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
 
     model, params = cfg.model, cfg.params
-    box = verify.default_box(params.C, params.u_bar0, params.v_bar0)
     if model.claimed_mu is not None:
         mass = verify.check_mass_control(model, params.C, params.mu, box, box,
                                          CHECK_N_PER_AXIS, seed=seed)

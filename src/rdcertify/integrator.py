@@ -32,7 +32,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from . import lyapunov, verify
-from .mesh import Grid, ParamError, as_field, check_positive, sup_norm
+from .mesh import (Grid, ParamError, as_field, check_finite_data,
+                   check_positive, sup_norm)
 
 NEGATIVITY_TOL = 1e-12
 
@@ -65,6 +66,17 @@ class SchemeConfig:
         if not self.blowup_threshold > 0:
             raise ParamError("blowup_threshold", "blowup_threshold must be > 0, "
                              f"got {self.blowup_threshold}")
+
+    def check_initial_data(self, u0, v0) -> None:
+        """The rules on initial data: raise ParamError naming ``u0`` or
+        ``v0`` when it is not finite, or negative while positivity is
+        enforced."""
+        check_finite_data(u0, v0)
+        if self.enforce_positivity:
+            for name, data in (("u0", u0), ("v0", v0)):
+                if np.min(data) < 0:
+                    raise ParamError(name, "initial data must be nonnegative "
+                                     "(or disable enforce_positivity)")
 
 
 @dataclass
@@ -286,12 +298,7 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     """
     u = as_field(u0, grid).copy()
     v = as_field(v0, grid).copy()
-    for name, data in (("u0", u), ("v0", v)):
-        if not np.isfinite(data).all():
-            raise ParamError(name, "initial data must be finite")
-        if cfg.enforce_positivity and data.min() < 0:
-            raise ParamError(name, "initial data must be nonnegative "
-                             "(or disable enforce_positivity)")
+    cfg.check_initial_data(u, v)
 
     series = TimeSeries(functional.u_bar0, functional.v_bar0)
     state = SimState(0.0, u, v, cfg.dt_init)

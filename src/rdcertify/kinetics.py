@@ -12,9 +12,9 @@ f <= f + mu*g <= 0 on u + v >= C; those claims are checked elsewhere
 (see ``rdcertify.verify``), never assumed.
 
 Growth laws can vastly exceed double precision (e^(e^s) overflows near
-s = 6.565), so every law carries an overflow guard ``s_max`` -- the
-largest s at which its value is still representable -- and a log-domain
-evaluation used wherever only ratios matter.
+s = 6.565): a law's ``value`` overflows to inf there, flagged downstream
+rather than raised, and its log-domain evaluation is used wherever only
+ratios matter.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ import numpy as np
 
 from .mesh import ParamError
 
-LOG_DBL_MAX = math.log(np.finfo(float).max)          # ~709.78
-DOUBLE_EXP_GUARD = math.log(LOG_DBL_MAX)             # ~6.565, e^(e^s) limit
-
 
 # ---------------------------------------------------------------------------
 # Growth laws
@@ -36,25 +33,15 @@ DOUBLE_EXP_GUARD = math.log(LOG_DBL_MAX)             # ~6.565, e^(e^s) limit
 class GrowthFunction:
     """Scalar growth law s >= 0 -> F(s).
 
-    Subclasses implement ``value`` (may overflow to inf past ``s_max``),
-    ``log_value`` (log F(s); -inf where F(s) <= 0), and ``spec`` (the
-    config-file string that reconstructs the law).
+    Subclasses implement ``value`` (may overflow to inf) and
+    ``log_value`` (log F(s); -inf where F(s) <= 0).
     """
-
-    s_max: float = math.inf
 
     def value(self, s):
         raise NotImplementedError
 
     def log_value(self, s):
         raise NotImplementedError
-
-    @property
-    def spec(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.spec!r})"
 
 
 class Power(GrowthFunction):
@@ -64,7 +51,6 @@ class Power(GrowthFunction):
         if not beta > 0:
             raise ValueError(f"beta must be > 0, got {beta}")
         self.beta = float(beta)
-        self.s_max = math.exp(min(LOG_DBL_MAX, LOG_DBL_MAX / self.beta))
 
     def value(self, s):
         with np.errstate(over="ignore"):
@@ -75,15 +61,9 @@ class Power(GrowthFunction):
         with np.errstate(divide="ignore"):
             return self.beta * np.log(s)
 
-    @property
-    def spec(self):
-        return f"power:{self.beta!r}"
-
 
 class Exp(GrowthFunction):
     """F(s) = e**s."""
-
-    s_max = LOG_DBL_MAX
 
     def value(self, s):
         with np.errstate(over="ignore"):
@@ -91,10 +71,6 @@ class Exp(GrowthFunction):
 
     def log_value(self, s):
         return np.asarray(s, dtype=float) + 0.0
-
-    @property
-    def spec(self):
-        return "exp"
 
 
 class SubExp(GrowthFunction):
@@ -104,7 +80,6 @@ class SubExp(GrowthFunction):
         if not 0.0 < gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
         self.gamma = float(gamma)
-        self.s_max = LOG_DBL_MAX ** (1.0 / self.gamma)
 
     def value(self, s):
         with np.errstate(over="ignore"):
@@ -113,15 +88,9 @@ class SubExp(GrowthFunction):
     def log_value(self, s):
         return np.asarray(s, dtype=float) ** self.gamma
 
-    @property
-    def spec(self):
-        return f"subexp:{self.gamma!r}"
-
 
 class DoubleExp(GrowthFunction):
     """F(s) = e**(e**s); representable only up to s ~ 6.565."""
-
-    s_max = DOUBLE_EXP_GUARD
 
     def value(self, s):
         with np.errstate(over="ignore"):
@@ -130,10 +99,6 @@ class DoubleExp(GrowthFunction):
     def log_value(self, s):
         with np.errstate(over="ignore"):
             return np.exp(np.asarray(s, dtype=float))
-
-    @property
-    def spec(self):
-        return "doubleexp"
 
 
 class DoubleExpMinusPoly(GrowthFunction):
@@ -144,8 +109,6 @@ class DoubleExpMinusPoly(GrowthFunction):
     has to be materialized; where P(s) >= e**(e**s) the value is not
     positive and log_value returns -inf.
     """
-
-    s_max = DOUBLE_EXP_GUARD
 
     def __init__(self, coeffs):
         self.coeffs = tuple(float(c) for c in coeffs)
@@ -168,10 +131,6 @@ class DoubleExpMinusPoly(GrowthFunction):
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = np.where(rel < 1.0, np.log1p(-np.minimum(rel, 1.0)), -np.inf)
         return e + corr
-
-    @property
-    def spec(self):
-        return "doubleexp-poly:" + ",".join(repr(c) for c in self.coeffs)
 
 
 # kind -> constructor taking the comma-separated arguments as strings
@@ -219,7 +178,6 @@ class ReactionModel:
     claims no control-of-mass constants.
     """
 
-    kind: str = "custom"
     claimed_C: float | None = None
     claimed_mu: float | None = None
 
@@ -241,26 +199,19 @@ def _zero_where_zero(base, factor):
 class Absorption(ReactionModel):
     """f = -u F(v), g = u G(v): species u consumed, v produced.
 
-    The claimed constants default to C = A, mu = lam where A is the
-    sampled threshold past which F/G stays above lam (None when the
-    search fails); that search refuses a lam outside (0, 1).
+    The claimed constants are C = A, mu = lam, where A is the threshold
+    ``find_threshold_A`` samples at its defaults: past A the ratio F/G
+    stays above lam.  When that search fails the model claims nothing;
+    it refuses a lam outside (0, 1).
     """
 
-    kind = "absorption"
-
-    def __init__(self, F: GrowthFunction, G: GrowthFunction, lam: float = 0.5,
-                 claimed_C: float | None = None, claimed_mu: float | None = None,
-                 threshold_s_max: float = 10.0, threshold_samples: int = 2001):
+    def __init__(self, F: GrowthFunction, G: GrowthFunction, lam: float = 0.5):
         self.F = F
         self.G = G
         self.lam = float(lam)
-        if claimed_C is None and claimed_mu is None:
-            A = find_threshold_A(F, G, self.lam, threshold_s_max,
-                                 threshold_samples)
-            if A is not None:
-                claimed_C, claimed_mu = A, self.lam
-        self.claimed_C = claimed_C
-        self.claimed_mu = claimed_mu
+        A = find_threshold_A(F, G, self.lam)
+        if A is not None:
+            self.claimed_C, self.claimed_mu = A, self.lam
 
     def rates(self, u, v):
         u = np.asarray(u, dtype=float)
@@ -275,15 +226,13 @@ class Combustion(ReactionModel):
     reactant concentration, v the temperature).  f + g = 0 identically,
     and the pair claims C = 0, mu = 1/2."""
 
-    kind = "combustion"
+    claimed_C = 0.0
+    claimed_mu = 0.5
 
-    def __init__(self, m: int = 1, claimed_C: float = 0.0,
-                 claimed_mu: float = 0.5):
+    def __init__(self, m: int = 1):
         if not (isinstance(m, int) and m >= 1):
             raise ParamError("m", f"m must be a positive integer, got {m}")
         self.m = m
-        self.claimed_C = claimed_C
-        self.claimed_mu = claimed_mu
 
     def rates(self, u, v):
         u = np.asarray(u, dtype=float)
@@ -301,8 +250,6 @@ class BlowupExample(ReactionModel):
     (C, mu) can satisfy the control-of-mass inequality; solutions with
     1/2 <= u0 <= 1 blow up in finite time.  Claims nothing.
     """
-
-    kind = "blowup_example"
 
     def rates(self, u, v):
         u = np.asarray(u, dtype=float)

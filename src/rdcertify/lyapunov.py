@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Grid, ParamError, as_field, check_positive, integrate, sup_norm
+from .mesh import (Grid, ParamError, as_field, check_finite_data,
+                   check_positive, integrate, sup_norm)
 
 #: tolerance on the log-domain residual of the weight recurrence
 RECURRENCE_TOL = 1e-9
@@ -116,10 +117,8 @@ def build_params(a: float, b: float, mu: float, C: float, p: int,
     check_positive(a=a, b=b, mu=mu)
     if not 0 <= C < math.inf:
         raise ParamError("C", f"C must be finite and >= 0, got {C}")
+    check_finite_data(u0, v0)
     sup_u, sup_v = sup_norm(u0), sup_norm(v0)
-    for name, sup in (("u0", sup_u), ("v0", sup_v)):
-        if not math.isfinite(sup):
-            raise ParamError(name, "initial data must be finite")
 
     bound = _theta_sq_bound(a, b)
     if theta is None:
@@ -168,16 +167,6 @@ class ConditionReport:
     def passed(self) -> bool:
         return (self.theta_condition_ok and self.recurrence_ok
                 and self.mu_condition_ok)
-
-    def failures(self) -> list[str]:
-        out = []
-        if not self.theta_condition_ok:
-            out.append("theta^2 > (a+b)^2/(4ab)")
-        if not self.recurrence_ok:
-            out.append("theta_i*theta_{i+2}/theta_{i+1}^2 = theta^2")
-        if not self.mu_condition_ok:
-            out.append("theta_i/theta_{i+1} < mu")
-        return out
 
 
 def check_conditions(params: FunctionalParams, a: float, b: float) -> ConditionReport:

@@ -36,6 +36,14 @@ def check_positive(**values) -> None:
             raise ParamError(name, f"{name} must be finite and > 0, got {value}")
 
 
+def check_finite_data(u0, v0) -> None:
+    """Raise ParamError naming ``u0`` or ``v0`` when that initial data is
+    not finite."""
+    for name, data in (("u0", u0), ("v0", v0)):
+        if not np.isfinite(data).all():
+            raise ParamError(name, "initial data must be finite")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform node-centered grid on [0, length]."""

@@ -11,12 +11,14 @@ certificate is explicit about its scope.  Samples where the kinetics
 overflow are counted as indeterminate, never as passes.
 
 ``monitor_bounds`` watches a trajectory state against the candidate
-bounds (u_bar0, v_bar0); ``assemble_claim_report`` folds a run's series
-and events into a machine-readable verdict on whether the bounds held.
+bounds (u_bar0, v_bar0); ``assemble_claim_report`` folds a run's series,
+with the bound events it collected, into a machine-readable verdict on
+whether the bounds held.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -29,9 +31,10 @@ MAX_WITNESSES = 100
 
 
 def sampling_seed() -> int:
-    """Seed for the random half of the sampling: the integer >= 0 in
-    RD_CERTIFY_SEED when it is set (anything else raises ParamError
-    naming ``seed``), DEFAULT_SEED otherwise."""
+    """Seed for the random half of the sampling, as the CLI chooses it:
+    the integer >= 0 in RD_CERTIFY_SEED when it is set (anything else
+    raises ParamError naming ``seed``), DEFAULT_SEED otherwise.  The
+    checks themselves never read the environment; they take ``seed``."""
     text = os.environ.get("RD_CERTIFY_SEED")
     if text is None:
         return DEFAULT_SEED
@@ -67,7 +70,8 @@ class MassControlReport:
     samples_indeterminate: int
     violations: list = field(default_factory=list)
 
-    def to_lines(self, prefix: str = "mass_control") -> list[str]:
+    def to_lines(self) -> list[str]:
+        prefix = "mass_control"
         lines = [
             f"{prefix}.passed: {str(self.passed).lower()}",
             f"{prefix}.mu: {self.mu!r}",
@@ -105,7 +109,7 @@ def _sample_box(C, u_max, v_max, n_per_axis, seed):
 
 
 def check_mass_control(model, C: float, mu: float, u_max: float, v_max: float,
-                       n_per_axis: int, seed: int | None = None) -> MassControlReport:
+                       n_per_axis: int, seed: int = DEFAULT_SEED) -> MassControlReport:
     """Check f <= f + mu*g <= 0 on the region u + v >= C of the box.
 
     ``passed`` is True exactly when no violation was found among the
@@ -117,7 +121,7 @@ def check_mass_control(model, C: float, mu: float, u_max: float, v_max: float,
         raise ValueError("need C >= 0 and a positive sampling box")
     if not n_per_axis >= 2:
         raise ValueError(f"n_per_axis must be >= 2, got {n_per_axis}")
-    seed = sampling_seed() if seed is None else int(seed)
+    seed = int(seed)
 
     pts = _sample_box(C, u_max, v_max, int(n_per_axis), seed)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -144,7 +148,7 @@ def check_mass_control(model, C: float, mu: float, u_max: float, v_max: float,
 
 
 def search_mu(model, C: float, u_max: float, v_max: float, n_per_axis: int,
-              seed: int | None = None) -> MassControlReport:
+              seed: int = DEFAULT_SEED) -> MassControlReport:
     """Fallback when a model claims no mu: try mu = 1, 1/2, ..., 2**-20
     and return the report of the largest passing value (or the last,
     fully failed attempt when none passes)."""
@@ -167,7 +171,8 @@ class GNonNegReport:
     samples_indeterminate: int
     violations: list = field(default_factory=list)   # (u, v, g) triples
 
-    def to_lines(self, prefix: str = "g_nonneg") -> list[str]:
+    def to_lines(self) -> list[str]:
+        prefix = "g_nonneg"
         lines = [
             f"{prefix}.passed: {str(self.passed).lower()}",
             f"{prefix}.box: [0,{self.u_max!r}]x[0,{self.v_max!r}]",
@@ -197,9 +202,17 @@ def check_g_nonneg(model, u_max: float, v_max: float,
         samples_indeterminate=int((~finite).sum()), violations=violations)
 
 
-def default_box(C: float, *data_sups: float) -> float:
-    """Default sampling box edge: max(2C, 10, 2 * largest data sup)."""
-    return max(2.0 * C, 10.0, *(2.0 * s for s in data_sups))
+def default_box(C: float, u_bar0: float, v_bar0: float) -> float:
+    """Default sampling box edge: max(2C, 10, 2 u_bar0, 2 v_bar0).
+
+    Raises ParamError naming ``C``, ``u0`` or ``v0`` (the data behind
+    the bound) when doubling it leaves the finite range.
+    """
+    for name, value in (("C", C), ("u0", u_bar0), ("v0", v_bar0)):
+        if not math.isfinite(2.0 * value):
+            raise ParamError(name, f"the sampling box edge 2 * {value!r} "
+                             "overflows")
+    return max(2.0 * C, 10.0, 2.0 * u_bar0, 2.0 * v_bar0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +255,8 @@ class ClaimReport:
     J_sign_history: np.ndarray
     L_max: float
 
-    def to_lines(self, prefix: str = "claim") -> list[str]:
+    def to_lines(self) -> list[str]:
+        prefix = "claim"
         signs = self.J_sign_history
         lines = [
             f"{prefix}.bound_u_held: {str(self.bound_u_held).lower()}",
@@ -263,12 +277,12 @@ class ClaimReport:
         return lines
 
 
-def assemble_claim_report(series, events) -> ClaimReport:
-    """Fold a run's series and bound events into a ClaimReport.
+def assemble_claim_report(series) -> ClaimReport:
+    """Fold a run's series and its bound events into a ClaimReport.
 
     The per-field flags come from the logged sup norms against the
     bounds stored on the series; the first violation is the earliest
-    collected event (events arrive in step order).
+    event in ``series.events`` (events arrive in step order).
     """
     sup_u = series.sup_u
     sup_v = series.sup_v
@@ -280,7 +294,7 @@ def assemble_claim_report(series, events) -> ClaimReport:
     return ClaimReport(
         bound_u_held=bound_u_held,
         bound_v_held=bound_v_held,
-        first_violation=events[0] if events else None,
+        first_violation=series.events[0] if series.events else None,
         J_sign_history=signs,
         L_max=float(np.max(series.L)) if len(series) else 0.0,
     )

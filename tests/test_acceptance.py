@@ -255,7 +255,7 @@ def test_criterion_6_homogeneous_ode_oracle(ode_agreement_runs):
 
 def test_criterion_7_claim_measurement_fidelity(ode_agreement_runs):
     series, _, (ts, ys) = ode_agreement_runs["combustion"]
-    claim = assemble_claim_report(series, series.events)
+    claim = assemble_claim_report(series)
     # ODE oracle first crossing of the candidate bound v_bar0 = 1,
     # located by linear interpolation on the oracle grid
     over = np.flatnonzero(ys[:, 1] > 1.0)

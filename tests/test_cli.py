@@ -5,7 +5,7 @@ import pytest
 
 from rdcertify.cli import (CSV_HEADER, ConfigError, cmd_check, cmd_run,
                            cmd_theta, main, parse_config_text)
-from rdcertify.kinetics import Power, find_threshold_A
+from rdcertify.kinetics import Combustion, Power, find_threshold_A
 from rdcertify.lyapunov import build_params
 from rdcertify.mesh import Grid
 
@@ -77,7 +77,7 @@ log_every = {log_every}
 
 def test_parse_minimal_config_defaults():
     cfg = parse_config_text(COMBUSTION_ZERO)
-    assert cfg.model.kind == "combustion"
+    assert isinstance(cfg.model, Combustion)
     assert cfg.grid == Grid(21, 1.0)
     assert cfg.scheme.rtol == 1e-6
     assert cfg.scheme.dt_min == 1e-12
@@ -141,7 +141,7 @@ def test_bool_values_are_strict():
 
 def test_make_model_and_fields():
     cfg = parse_config_text(COMBUSTION_ZERO)
-    assert cfg.model.kind == "combustion"
+    assert isinstance(cfg.model, Combustion)
     assert cfg.model.claimed_mu == 0.5
     x = cfg.grid.nodes()
     cfg = parse_config_text(COMBUSTION_ZERO.replace(
@@ -279,13 +279,6 @@ def test_cmd_run_config_error_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cmd_run_negative_data_rejected(tmp_path, capsys):
-    path = tmp_path / "neg.ini"
-    path.write_text(COMBUSTION_ZERO.replace("value = 0.0", "value = -0.5", 1))
-    assert cmd_run(path) == 1
-    assert "initial_u" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("needle,old,new", [
     ("grid.length", "length = 1.0", "length = inf"),
     ("scheme.a", "a = 1.0", "a = inf"),
@@ -310,6 +303,11 @@ def test_cmd_run_negative_data_rejected(tmp_path, capsys):
     ("functional.p", "[initial_u]", "[functional]\np = 1100\n\n[initial_u]"),
     ("initial_v", "[initial_v]\nkind = uniform\nvalue = 0.0",
      "[initial_v]\nkind = uniform\nvalue = inf"),
+    # negative data while enforce_positivity is set (the default)
+    ("initial_u", "value = 0.0", "value = -0.5"),
+    # finite, but the sampling box 2 * max(C, sup data) overflows
+    ("model.claimed_C", "m = 1", "m = 1\nclaimed_C = 1e308"),
+    ("initial_u", "value = 0.0", "value = 1e308"),
     ("output.csv", "bad.csv", "nodir/bad.csv"),
     ("output.report", "r.txt", "nodir/r.txt"),
     # no config edit: the environment sets the sampling seed
@@ -335,6 +333,19 @@ def test_cmd_run_invalid_number_exit_one(tmp_path, capsys, monkeypatch,
         assert needle in captured.err
         assert captured.out == ""
         assert not csv.exists()
+
+
+def test_env_seed_reaches_both_reports(tmp_path, capsys, monkeypatch):
+    # the CLI set-up is the one reader of RD_CERTIFY_SEED
+    monkeypatch.setenv("RD_CERTIFY_SEED", "123")
+    report = tmp_path / "r.txt"
+    path = tmp_path / "seed.ini"
+    path.write_text(COMBUSTION_ZERO + f"\n[output]\ncsv = {tmp_path / 'r.csv'}"
+                    f"\nreport = {report}\n")
+    assert cmd_check(path) == 0
+    assert "mass_control.seed: 123" in capsys.readouterr().out.splitlines()
+    assert cmd_run(path) == 0
+    assert "mass_control.seed: 123" in report.read_text().splitlines()
 
 
 def test_csv_17_digit_round_trip(tmp_path):

@@ -133,7 +133,7 @@ def test_check_conditions_for_random_valid_params():
         p = int(rng.integers(2, 13))
         params = build_params(a, b, mu, 0.0, p, ZEROS, ZEROS)
         report = check_conditions(params, a, b)
-        assert report.passed, report.failures()
+        assert report.passed, report
         assert report.recurrence_residual <= 1e-9
         assert np.allclose(params.log_theta_seq(), recurrence_logs(params),
                            atol=1e-9)
@@ -153,7 +153,8 @@ def test_tampered_weights_fail_ratio_check():
     report = check_conditions(bad, 1.0, 1.0)
     assert not report.mu_condition_ok
     assert not report.passed
-    assert "theta_i/theta_{i+1} < mu" in report.failures()
+    # the ratio check is the one that fails
+    assert report.theta_condition_ok and report.recurrence_ok
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from rdcertify.integrator import SimState, TimeSeries
 from rdcertify.kinetics import (Absorption, BlowupExample, Combustion, Exp,
                                 ReactionModel)
 from rdcertify.mesh import ParamError
-from rdcertify.verify import (BoundEvent, assemble_claim_report,
-                              check_g_nonneg, check_mass_control, default_box,
+from rdcertify.verify import (DEFAULT_SEED, BoundEvent,
+                              assemble_claim_report, check_g_nonneg,
+                              check_mass_control, default_box,
                               monitor_bounds, sampling_seed, search_mu)
 
 
@@ -77,11 +78,16 @@ def test_mass_control_monotone_in_C():
 
 
 def test_mass_control_seed_is_reproducible(monkeypatch):
-    monkeypatch.setenv("RD_CERTIFY_SEED", "123")
-    r1 = check_mass_control(BlowupExample(), 0.0, 0.5, 4.0, 4.0, 9)
-    r2 = check_mass_control(BlowupExample(), 0.0, 0.5, 4.0, 4.0, 9)
+    r1 = check_mass_control(BlowupExample(), 0.0, 0.5, 4.0, 4.0, 9, seed=123)
+    r2 = check_mass_control(BlowupExample(), 0.0, 0.5, 4.0, 4.0, 9, seed=123)
     assert r1.seed == 123
     assert r1.violations == r2.violations
+    # the checks never read the environment; only sampling_seed does
+    monkeypatch.setenv("RD_CERTIFY_SEED", "123")
+    assert check_mass_control(BlowupExample(), 0.0, 0.5, 4.0, 4.0,
+                              9).seed == DEFAULT_SEED
+    assert search_mu(BlowupExample(), 0.0, 4.0, 4.0, 9).seed == DEFAULT_SEED
+    assert sampling_seed() == 123
     for bad in ("abc", "-1"):
         monkeypatch.setenv("RD_CERTIFY_SEED", bad)
         with pytest.raises(ParamError) as err:
@@ -109,10 +115,21 @@ def test_search_mu_finds_largest_passing():
 
 
 def test_default_box():
-    assert default_box(0.0) == 10.0
+    assert default_box(0.0, 0.0, 0.0) == 10.0
     assert default_box(0.0, 1.0, 2.0) == 10.0
-    assert default_box(12.0, 1.0) == 24.0
+    # each of 2C, 2 u_bar0 and 2 v_bar0 decides the edge when it is largest
+    assert default_box(12.0, 1.0, 1.0) == 24.0
+    assert default_box(12.0, 12.0, 12.0) == 24.0
     assert default_box(0.0, 30.0, 2.0) == 60.0
+    assert default_box(0.0, 2.0, 30.0) == 60.0
+    assert default_box(1e307, 1e307, 1e307) == 2e307
+    # a box edge that doubles past the finite range names its source
+    for args, param in (((1e308, 1e308, 1e308), "C"),
+                        ((0.0, 1e308, 2.0), "u0"),
+                        ((0.0, 2.0, 1e308), "v0")):
+        with pytest.raises(ParamError) as err:
+            default_box(*args)
+        assert err.value.param == param
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +185,18 @@ def test_monitor_bounds_scan_order():
 # Claim reports
 # ---------------------------------------------------------------------------
 
-def series_with(rows, u_bar0=1.0, v_bar0=1.0):
+def series_with(rows, events=(), u_bar0=1.0, v_bar0=1.0):
     s = TimeSeries(u_bar0, v_bar0)
     for row in rows:
         s.append(*row)
+    s.events.extend(events)
     return s
 
 
 def test_assemble_claim_report_clean_run():
     rows = [(0.0, 0.5, 0.5, 0.0, -0.0, 0.0, 1e-3, False),
             (0.1, 0.6, 0.7, 0.0, -1e-9, -2.0, 1e-3, False)]
-    report = assemble_claim_report(series_with(rows), [])
+    report = assemble_claim_report(series_with(rows))
     assert report.bound_u_held and report.bound_v_held
     assert report.first_violation is None
     assert np.all(report.J_sign_history <= 0)
@@ -192,7 +210,7 @@ def test_assemble_claim_report_with_violation():
             (0.5, 0.6, 1.5, 0.9, -1e-9, 7.0, 1e-3, True)]
     events = [BoundEvent(t=0.4, node=3, field="v", value=1.2, bound=1.0),
               BoundEvent(t=0.5, node=3, field="v", value=1.5, bound=1.0)]
-    report = assemble_claim_report(series_with(rows), events)
+    report = assemble_claim_report(series_with(rows, events))
     assert report.bound_u_held
     assert not report.bound_v_held
     assert report.first_violation.t == 0.4
@@ -205,11 +223,12 @@ def test_assemble_claim_report_with_violation():
 def test_claim_report_flag_consistency():
     # first_violation present exactly when some flag is false
     clean = assemble_claim_report(
-        series_with([(0.0, 0.1, 0.1, 0.0, 0.0, 0.0, 1e-3, False)]), [])
+        series_with([(0.0, 0.1, 0.1, 0.0, 0.0, 0.0, 1e-3, False)]))
     assert (clean.first_violation is None) == (clean.bound_u_held
                                                and clean.bound_v_held)
     dirty = assemble_claim_report(
-        series_with([(0.0, 2.0, 0.1, 0.0, 0.0, 0.0, 1e-3, True)]),
-        [BoundEvent(t=0.0, node=0, field="u", value=2.0, bound=1.0)])
+        series_with([(0.0, 2.0, 0.1, 0.0, 0.0, 0.0, 1e-3, True)],
+                    [BoundEvent(t=0.0, node=0, field="u", value=2.0,
+                                bound=1.0)]))
     assert not dirty.bound_u_held
     assert dirty.first_violation is not None
