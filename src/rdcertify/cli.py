@@ -76,14 +76,14 @@ class ConfigError(Exception):
         super().__init__(f"config error at {key}: {message}")
 
 
-# library parameter name -> config key; theta0 = claimed_mu / 2 here
+# library parameter name -> config key
 _CONFIG_KEYS = {
     "n_nodes": "grid.n_nodes", "length": "grid.length",
     "a": "scheme.a", "b": "scheme.b", "t_end": "scheme.t_end",
     "dt_min": "scheme.dt_min", "dt_init": "scheme.dt_init",
     "rtol": "scheme.rtol", "blowup_threshold": "scheme.blowup_threshold",
     "p": "functional.p", "theta": "functional.theta",
-    "mu": "model.claimed_mu", "theta0": "model.claimed_mu",
+    "mu": "model.claimed_mu",
     "C": "model.claimed_C", "m": "model.m", "lam": "model.lam",
     "u0": "initial_u", "v0": "initial_v", "seed": "RD_CERTIFY_SEED",
 }

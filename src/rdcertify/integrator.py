@@ -107,10 +107,6 @@ class Verdict:
         return Verdict("dt_underflow", t)
 
     @property
-    def is_completed(self):
-        return self.kind == "completed"
-
-    @property
     def is_blowup(self):
         return self.kind == "blowup"
 
@@ -323,9 +319,8 @@ def _log(series, state, dt_used, model, cfg, grid, functional):
     """Append the row of an accepted state; return the rates there, which
     J and the next step both use."""
     rates = model.rates(state.u, state.v)
-    L = lyapunov.lyapunov_L(functional, state, grid)
-    I = lyapunov.dissipation_I(functional, state, grid, cfg.a, cfg.b)
-    J = lyapunov.reaction_J(functional, state, grid, model, rates=rates)
+    L, I, J = lyapunov.diagnostics(functional, state, grid, cfg.a, cfg.b,
+                                   rates)
     event = verify.monitor_bounds(state, functional.u_bar0, functional.v_bar0)
     if event is not None:
         series.events.append(event)

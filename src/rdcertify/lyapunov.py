@@ -20,22 +20,21 @@ normalization constant (the weights are rescaled by their maximum), so
 their signs and zero sets are exact while their raw magnitudes, which
 carry no decision content, stay representable.
 
-While the fields are finite and no node lies above its bound, U, V and
-their sign flags vanish at every node, so every term of L, I and J
-carries a zero factor.  L, I and J then return their exact values
-without evaluating the sums: L = 0.0, J = 0.0 and I = -0.0, the signed
-zero that -p(p-1) times a zero integral gives, printed as ``-0`` in the
-CSV.  The weights and binomials are finite for every
-``FunctionalParams`` (finite theta and log weights, p <= 1000); the
-shortcut also needs the rates for J, the diffusion pair and the squared
-gradients for I finite.  Otherwise the full sums run, so their inf and
-NaN results (0 * inf) are unchanged.
+``diagnostics`` gives L, I and J of a state in one pass: one screen of
+the fields, one set of excursions and powers U^i, V^j; the weights and
+binomials are computed once per ``FunctionalParams``.  While the fields
+are finite and no node lies above its bound, every term has a zero
+factor, so L = 0.0, J = 0.0 and I = -0.0 (-p(p-1) times a zero
+integral, ``-0`` in the CSV) are returned without the sums, provided
+the rates (for J) and the diffusion pair and squared gradients (for I)
+are finite too; otherwise the full sums keep their inf and NaN results.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +60,9 @@ class FunctionalParams:
 
     Every instance has an integer p in [2, 1000] and finite theta and
     log weights, so the weights and binomials are finite; otherwise
-    construction raises ParamError naming ``p`` or ``theta``.
+    construction raises ParamError naming ``p`` or ``theta``.  Those
+    constants are cached properties, computed on first use: derived from
+    the fields, they cannot go stale under ``dataclasses.replace``.
     """
 
     p: int
@@ -95,6 +96,35 @@ class FunctionalParams:
                 + i * (self.log_theta1 - self.log_theta0)
                 + i * (i - 1.0) * self.log_theta)
 
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """theta_0..theta_p; a weight past double precision is inf."""
+        with np.errstate(over="ignore"):
+            return _read_only(np.exp(self.log_theta_seq()))
+
+    @cached_property
+    def normalized_weights(self) -> np.ndarray:
+        """theta_i / max theta: the positive scaling I and J share."""
+        logs = self.log_theta_seq()
+        return _read_only(np.exp(logs - logs.max()))
+
+    @cached_property
+    def binomials(self) -> dict:
+        """binom(n, i) for i = 0..n, keyed by the degree n in p, p-1, p-2,
+        from the recurrence binom(n, i+1) = binom(n, i)*(n-i)/(i+1)."""
+        table = {}
+        for n in (self.p, self.p - 1, self.p - 2):
+            c = np.ones(n + 1)
+            for i in range(n):
+                c[i + 1] = c[i] * (n - i) / (i + 1)
+            table[n] = _read_only(c)
+        return table
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 def _theta_sq_bound(a: float, b: float) -> float:
     """(a+b)^2/(4ab): theta^2 must exceed it for T_i to be semidefinite."""
@@ -102,17 +132,15 @@ def _theta_sq_bound(a: float, b: float) -> float:
 
 
 def build_params(a: float, b: float, mu: float, C: float, p: int,
-                 u0, v0, theta: float | None = None,
-                 theta0: float | None = None,
-                 theta1: float | None = None) -> FunctionalParams:
+                 u0, v0, theta: float | None = None) -> FunctionalParams:
     """Validate and assemble functional parameters.
 
-    theta defaults to sqrt(1.1 * max((a+b)^2/(4ab), 1)); theta1 defaults
-    to 1 and theta0 to mu/2, which guarantees theta0/theta1 < mu.
-    Supplied values that violate theta > 1, theta^2 > (a+b)^2/(4ab) or
-    theta0/theta1 < mu raise ParamError naming the violated condition.
-    C must be finite and >= 0, and u0, v0 finite.  The candidate bounds
-    are max(C, sup u0) and max(C, sup v0).
+    theta defaults to sqrt(1.1 * max((a+b)^2/(4ab), 1)); a supplied
+    theta must satisfy theta > 1 and theta^2 > (a+b)^2/(4ab).  The first
+    weights are theta0 = mu/2 and theta1 = 1, so theta0/theta1 < mu; mu/2
+    must not underflow to 0.  C must be finite and >= 0, and u0, v0
+    finite; a violation raises ParamError naming the parameter.  The
+    candidate bounds are max(C, sup u0) and max(C, sup v0).
     """
     check_positive(a=a, b=b, mu=mu)
     if not 0 <= C < math.inf:
@@ -133,21 +161,13 @@ def build_params(a: float, b: float, mu: float, C: float, p: int,
                 f"theta^2 > (a+b)^2/(4ab) = {bound}"
             )
 
-    theta1 = 1.0 if theta1 is None else float(theta1)
-    theta0 = mu / 2.0 if theta0 is None else float(theta0)
-    for name, value in (("theta0", theta0), ("theta1", theta1)):
-        if not value > 0:
-            raise ParamError(name, f"{name} must be > 0, got {value}")
-    log_theta0 = math.log(theta0)
-    log_theta1 = math.log(theta1)
-    if not log_theta0 - log_theta1 < math.log(mu):
-        raise ParamError(
-            "theta0", f"theta0/theta1 = {theta0 / theta1} violates the "
-            f"condition theta0/theta1 < mu = {mu}"
-        )
+    theta0 = mu / 2.0
+    if not theta0 > 0:
+        raise ParamError("mu", f"mu = {mu} is too small: the first weight "
+                         "theta0 = mu/2 underflows to 0")
 
-    return FunctionalParams(p=p, theta=theta, log_theta0=log_theta0,
-                            log_theta1=log_theta1, mu=mu, C=float(C),
+    return FunctionalParams(p=p, theta=theta, log_theta0=math.log(theta0),
+                            log_theta1=0.0, mu=mu, C=float(C),
                             u_bar0=max(float(C), sup_u),
                             v_bar0=max(float(C), sup_v))
 
@@ -189,93 +209,7 @@ def check_conditions(params: FunctionalParams, a: float, b: float) -> ConditionR
 
 
 # ---------------------------------------------------------------------------
-# Positive parts and the polynomial H
-# ---------------------------------------------------------------------------
-
-def _field_parts(params: FunctionalParams, u: np.ndarray, v: np.ndarray):
-    """(U, V, sgnU, sgnV): excursions above the bounds and their sign
-    flags, with sgn(0) = 0 (the positive-part derivative at the kink)."""
-    U = np.maximum(u - params.u_bar0, 0.0)
-    V = np.maximum(v - params.v_bar0, 0.0)
-    return U, V, (U > 0.0).astype(float), (V > 0.0).astype(float)
-
-
-def _below_bounds(params: FunctionalParams, u: np.ndarray, v: np.ndarray,
-                  grid: Grid | None = None) -> bool:
-    """True when u and v are finite and no node lies above its bound.
-
-    With a grid, also require every difference quotient of u and v to
-    square to a finite number; otherwise I's 0 * inf products give NaN.
-    A quotient is at most (max - min) / spacing, and rounding is
-    monotone, so a bound on that ratio bounds all of them.
-    """
-    for f, bar in ((u, params.u_bar0), (v, params.v_bar0)):
-        hi = float(f.max())
-        if not hi <= bar:               # also false for NaN
-            return False
-        lo = float(f.min())
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            return False
-        if grid is not None and not (hi - lo) / grid.spacing <= _SAFE_SLOPE:
-            return False
-    return True
-
-
-def _binomials(n: int) -> np.ndarray:
-    # multiplicative recurrence binom(n, i+1) = binom(n, i)*(n-i)/(i+1)
-    c = np.empty(n + 1)
-    c[0] = 1.0
-    for i in range(n):
-        c[i + 1] = c[i] * (n - i) / (i + 1)
-    return c
-
-
-def _h_terms(params: FunctionalParams, U, V):
-    """Stack of the p+1 monomial terms of H (any broadcastable shape)."""
-    p = params.p
-    with np.errstate(over="ignore"):
-        thetas = np.exp(params.log_theta_seq())
-    binom = _binomials(p)
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-    i = np.arange(p + 1).reshape((p + 1,) + (1,) * U.ndim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = (binom.reshape(i.shape) * thetas.reshape(i.shape)
-                 * U[None, ...] ** i * V[None, ...] ** (p - i))
-    # 0^0 = 1 keeps the pure-U and pure-V monomials alive; 0 * inf means
-    # the excursion is zero and the term vanishes.
-    return np.where(np.isnan(terms), 0.0, terms)
-
-
-def _sum_descending(terms: np.ndarray) -> np.ndarray:
-    """Sum the leading axis sequentially in descending magnitude order."""
-    order = np.argsort(np.abs(terms), axis=0)[::-1]
-    ordered = np.take_along_axis(terms, order, axis=0)
-    total = np.zeros(terms.shape[1:])
-    for row in ordered:
-        total = total + row
-    return total
-
-
-def _h_field(params: FunctionalParams, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    U, V, _, _ = _field_parts(params, u, v)
-    return _sum_descending(_h_terms(params, U, V))
-
-
-def lyapunov_L(params: FunctionalParams, state, grid: Grid) -> float:
-    """L = trapezoid integral of the nodal H values; inf flags overflow
-    (or a non-finite field)."""
-    u = as_field(state.u, grid)
-    v = as_field(state.v, grid)
-    if not (np.isfinite(u).all() and np.isfinite(v).all()):
-        return math.inf
-    if _below_bounds(params, u, v):
-        return 0.0
-    return integrate(_h_field(params, u, v), grid)
-
-
-# ---------------------------------------------------------------------------
-# Dissipation and reaction diagnostics
+# L, I and J
 # ---------------------------------------------------------------------------
 
 def _quadratic(a, b, w0, w1, w2, sU, sV, xi, eta):
@@ -307,13 +241,104 @@ def quadratic_Ti(params: FunctionalParams, i: int, a: float, b: float,
 
 
 def _gradient(f: np.ndarray, h: float) -> np.ndarray:
-    # central differences inside, one-sided at the two boundary nodes
-    return np.gradient(f, h)
+    # the differences np.gradient(f, h) takes, without its per-call set-up:
+    # central inside, one-sided at the two boundary nodes
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
+    out[0] = (f[1] - f[0]) / h
+    out[-1] = (f[-1] - f[-2]) / h
+    return out
 
 
-def _normalized_thetas(params: FunctionalParams) -> np.ndarray:
-    logs = params.log_theta_seq()
-    return np.exp(logs - logs.max())
+def _sum_rows(terms: np.ndarray) -> np.ndarray:
+    """Add the rows one at a time, in order, to a row of +0.0."""
+    total = np.zeros(terms.shape[1])
+    for row in terms:
+        total += row
+    return total
+
+
+class _Screened:
+    """One state's fields, screened once; L, I and J each keep their own
+    shortcut (below the bounds with non-finite rates, say, J runs its
+    full sum while L and I return their zeros) and share ``ex``."""
+
+    def __init__(self, params: FunctionalParams, state, grid: Grid):
+        self.params, self.grid = params, grid
+        self.u = u = as_field(state.u, grid)
+        self.v = v = as_field(state.v, grid)
+        # NaN propagates into min and max, and a difference quotient is at
+        # most (max - min) / spacing, so four reductions decide the screen
+        lo_u, hi_u, lo_v, hi_v = (float(x) for x in (u.min(), u.max(),
+                                                     v.min(), v.max()))
+        self.finite = all(map(math.isfinite, (lo_u, hi_u, lo_v, hi_v)))
+        self.below = (self.finite and hi_u <= params.u_bar0
+                      and hi_v <= params.v_bar0)
+        # every quotient squares to a finite number, else I's 0 * inf is NaN
+        self.gentle = (self.below and max(hi_u - lo_u, hi_v - lo_v)
+                       / grid.spacing <= _SAFE_SLOPE)
+
+    @cached_property
+    def ex(self):
+        """(U, V, sgnU, sgnV, Upow, Vpow): excursions above the bounds,
+        their flags with sgn(0) = 0 (the positive-part derivative at the
+        kink), and rows U^i, V^i for i < p.  Each row is ``U ** i`` with an
+        int i; an array of exponents can differ in the last bit."""
+        U = np.maximum(self.u - self.params.u_bar0, 0.0)
+        V = np.maximum(self.v - self.params.v_bar0, 0.0)
+        with np.errstate(over="ignore"):
+            Upow = np.array([U ** i for i in range(self.params.p)])
+            Vpow = np.array([V ** i for i in range(self.params.p)])
+        sU, sV = (U > 0.0).astype(float), (V > 0.0).astype(float)
+        return U, V, sU, sV, Upow, Vpow
+
+    def L(self) -> float:
+        if not self.finite:
+            return math.inf
+        if self.below:
+            return 0.0
+        p, (U, V) = self.params.p, self.ex[:2]
+        i = np.arange(p + 1)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (self.params.binomials[p][:, None]
+                     * self.params.weights[:, None]
+                     * U[None] ** i * V[None] ** (p - i))
+        # 0^0 = 1 keeps the pure-U and pure-V monomials alive; 0 * inf means
+        # a zero excursion.  The terms are then >= 0, summed largest first.
+        terms = np.where(np.isnan(terms), 0.0, terms)
+        return integrate(_sum_rows(np.sort(terms, axis=0)[::-1]), self.grid)
+
+    # In I and J, row i of each array belongs to term i: every element
+    # goes through the operations of the term-by-term sum, in order.
+
+    def I(self, a: float, b: float) -> float:
+        if math.isfinite(a + b) and self.gentle:
+            return -0.0
+        p, (sU, sV, Upow, Vpow) = self.params.p, self.ex[2:]
+        du, dv = (_gradient(f, self.grid.spacing) for f in (self.u, self.v))
+        th = self.params.normalized_weights[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = _quadratic(a, b, th[:-2], th[1:-1], th[2:], sU, sV, du, dv)
+            acc = _sum_rows(self.params.binomials[p - 2][:, None] * T
+                            * Upow[:p - 1] * Vpow[p - 2::-1])
+        return float(-p * (p - 1) * integrate(acc, self.grid))
+
+    def J(self, f, g) -> float:
+        if self.below and np.isfinite(f).all() and np.isfinite(g).all():
+            return 0.0
+        p, (sU, sV, Upow, Vpow) = self.params.p, self.ex[2:]
+        th = self.params.normalized_weights[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = _sum_rows(self.params.binomials[p - 1][:, None]
+                            * (th[1:] * sU * f + th[:-1] * sV * g)
+                            * Upow * Vpow[::-1])
+        return float(p * integrate(acc, self.grid))
+
+
+def lyapunov_L(params: FunctionalParams, state, grid: Grid) -> float:
+    """L = trapezoid integral of the nodal H values; inf flags overflow
+    (or a non-finite field)."""
+    return _Screened(params, state, grid).L()
 
 
 def dissipation_I(params: FunctionalParams, state, grid: Grid,
@@ -325,22 +350,7 @@ def dissipation_I(params: FunctionalParams, state, grid: Grid,
     up to the shared positive weight normalization; nonpositive for every
     state whenever the weight conditions hold.
     """
-    p = params.p
-    u = as_field(state.u, grid)
-    v = as_field(state.v, grid)
-    if math.isfinite(a + b) and _below_bounds(params, u, v, grid):
-        return -0.0
-    U, V, sU, sV = _field_parts(params, u, v)
-    du = _gradient(u, grid.spacing)
-    dv = _gradient(v, grid.spacing)
-    th = _normalized_thetas(params)
-    binom = _binomials(p - 2)
-    acc = np.zeros_like(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(p - 1):
-            Ti = _quadratic(a, b, th[i], th[i + 1], th[i + 2], sU, sV, du, dv)
-            acc += binom[i] * Ti * U ** i * V ** (p - 2 - i)
-    return float(-p * (p - 1) * integrate(acc, grid))
+    return _Screened(params, state, grid).I(a, b)
 
 
 def reaction_J(params: FunctionalParams, state, grid: Grid, model,
@@ -354,19 +364,14 @@ def reaction_J(params: FunctionalParams, state, grid: Grid, model,
     positive constant per parameter set): the sign is exact.  ``rates``
     is ``model.rates`` at the state, for a caller that already has it.
     """
-    p = params.p
-    u = as_field(state.u, grid)
-    v = as_field(state.v, grid)
-    f, g = model.rates(u, v) if rates is None else rates
-    if (_below_bounds(params, u, v)
-            and np.isfinite(f).all() and np.isfinite(g).all()):
-        return 0.0
-    U, V, sU, sV = _field_parts(params, u, v)
-    th = _normalized_thetas(params)
-    binom = _binomials(p - 1)
-    acc = np.zeros_like(u)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(p):
-            acc += (binom[i] * (th[i + 1] * sU * f + th[i] * sV * g)
-                    * U ** i * V ** (p - 1 - i))
-    return float(p * integrate(acc, grid))
+    s = _Screened(params, state, grid)
+    return s.J(*(model.rates(s.u, s.v) if rates is None else rates))
+
+
+def diagnostics(params: FunctionalParams, state, grid: Grid, a: float,
+                b: float, rates) -> tuple[float, float, float]:
+    """(L, I, J) of one state in one pass, bit for bit the values of
+    ``lyapunov_L``, ``dissipation_I`` and ``reaction_J``; ``rates`` is
+    ``model.rates`` at the state."""
+    screened = _Screened(params, state, grid)
+    return screened.L(), screened.I(a, b), screened.J(*rates)

@@ -142,7 +142,7 @@ def test_step_conserves_sum_for_cancelling_reactions():
     cfg = SchemeConfig(a=1.0, b=1.0, t_end=1.0, rtol=1e-6, dt_init=1e-4)
     model = Absorption(Exp(), Exp())
     series, verdict = run(model, cfg, grid, u0, v0, heat_params(u0, v0))
-    assert verdict.is_completed
+    assert verdict.kind == "completed"
     st = series.final_state
     assert np.max(np.abs(st.u + st.v - 2.0)) < 1e-6
 
@@ -156,7 +156,7 @@ def test_pure_heat_equation_against_separation_of_variables():
                        enforce_positivity=False)
     series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
                           heat_params(u0, v0))
-    assert verdict.is_completed
+    assert verdict.kind == "completed"
     st = series.final_state
     exact = np.exp(-np.pi ** 2 * st.t) * np.cos(np.pi * x)
     assert np.max(np.abs(st.u - exact)) <= 1e-3
@@ -194,7 +194,7 @@ def test_run_combustion_equilibrium():
     cfg = SchemeConfig(a=1.0, b=2.0, t_end=1.0, rtol=1e-6)
     series, verdict = run(Combustion(1), cfg, grid, zeros, zeros,
                           heat_params(zeros, zeros))
-    assert verdict.is_completed
+    assert verdict.kind == "completed"
     assert np.all(series.sup_u == 0.0)
     assert np.all(series.sup_v == 0.0)
     assert np.array_equal(series.final_state.u, zeros)
@@ -209,7 +209,7 @@ def test_run_absorption_sup_u_nonincreasing():
     cfg = SchemeConfig(a=1.0, b=1.5, t_end=5.0, rtol=1e-5, dt_init=1e-3)
     series, verdict = run(Absorption(Exp(), Exp()), cfg, grid, u0, v0,
                           heat_params(u0, v0, a=1.0, b=1.5))
-    assert verdict.is_completed
+    assert verdict.kind == "completed"
     assert np.all(np.diff(series.sup_u) <= 1e-10)
 
 
@@ -221,7 +221,7 @@ def test_run_positivity_guard():
     cfg = SchemeConfig(a=1.0, b=2.0, t_end=0.5, rtol=1e-6)
     series, verdict = run(Combustion(1), cfg, grid, u0, v0,
                           heat_params(u0, v0, a=1.0, b=2.0))
-    assert verdict.is_completed
+    assert verdict.kind == "completed"
     st = series.final_state
     assert st.u.min() >= 0.0
     assert st.v.min() >= 0.0
@@ -238,7 +238,7 @@ def test_run_combustion_conserves_total_mass():
     cfg = SchemeConfig(a=1.0, b=2.0, t_end=1.0, rtol=1e-6, dt_init=1e-4)
     series, verdict = run(Combustion(1), cfg, grid, Y0, T0,
                           heat_params(Y0, T0, a=1.0, b=2.0))
-    assert verdict.is_completed
+    assert verdict.kind == "completed"
     m0 = integrate(Y0 + T0, grid)
     st = series.final_state
     m1 = integrate(st.u + st.v, grid)
@@ -256,7 +256,7 @@ def test_refining_rtol_never_worsens_heat_error():
                            enforce_positivity=False)
         series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
                               heat_params(u0, v0))
-        assert verdict.is_completed
+        assert verdict.kind == "completed"
         st = series.final_state
         return np.max(np.abs(st.u - np.exp(-np.pi ** 2 * st.t) * u0))
 
@@ -315,7 +315,7 @@ def test_timeseries_time_strictly_increasing():
     cfg = SchemeConfig(a=1.0, b=1.0, t_end=0.3, rtol=1e-5)
     series, verdict = run(Combustion(1), cfg, grid, u0, v0,
                           heat_params(u0, v0))
-    assert verdict.is_completed
+    assert verdict.kind == "completed"
     assert np.all(np.diff(series.t) > 0.0)
     assert series.t[-1] == pytest.approx(cfg.t_end, rel=1e-12)
 
@@ -388,7 +388,7 @@ def test_scheme_config_validation():
 
 
 def test_verdict_helpers():
-    assert Verdict.completed().is_completed
+    assert Verdict.completed().kind == "completed"
     assert Verdict.blow_up(1.5).is_blowup
     assert Verdict.blow_up(1.5).t == 1.5
     assert Verdict.dt_underflow(0.2).is_dt_underflow

@@ -7,8 +7,8 @@ import pytest
 from rdcertify.integrator import SimState
 from rdcertify.kinetics import BlowupExample, Combustion
 from rdcertify.lyapunov import (FunctionalParams, build_params,
-                                check_conditions, dissipation_I, lyapunov_L,
-                                quadratic_Ti, reaction_J)
+                                check_conditions, diagnostics, dissipation_I,
+                                lyapunov_L, quadratic_Ti, reaction_J)
 from rdcertify.mesh import Grid, ParamError
 
 ZEROS = np.zeros(3)
@@ -16,8 +16,9 @@ ZEROS = np.zeros(3)
 
 def params_128(p=2, mu=1.0):
     """Weights 1, 2, 8, ... (theta0=1, theta1=2, theta^2=2) with zero bounds."""
-    return build_params(1.0, 1.0, mu, 0.0, p, ZEROS, ZEROS,
-                        theta=math.sqrt(2.0), theta0=1.0, theta1=2.0)
+    return FunctionalParams(p=p, theta=math.sqrt(2.0), log_theta0=0.0,
+                            log_theta1=math.log(2.0), mu=mu, C=0.0,
+                            u_bar0=0.0, v_bar0=0.0)
 
 
 def recurrence_logs(params):
@@ -59,12 +60,6 @@ def test_supplied_theta_below_bound_rejected():
         build_params(1.0, 4.0, 1.0, 0.0, 4, ZEROS, ZEROS, theta=1.2)
     with pytest.raises(ValueError, match="must be > 1"):
         build_params(1.0, 1.0, 1.0, 0.0, 4, ZEROS, ZEROS, theta=0.9)
-
-
-def test_weight_ratio_must_stay_below_mu():
-    with pytest.raises(ValueError, match="theta0/theta1"):
-        build_params(1.0, 1.0, 1.0, 0.0, 4, ZEROS, ZEROS,
-                     theta0=1.0, theta1=1.0)
 
 
 def test_parameter_validation():
@@ -116,8 +111,9 @@ def test_theta_at_log_and_linear_agree():
 
 def test_theta_at_overflow_reports_inf():
     # large p with theta0 = 1, theta1 = 4, theta^2 = 4: theta_i = 4^(i^2/2)-ish
-    params = build_params(1.0, 1.0, 8.0, 0.0, 40, ZEROS, ZEROS,
-                          theta=2.0, theta0=1.0, theta1=4.0)
+    params = FunctionalParams(p=40, theta=2.0, log_theta0=0.0,
+                              log_theta1=math.log(4.0), mu=8.0, C=0.0,
+                              u_bar0=0.0, v_bar0=0.0)
     log40 = params.log_theta_seq()[40]
     assert math.isfinite(log40)
     with np.errstate(over="ignore"):
@@ -329,22 +325,30 @@ def test_dissipation_trivial_cases():
     assert dissipation_I(params, homogeneous, grid, 1.0, 2.0) == 0.0
 
 
-# -I on fixed non-uniform states above the bounds, recorded with
-# float.hex before T_i was shared by quadratic_Ti and dissipation_I
-PINNED_MINUS_I = {2: "0x1.874c66ad619c3p+6", 4: "0x1.5255844aef4a2p+9",
-                  8: "0x1.128b43abc004dp+11"}
+# L, -I and J on fixed non-uniform states above the bounds, recorded with
+# float.hex: -I before T_i was shared by quadratic_Ti and dissipation_I,
+# L and J before the three were computed in one diagnostics pass
+PINNED_L_MINUS_I_J = {
+    2: ("0x1.bfd29c012538fp+3", "0x1.874c66ad619c3p+6", "-0x1.58d0859cade02p+5"),
+    4: ("0x1.1cf78fc49a0fcp+11", "0x1.5255844aef4a2p+9", "-0x1.f9d3a15882005p+5"),
+    8: ("0x1.fcd6a22bca0b4p+37", "0x1.128b43abc004dp+11", "-0x1.5ef98312937e2p+9"),
+}
 
 
-@pytest.mark.parametrize("p", sorted(PINNED_MINUS_I))
+@pytest.mark.parametrize("p", sorted(PINNED_L_MINUS_I_J))
 def test_dissipation_I_pinned_bit_for_bit(p):
+    # pins L and J beside I: any reordering of their sums shows here
     grid = Grid(17, 1.3)
     rng = np.random.default_rng(100 + p)
     u = rng.uniform(0.0, 3.0, grid.n_nodes)
     v = rng.uniform(0.0, 3.0, grid.n_nodes)
     params = build_params(0.7, 2.5, 0.5, 0.0, p, ZEROS, ZEROS)
     params = dataclasses.replace(params, u_bar0=1.0, v_bar0=1.0)
-    val = dissipation_I(params, SimState(0.0, u, v, 1e-3), grid, 0.7, 2.5)
-    assert val == -float.fromhex(PINNED_MINUS_I[p])
+    state = SimState(0.0, u, v, 1e-3)
+    L = lyapunov_L(params, state, grid)
+    I = dissipation_I(params, state, grid, 0.7, 2.5)
+    J = reaction_J(params, state, grid, BlowupExample())
+    assert (L.hex(), (-I).hex(), J.hex()) == PINNED_L_MINUS_I_J[p]
 
 
 def test_dissipation_nonpositive_and_matches_brute_force():
@@ -522,6 +526,21 @@ def test_every_params_instance_has_finite_weights(field, value):
     assert err.value.param == ("p" if field == "p" else "theta")
 
 
+def test_cached_constants_follow_replace_and_are_read_only():
+    # cached on first use; an instance from dataclasses.replace builds its
+    # own, so a replaced p or weight never meets the old constants
+    params = build_params(1.0, 2.0, 0.5, 0.0, 4, ZEROS, ZEROS)
+    assert list(params.binomials[4]) == [1, 4, 6, 4, 1]
+    other = dataclasses.replace(params, p=6, log_theta0=-3.0)
+    assert sorted(other.binomials) == [4, 5, 6]
+    assert list(other.binomials[6]) == [1, 6, 15, 20, 15, 6, 1]
+    logs = other.log_theta_seq()
+    assert np.array_equal(other.weights, np.exp(logs))
+    assert np.array_equal(other.normalized_weights, np.exp(logs - logs.max()))
+    with pytest.raises(ValueError, match="read-only"):
+        params.weights[0] = 2.0
+
+
 def test_overflowing_diffusion_pair_below_bounds_gives_nan_I():
     # a + b = inf meets the zero sign flags in the cross term of T_i
     grid = Grid(31, 1.0)
@@ -530,3 +549,45 @@ def test_overflowing_diffusion_pair_below_bounds_gives_nan_I():
     params = build_params(1.0, 2.0, 0.5, 0.0, 4, u, v)
     state = SimState(0.0, u, v, 1e-3)
     assert math.isnan(dissipation_I(params, state, grid, 1e308, 1e308))
+
+
+# ---------------------------------------------------------------------------
+# One diagnostics pass
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 4, 8])
+@pytest.mark.parametrize("case", [
+    "above", "below", "nan_field", "inf_field", "nonfinite_rates_below",
+    "steep_gradient_below", "overflowing_a_plus_b_below",
+])
+def test_diagnostics_matches_the_three_functions(case, p):
+    # one pass gives the separate calls' values bit for bit, in the mixed
+    # cases too, where one quantity takes its shortcut and another runs
+    # its full sum
+    grid = Grid(31, 1.0)
+    rng = np.random.default_rng(p)
+    # Combustion's rates stay finite at u = 1e300 and overflow at v = 800
+    model = Combustion(1) if case.endswith("_below") else BlowupExample()
+    a, b = (1e308, 1e308) if case == "overflowing_a_plus_b_below" else (0.7, 2.5)
+    params = build_params(0.7, 2.5, 0.5, 0.0, p, ZEROS, ZEROS)
+    for _ in range(5):
+        u = rng.uniform(0.0, 3.0, grid.n_nodes)
+        v = rng.uniform(0.0, 3.0, grid.n_nodes)
+        node = int(rng.integers(grid.n_nodes))
+        if case == "nan_field":
+            u[node] = math.nan
+        elif case == "inf_field":
+            v[node] = math.inf
+        elif case == "nonfinite_rates_below":
+            v += 800.0                  # e^v overflows: f = -inf, g = inf
+        elif case == "steep_gradient_below":
+            u[node] = 1e300             # finite, but its slope squares to inf
+        bars = ((1.0, 1.0) if case in ("above", "nan_field", "inf_field")
+                else (float(u.max()), float(v.max())))
+        params = dataclasses.replace(params, u_bar0=bars[0], v_bar0=bars[1])
+        state = SimState(0.0, u, v, 1e-3)
+        separate = (lyapunov_L(params, state, grid),
+                    dissipation_I(params, state, grid, a, b),
+                    reaction_J(params, state, grid, model))
+        fused = diagnostics(params, state, grid, a, b, model.rates(u, v))
+        assert [x.hex() for x in fused] == [x.hex() for x in separate]
