@@ -19,7 +19,7 @@ from .kinetics import (Absorption, BlowupExample, Combustion, DoubleExp,
 from .lyapunov import (ConditionReport, FunctionalParams, build_params,
                        check_conditions, dissipation_I, lyapunov_L,
                        quadratic_Ti, reaction_J)
-from .mesh import Grid, as_field, integrate, laplacian, sup_norm
+from .mesh import Grid, as_field, integrate, sup_norm
 from .verify import (BoundEvent, ClaimReport, GNonNegReport,
                      MassControlReport, assemble_claim_report,
                      check_g_nonneg, check_mass_control, monitor_bounds)
@@ -34,7 +34,7 @@ __all__ = [
     "SimState", "SubExp", "TimeSeries", "Verdict", "as_field",
     "assemble_claim_report", "build_params", "check_conditions",
     "check_g_nonneg", "check_mass_control", "dissipation_I",
-    "find_threshold_A", "growth_from_spec", "integrate", "laplacian",
-    "lyapunov_L", "monitor_bounds", "quadratic_Ti", "reaction_J", "run",
+    "find_threshold_A", "growth_from_spec", "integrate", "lyapunov_L",
+    "monitor_bounds", "quadratic_Ti", "reaction_J", "run",
     "solve_diffusion_implicit", "step_imex", "sup_norm",
 ]

@@ -66,6 +66,7 @@ from .mesh import Grid, ParamError
 
 CSV_HEADER = "t,sup_u,sup_v,L,I,J,dt,bound_violation"
 CHECK_N_PER_AXIS = 64
+EXIT_CODES = {"blowup": 2, "dt_underflow": 4}     # run's other verdicts
 
 
 class ConfigError(Exception):
@@ -153,10 +154,8 @@ class _Section:
     def int(self, key, default=_REQUIRED):
         return self._convert(key, default, int, "an integer")
 
-    def bool(self, key, default=_REQUIRED):
-        text = self.raw(key, default)
-        if not isinstance(text, str):
-            return text
+    def bool(self, key):
+        text = self.raw(key)
         if text == "true":
             return True
         if text == "false":
@@ -164,8 +163,13 @@ class _Section:
         raise ConfigError(f"{self.name}.{key}",
                           f"expected true or false, got {text!r}")
 
-    def choice(self, key, choices, default=_REQUIRED):
-        text = self.raw(key, default)
+    def given(self, read, *keys):
+        """``{key: read(key)}`` for the keys among ``keys`` this section
+        sets, so an unset key keeps the library's default."""
+        return {key: read(key) for key in keys if key in self.map}
+
+    def choice(self, key, choices):
+        text = self.raw(key)
         if text not in choices:
             raise ConfigError(f"{self.name}.{key}",
                               f"expected one of {sorted(choices)}, got {text!r}")
@@ -209,10 +213,10 @@ def parse_config_text(text: str) -> RunConfig:
     sec = section("model")
     kind = sec.choice("kind", {"combustion", "absorption", "blowup_example"})
     if kind == "combustion":
-        model = kinetics.Combustion(m=sec.int("m", default=1))
+        model = kinetics.Combustion(**sec.given(sec.int, "m"))
     elif kind == "absorption":
         model = kinetics.Absorption(_growth(sec, "F"), _growth(sec, "G"),
-                                    lam=sec.float("lam", default=0.5))
+                                    **sec.given(sec.float, "lam"))
     else:
         model = kinetics.BlowupExample()
     # a claim overrides the model's own, after any threshold search
@@ -231,12 +235,9 @@ def parse_config_text(text: str) -> RunConfig:
     sec = section("scheme")
     scheme = SchemeConfig(
         a=sec.float("a"), b=sec.float("b"), t_end=sec.float("t_end"),
-        dt_init=sec.float("dt_init", default="1e-3"),
-        dt_min=sec.float("dt_min", default="1e-12"),
-        dt_max=sec.float("dt_max", default="0.1"),
-        rtol=sec.float("rtol", default="1e-6"),
-        blowup_threshold=sec.float("blowup_threshold", default="1e6"),
-        enforce_positivity=sec.bool("enforce_positivity", default=True))
+        **sec.given(sec.float, "dt_init", "dt_min", "dt_max", "rtol",
+                    "blowup_threshold"),
+        **sec.given(sec.bool, "enforce_positivity"))
     sec.finish()
 
     sec = section("functional")
@@ -386,10 +387,8 @@ def cmd_run(config_path) -> int:
     print(f"csv: {cfg.csv}")
     print(f"report: {cfg.report}")
 
-    if verdict.is_blowup:
-        return 2
-    if verdict.is_dt_underflow:
-        return 4
+    if verdict.kind != "completed":
+        return EXIT_CODES[verdict.kind]
     return 0 if (claim.bound_u_held and claim.bound_v_held) else 3
 
 

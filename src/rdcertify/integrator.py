@@ -10,11 +10,18 @@ solution scale, and the kept state is the Richardson combination
 ends with one of three verdicts:
 
 * ``completed``   -- reached t_end;
-* ``blowup``      -- the sup norms crossed the divergence threshold M,
-                     or the kinetics overflowed at the current state
-                     (double-exponential reactions overflow long before
+* ``blowup``      -- the row of an accepted state has sup_u + sup_v
+                     above the divergence threshold M, or not finite
+                     (judged by ``run``), or the kinetics overflowed at
+                     the current state (judged by ``step_imex``;
+                     double-exponential reactions overflow long before
                      any threshold on the fields themselves);
 * ``dt_underflow``-- halving would push dt below dt_min.
+
+Each accepted state is looked at once, when ``run`` logs its row: the
+sup norms, L, I, J, and the flag for the sup-norm bound,
+sup_u > u_bar0 or sup_v > v_bar0.  The divergence verdict, the first
+bound violation and the claim report are all read from those rows.
 
 Accepted states are kept nonnegative: values in (-1e-12, 0) are clamped
 to zero and anything below -1e-12 rejects the step.  This guard can be
@@ -94,36 +101,17 @@ class Verdict:
     kind: str                  # "completed" | "blowup" | "dt_underflow"
     t: float | None = None     # divergence / underflow time
 
-    @staticmethod
-    def completed() -> "Verdict":
-        return Verdict("completed")
-
-    @staticmethod
-    def blow_up(t: float) -> "Verdict":
-        return Verdict("blowup", t)
-
-    @staticmethod
-    def dt_underflow(t: float) -> "Verdict":
-        return Verdict("dt_underflow", t)
-
-    @property
-    def is_blowup(self):
-        return self.kind == "blowup"
-
-    @property
-    def is_dt_underflow(self):
-        return self.kind == "dt_underflow"
-
 
 @dataclass
 class TimeSeries:
-    """Per-step diagnostics (t, sup_u, sup_v, L, I, J, dt, violation flag)
-    plus the bound events collected while stepping."""
+    """One row per accepted state (t, sup_u, sup_v, L, I, J, dt, violation
+    flag), plus the first bound violation: the first node over its bound
+    in the first flagged row."""
 
     u_bar0: float
     v_bar0: float
     rows: list = field(default_factory=list)
-    events: list = field(default_factory=list)
+    first_violation: verify.BoundEvent | None = None
     final_state: SimState | None = None
 
     COLUMNS = ("t", "sup_u", "sup_v", "L", "I", "J", "dt", "bound_violation")
@@ -227,18 +215,18 @@ def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
               rates0=None) -> StepResult:
     """Advance one accepted step starting from ``state.dt``.
 
-    The verdict is None for an ordinary accepted step, ``blowup`` when
-    the accepted state crossed the divergence threshold (the result
-    carries the diverged fields) or the kinetics already overflow at the
-    current state (no new state), and ``dt_underflow`` when halving
-    would drop below dt_min.  ``rates0`` is ``model.rates`` at the
-    state, for a caller that already has it.
+    The verdict is None when a step was accepted; the accepted state is
+    not judged here (``run`` reads divergence from its logged row).  It
+    is ``blowup`` when the kinetics already overflow at the current
+    state and ``dt_underflow`` when halving would drop below dt_min; in
+    both cases there is no new state.  ``rates0`` is ``model.rates`` at
+    the state, for a caller that already has it.
     """
     u, v, t = state.u, state.v, state.t
     if rates0 is None:
         rates0 = model.rates(u, v)
     if not (np.isfinite(rates0[0]).all() and np.isfinite(rates0[1]).all()):
-        return StepResult(None, Verdict.blow_up(t), 0.0)
+        return StepResult(None, Verdict("blowup", t), 0.0)
 
     dt = state.dt
     while True:
@@ -264,7 +252,7 @@ def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
                         accepted = (u_new, v_new, err, scale)
         if accepted is None:
             if 0.5 * dt < cfg.dt_min:
-                return StepResult(None, Verdict.dt_underflow(t), 0.0)
+                return StepResult(None, Verdict("dt_underflow", t), 0.0)
             dt *= 0.5
             continue
 
@@ -274,23 +262,22 @@ def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
         else:
             factor = min(2.0, max(0.2, 0.9 * math.sqrt(cfg.rtol * scale / err)))
         dt_next = min(cfg.dt_max, max(cfg.dt_min, dt * factor))
-        new_state = SimState(t + dt, u_new, v_new, dt_next)
-        diverged = (not (np.isfinite(u_new).all() and np.isfinite(v_new).all())
-                    or sup_norm(u_new) + sup_norm(v_new) > cfg.blowup_threshold)
-        verdict = Verdict.blow_up(new_state.t) if diverged else None
-        return StepResult(new_state, verdict, dt)
+        return StepResult(SimState(t + dt, u_new, v_new, dt_next), None, dt)
 
 
 def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
         functional: lyapunov.FunctionalParams):
     """Integrate from (u0, v0) until t_end, blow-up, or dt underflow.
 
-    Every accepted step is logged with sup norms, the functional L, the
-    dissipation and reaction diagnostics I and J, the step size taken,
-    and a bound-violation flag; bound events carry the first offending
-    node.  Identical inputs produce a bit-identical series.  Initial
-    data that is not finite, or negative while positivity is enforced,
-    raises ParamError naming ``u0`` or ``v0``.
+    Every accepted state is logged as one row: sup norms, the functional
+    L, the dissipation and reaction diagnostics I and J, the step size
+    taken, and the flag ``sup_u > u_bar0 or sup_v > v_bar0``.  The first
+    flagged row is scanned once for the first offending node.  A step
+    whose row has ``sup_u + sup_v`` above the threshold, or not finite,
+    ends the run with ``blowup`` at that row's t.  Identical inputs
+    produce a bit-identical series.  Initial data that is not finite,
+    or negative while positivity is enforced, raises ParamError naming
+    ``u0`` or ``v0``.
     """
     u = as_field(u0, grid).copy()
     v = as_field(v0, grid).copy()
@@ -306,13 +293,16 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
         trial = SimState(state.t, state.u, state.v,
                          min(state.dt, cfg.t_end - state.t))
         result = step_imex(trial, model, cfg, grid, rates0=rates)
+        verdict = result.verdict
         if result.state is not None:
             state = result.state
             rates = _log(series, state, result.dt_used, model, cfg, grid,
                          functional)
-        verdict = result.verdict
+            _, sup_u, sup_v = series.rows[-1][:3]
+            if not sup_u + sup_v <= cfg.blowup_threshold:
+                verdict = Verdict("blowup", state.t)
     series.final_state = state
-    return series, verdict if verdict is not None else Verdict.completed()
+    return series, verdict if verdict is not None else Verdict("completed")
 
 
 def _log(series, state, dt_used, model, cfg, grid, functional):
@@ -321,9 +311,10 @@ def _log(series, state, dt_used, model, cfg, grid, functional):
     rates = model.rates(state.u, state.v)
     L, I, J = lyapunov.diagnostics(functional, state, grid, cfg.a, cfg.b,
                                    rates)
-    event = verify.monitor_bounds(state, functional.u_bar0, functional.v_bar0)
-    if event is not None:
-        series.events.append(event)
-    series.append(state.t, sup_norm(state.u), sup_norm(state.v),
-                  L, I, J, dt_used, event is not None)
+    sup_u, sup_v = sup_norm(state.u), sup_norm(state.v)
+    violated = sup_u > series.u_bar0 or sup_v > series.v_bar0
+    if violated and series.first_violation is None:
+        series.first_violation = verify.monitor_bounds(
+            state, series.u_bar0, series.v_bar0)
+    series.append(state.t, sup_u, sup_v, L, I, J, dt_used, violated)
     return rates

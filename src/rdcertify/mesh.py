@@ -2,11 +2,13 @@
 
 A grid places n_nodes nodes at x_j = j*h on the interval [0, length],
 h = length/(n_nodes - 1).  Fields are float64 arrays with one value per
-node.  The discrete Laplacian is the three-point stencil closed at both
-ends by ghost-node reflection (ghost[-1] = f[1], ghost[n] = f[n-2]), so
-the endpoints see 2*(f[1] - f[0])/h^2 and 2*(f[n-2] - f[n-1])/h^2.  With
-trapezoid quadrature this makes the discrete flux balance exact: the
-integral of any Laplacian is zero to round-off.
+node.  The discrete Laplacian, which the diffusion solve in
+``integrator`` builds into its matrix, is the three-point stencil closed
+at both ends by ghost-node reflection (ghost[-1] = f[1], ghost[n] =
+f[n-2]), so the endpoints see 2*(f[1] - f[0])/h^2 and
+2*(f[n-2] - f[n-1])/h^2.  With trapezoid quadrature this makes the
+discrete flux balance exact: the integral of any Laplacian is zero to
+round-off.
 
 ``ParamError`` is the ValueError every layer raises for an invalid
 parameter; it names the parameter, so a caller can map it to its own
@@ -73,17 +75,6 @@ def as_field(values, grid: Grid) -> np.ndarray:
             f"field has shape {f.shape}, expected ({grid.n_nodes},)"
         )
     return f
-
-
-def laplacian(f, grid: Grid) -> np.ndarray:
-    """Three-point Laplacian with reflected ghost nodes at both ends."""
-    f = as_field(f, grid)
-    h2 = grid.spacing ** 2
-    out = np.empty_like(f)
-    out[1:-1] = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / h2
-    out[0] = 2.0 * (f[1] - f[0]) / h2
-    out[-1] = 2.0 * (f[-2] - f[-1]) / h2
-    return out
 
 
 def sup_norm(f) -> float:

@@ -10,10 +10,12 @@ records the box, the seed, and up to 100 violation witnesses, so every
 certificate is explicit about its scope.  Samples where the kinetics
 overflow are counted as indeterminate, never as passes.
 
-``monitor_bounds`` watches a trajectory state against the candidate
-bounds (u_bar0, v_bar0); ``assemble_claim_report`` folds a run's series,
-with the bound events it collected, into a machine-readable verdict on
-whether the bounds held.
+The candidate bounds (u_bar0, v_bar0) are sup-norm bounds:
+||u(t)||_inf <= u_bar0 and ||v(t)||_inf <= v_bar0.  A run flags each
+row whose sup norms break them, and calls ``monitor_bounds`` once, on
+the first flagged row's state, for the first offending node.
+``assemble_claim_report`` folds the run's series into a machine-readable
+verdict on whether the bounds held.
 """
 
 from __future__ import annotations
@@ -229,17 +231,19 @@ class BoundEvent:
 
     @property
     def exceedance(self) -> float:
-        return self.value - self.bound
+        return abs(self.value) - self.bound
 
 
 def monitor_bounds(state, u_bar0: float, v_bar0: float) -> BoundEvent | None:
-    """First node (u scanned before v) strictly above its bound, or None.
+    """First node (u scanned before v) whose absolute value is strictly
+    above its bound, or None.
 
     Bounds are non-strict: a value equal to the bound is not an event.
+    The event keeps the signed nodal value.
     """
     for name, values, bound in (("u", state.u, u_bar0), ("v", state.v, v_bar0)):
         values = np.asarray(values)
-        over = values > bound
+        over = np.abs(values) > bound
         if over.any():
             idx = int(np.argmax(over))
             return BoundEvent(t=float(state.t), node=idx, field=name,
@@ -278,11 +282,11 @@ class ClaimReport:
 
 
 def assemble_claim_report(series) -> ClaimReport:
-    """Fold a run's series and its bound events into a ClaimReport.
+    """Fold a run's series into a ClaimReport.
 
     The per-field flags come from the logged sup norms against the
-    bounds stored on the series; the first violation is the earliest
-    event in ``series.events`` (events arrive in step order).
+    bounds stored on the series, the rule that sets each row's flag;
+    the first violation is the one the series recorded.
     """
     sup_u = series.sup_u
     sup_v = series.sup_v
@@ -294,7 +298,7 @@ def assemble_claim_report(series) -> ClaimReport:
     return ClaimReport(
         bound_u_held=bound_u_held,
         bound_v_held=bound_v_held,
-        first_violation=series.events[0] if series.events else None,
+        first_violation=series.first_violation,
         J_sign_history=signs,
         L_max=float(np.max(series.L)) if len(series) else 0.0,
     )

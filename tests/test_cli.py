@@ -5,6 +5,7 @@ import pytest
 
 from rdcertify.cli import (CSV_HEADER, ConfigError, cmd_check, cmd_run,
                            cmd_theta, main, parse_config_text)
+from rdcertify.integrator import SchemeConfig
 from rdcertify.kinetics import Combustion, Power, find_threshold_A
 from rdcertify.lyapunov import build_params
 from rdcertify.mesh import Grid
@@ -78,10 +79,9 @@ log_every = {log_every}
 def test_parse_minimal_config_defaults():
     cfg = parse_config_text(COMBUSTION_ZERO)
     assert isinstance(cfg.model, Combustion)
+    assert cfg.model.m == Combustion().m
     assert cfg.grid == Grid(21, 1.0)
-    assert cfg.scheme.rtol == 1e-6
-    assert cfg.scheme.dt_min == 1e-12
-    assert cfg.scheme.enforce_positivity is True
+    assert cfg.scheme == SchemeConfig(a=1.0, b=2.0, t_end=0.5)
     # p = 4 and the default theta, at the combustion claims C = 0, mu = 1/2
     assert cfg.params.p == 4
     assert cfg.params == build_params(1.0, 2.0, 0.5, 0.0, 4, cfg.u0, cfg.v0)
@@ -254,6 +254,52 @@ def test_cmd_run_bound_violation_exit_three(tmp_path):
     text = report.read_text()
     assert "claim.bound_v_held: false" in text
     assert "field=v" in text
+
+
+def test_cmd_run_signed_violation_is_flagged(tmp_path):
+    # with positivity off, a negative u whose |u| outgrows u_bar0 = 0.5
+    # breaks the sup-norm bound: the report names it and the CSV flags
+    # its row, the same rule as claim.bound_u_held
+    csv = tmp_path / "signed.csv"
+    report = tmp_path / "signed.txt"
+    path = tmp_path / "signed.ini"
+    path.write_text(f"""
+[model]
+kind = blowup_example
+
+[grid]
+n_nodes = 11
+length = 1.0
+
+[scheme]
+a = 1.0
+b = 1.0
+t_end = 0.5
+enforce_positivity = false
+
+[initial_u]
+kind = uniform
+value = -0.5
+
+[initial_v]
+kind = uniform
+value = 1.0
+
+[output]
+csv = {csv}
+report = {report}
+""")
+    assert cmd_run(path) == 3
+    lines = report.read_text().splitlines()
+    assert "claim.bound_u_held: false" in lines
+    first = next(line for line in lines
+                 if line.startswith("claim.first_violation:"))
+    assert "field=u" in first
+    t = float(first.split("t=")[1].split()[0])
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    flags = {float(row[0]): row[-1] for row in rows}
+    assert flags[t] == "1"
+    assert all(flag == "0" for time, flag in flags.items() if time < t)
 
 
 def test_cmd_run_dt_underflow_exit_four(tmp_path):

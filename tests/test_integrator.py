@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -7,7 +9,7 @@ from rdcertify.integrator import (SchemeConfig, SimState, TimeSeries, Verdict,
                                   run, solve_diffusion_implicit, step_imex)
 from rdcertify.kinetics import Absorption, BlowupExample, Combustion, Exp
 from rdcertify.lyapunov import build_params
-from rdcertify.mesh import Grid, integrate, laplacian, sup_norm
+from rdcertify.mesh import Grid, integrate, sup_norm
 
 
 def heat_params(u0, v0, a=1.0, b=1.0, mu=0.5, C=0.0, p=4):
@@ -47,6 +49,11 @@ def test_diffusion_solve_identity_limit():
 
 
 def test_diffusion_solve_residual():
+    # against the reflected-ghost three-point stencil
+    def laplacian(w, grid):
+        ghosted = np.concatenate(([w[1]], w, [w[-2]]))
+        return (ghosted[:-2] - 2.0 * w + ghosted[2:]) / grid.spacing ** 2
+
     rng = np.random.default_rng(1)
     for n, coeff, dt in ((21, 1.0, 0.01), (101, 3.0, 1e-3), (201, 0.5, 0.05)):
         grid = Grid(n, 1.0)
@@ -175,7 +182,7 @@ def test_run_blowup_example_diverges():
                        dt_max=0.05)
     series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
                           heat_params(u0, v0))
-    assert verdict.is_blowup
+    assert verdict.kind == "blowup"
     assert verdict.t <= 2.0
     assert verdict.t == series.t[-1]
     assert series.sup_u[-1] + series.sup_v[-1] > cfg.blowup_threshold
@@ -186,6 +193,44 @@ def test_run_blowup_example_diverges():
     # invariant region for the reactant
     assert series.sup_u.min() >= 0.5
     assert series.sup_u.max() <= 1.0
+
+
+def test_step_leaves_divergence_to_run():
+    # step_imex accepts a state above the threshold without a verdict;
+    # run judges the logged row of each accepted step, not the initial row
+    grid = Grid(11, 1.0)
+    u0, v0 = np.ones(11), np.ones(11)
+    cfg = SchemeConfig(a=1.0, b=1.0, t_end=1.0, blowup_threshold=1.0)
+    result = step_imex(SimState(0.0, u0, v0, cfg.dt_init), BlowupExample(),
+                       cfg, grid)
+    assert result.verdict is None
+    assert sup_norm(result.state.u) + sup_norm(result.state.v) > 1.0
+    series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
+                          heat_params(u0, v0))
+    assert verdict.kind == "blowup"
+    assert len(series) == 2
+    assert verdict.t == series.t[-1] == result.state.t
+    assert np.array_equal(series.final_state.u, result.state.u)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_run_ends_on_non_finite_accepted_state(bad, monkeypatch):
+    # a non-finite row has an inf or NaN sup: not <= the threshold
+    def step_to_bad_state(state, model, cfg, grid, rates0=None):
+        u = state.u.copy()
+        u[3] = bad
+        return integrator.StepResult(
+            SimState(state.t + state.dt, u, state.v, state.dt), None,
+            state.dt)
+
+    monkeypatch.setattr(integrator, "step_imex", step_to_bad_state)
+    grid = Grid(11, 1.0)
+    u0, v0 = np.full(11, 0.5), np.full(11, 0.5)
+    cfg = SchemeConfig(a=1.0, b=1.0, t_end=1.0)
+    series, verdict = run(Combustion(1), cfg, grid, u0, v0,
+                          heat_params(u0, v0))
+    assert verdict == Verdict("blowup", cfg.dt_init)
+    assert len(series) == 2 and series.t[-1] == verdict.t
 
 
 def test_run_combustion_equilibrium():
@@ -291,7 +336,7 @@ def test_dt_underflow_verdict():
                        dt_init=1e-3, dt_min=1e-3)
     series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
                           heat_params(u0, v0))
-    assert verdict.is_dt_underflow
+    assert verdict.kind == "dt_underflow"
     assert verdict.t == 0.0
     assert len(series) == 1           # only the initial row was logged
 
@@ -304,7 +349,7 @@ def test_kinetics_overflow_reports_blowup():
     cfg = SchemeConfig(a=1.0, b=1.0, t_end=1.0, rtol=1e-6)
     series, verdict = run(Combustion(1), cfg, grid, u0, v0,
                           heat_params(u0, v0))
-    assert verdict.is_blowup
+    assert verdict.kind == "blowup"
     assert verdict.t == 0.0
 
 
@@ -368,6 +413,7 @@ def test_rates_calls_per_row_and_trial(case, monkeypatch):
     assert verdict.kind == ("completed" if case == "completed" else "blowup")
     if case == "threshold":
         assert series.sup_u[-1] + series.sup_v[-1] > cfg.blowup_threshold
+        assert verdict.t == series.t[-1]
     if case == "overflow":          # rates overflow at t = 0: no step lands
         assert len(series) == 1 and verdict.t == 0.0
     assert len(solves) % 6 == 0
@@ -387,8 +433,9 @@ def test_scheme_config_validation():
         SchemeConfig(a=1.0, b=1.0, t_end=1.0, rtol=0.0)
 
 
-def test_verdict_helpers():
-    assert Verdict.completed().kind == "completed"
-    assert Verdict.blow_up(1.5).is_blowup
-    assert Verdict.blow_up(1.5).t == 1.5
-    assert Verdict.dt_underflow(0.2).is_dt_underflow
+def test_verdict_is_kind_and_time():
+    assert Verdict("completed") == Verdict("completed", None)
+    verdict = Verdict("blowup", 1.5)
+    assert (verdict.kind, verdict.t) == ("blowup", 1.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        verdict.t = 2.0

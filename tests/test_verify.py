@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rdcertify.integrator import SimState, TimeSeries
+from rdcertify.integrator import SchemeConfig, SimState, TimeSeries, run
 from rdcertify.kinetics import (Absorption, BlowupExample, Combustion, Exp,
                                 ReactionModel)
-from rdcertify.mesh import ParamError
+from rdcertify.lyapunov import build_params
+from rdcertify.mesh import Grid, ParamError
 from rdcertify.verify import (DEFAULT_SEED, BoundEvent,
                               assemble_claim_report, check_g_nonneg,
                               check_mass_control, default_box,
@@ -174,6 +175,15 @@ def test_monitor_bounds_reports_first_offender():
     assert event.exceedance == pytest.approx(0.3)
 
 
+def test_monitor_bounds_compares_absolute_values():
+    u = np.array([0.5, -1.5, 2.0])
+    event = monitor_bounds(state_of(u, np.zeros(3), t=0.2), 1.0, 1.0)
+    assert event == BoundEvent(t=0.2, node=1, field="u", value=-1.5,
+                               bound=1.0)
+    assert event.exceedance == 0.5
+    assert monitor_bounds(state_of(-u, np.zeros(3)), 2.0, 0.0) is None
+
+
 def test_monitor_bounds_scan_order():
     st = state_of(np.full(4, 5.0), np.full(4, 5.0))
     assert monitor_bounds(st, np.inf, np.inf) is None
@@ -185,11 +195,11 @@ def test_monitor_bounds_scan_order():
 # Claim reports
 # ---------------------------------------------------------------------------
 
-def series_with(rows, events=(), u_bar0=1.0, v_bar0=1.0):
+def series_with(rows, first_violation=None, u_bar0=1.0, v_bar0=1.0):
     s = TimeSeries(u_bar0, v_bar0)
     for row in rows:
         s.append(*row)
-    s.events.extend(events)
+    s.first_violation = first_violation
     return s
 
 
@@ -208,9 +218,8 @@ def test_assemble_claim_report_with_violation():
     rows = [(0.0, 0.5, 0.5, 0.0, 0.0, 0.0, 1e-3, False),
             (0.4, 0.6, 1.2, 0.3, -1e-9, 5.0, 1e-3, True),
             (0.5, 0.6, 1.5, 0.9, -1e-9, 7.0, 1e-3, True)]
-    events = [BoundEvent(t=0.4, node=3, field="v", value=1.2, bound=1.0),
-              BoundEvent(t=0.5, node=3, field="v", value=1.5, bound=1.0)]
-    report = assemble_claim_report(series_with(rows, events))
+    first = BoundEvent(t=0.4, node=3, field="v", value=1.2, bound=1.0)
+    report = assemble_claim_report(series_with(rows, first))
     assert report.bound_u_held
     assert not report.bound_v_held
     assert report.first_violation.t == 0.4
@@ -228,7 +237,32 @@ def test_claim_report_flag_consistency():
                                                and clean.bound_v_held)
     dirty = assemble_claim_report(
         series_with([(0.0, 2.0, 0.1, 0.0, 0.0, 0.0, 1e-3, True)],
-                    [BoundEvent(t=0.0, node=0, field="u", value=2.0,
-                                bound=1.0)]))
+                    BoundEvent(t=0.0, node=0, field="u", value=2.0,
+                               bound=1.0)))
     assert not dirty.bound_u_held
     assert dirty.first_violation is not None
+
+
+@pytest.mark.parametrize("enforce_positivity", [True, False])
+def test_run_flags_agree_with_the_claim_report(enforce_positivity):
+    # one rule: each row's flag is its sup norms against the bounds, the
+    # first violation sits on the first flagged row, and the held flags
+    # follow; with positivity off the data here is negative and |u| grows
+    grid = Grid(11, 1.0)
+    sign = 1.0 if enforce_positivity else -1.0
+    u0, v0 = np.full(11, sign * 0.5), np.ones(11)
+    cfg = SchemeConfig(a=1.0, b=1.0, t_end=0.5,
+                       enforce_positivity=enforce_positivity)
+    series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
+                          build_params(1.0, 1.0, 0.5, 0.0, 4, u0, v0))
+    assert verdict.kind == "completed"
+    flags = np.array([row[-1] for row in series.rows])
+    assert np.array_equal(flags, (series.sup_u > series.u_bar0)
+                          | (series.sup_v > series.v_bar0))
+    assert flags.any()
+    first = series.first_violation
+    assert first.t == series.t[np.argmax(flags)]
+    assert first.exceedance > 0.0
+    report = assemble_claim_report(series)
+    assert report.first_violation is first
+    assert report.bound_u_held == (first.field != "u")
