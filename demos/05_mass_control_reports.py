@@ -1,15 +1,17 @@
 """Check the control-of-mass inequality across the model catalog.
 
 The inequality f <= f + mu*g <= 0 on u + v >= C is what the uniform
-bounds hinge on.  It is checked by sampling a declared box: combustion
-and balanced absorption pass with (C, mu) = (0, 1/2); the polynomial
-blow-up pair fails with explicit witnesses where f itself is positive.
-The threshold search behind absorption claims is shown at the end.
+bounds hinge on.  It is checked by sampling a declared box once per
+model, and both the inequality and g >= 0 are judged on that sample:
+combustion and balanced absorption pass with (C, mu) = (0, 1/2); the
+polynomial blow-up pair fails with explicit witnesses where f itself is
+positive.  The threshold search behind absorption claims is shown at
+the end.
 """
 
 from rdcertify import (Absorption, BlowupExample, Combustion, DoubleExp,
                        DoubleExpMinusPoly, Exp, Power, check_g_nonneg,
-                       check_mass_control, find_threshold_A)
+                       check_mass_control, find_threshold_A, sample_box)
 
 MODELS = [
     ("combustion m=1", Combustion(1)),
@@ -21,8 +23,9 @@ MODELS = [
 for name, model in MODELS:
     C = model.claimed_C if model.claimed_C is not None else 0.0
     mu = model.claimed_mu if model.claimed_mu is not None else 0.5
-    mass = check_mass_control(model, C, mu, 10.0, 10.0, 64)
-    gpos = check_g_nonneg(model, 10.0, 10.0, 64)
+    sample = sample_box(model, 10.0, 64)
+    mass = check_mass_control(sample, C, mu)
+    gpos = check_g_nonneg(sample)
     print(f"{name}: C={C} mu={mu}")
     print(f"  mass control: {'pass' if mass.passed else 'FAIL'}"
           f" ({mass.samples_tested} samples,"

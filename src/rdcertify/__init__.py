@@ -22,7 +22,8 @@ from .lyapunov import (ConditionReport, FunctionalParams, build_params,
 from .mesh import Grid, as_field, integrate, sup_norm
 from .verify import (BoundEvent, ClaimReport, GNonNegReport,
                      MassControlReport, assemble_claim_report,
-                     check_g_nonneg, check_mass_control, monitor_bounds)
+                     check_g_nonneg, check_mass_control, monitor_bounds,
+                     sample_box)
 
 __version__ = "0.1.0"
 
@@ -35,6 +36,6 @@ __all__ = [
     "assemble_claim_report", "build_params", "check_conditions",
     "check_g_nonneg", "check_mass_control", "dissipation_I",
     "find_threshold_A", "growth_from_spec", "integrate", "lyapunov_L",
-    "monitor_bounds", "quadratic_Ti", "reaction_J", "run",
+    "monitor_bounds", "quadratic_Ti", "reaction_J", "run", "sample_box",
     "solve_diffusion_implicit", "step_imex", "sup_norm",
 ]

@@ -32,8 +32,9 @@ Exit codes of ``rd-certify run``: 0 completed with bounds held,
 
 ``run`` and ``check`` share one set-up: the parse builds the model,
 grid, scheme, initial fields and functional parameters, and the
-sampling seed and sampling box are computed once.  The seed comes from
-``RD_CERTIFY_SEED``, which nothing else reads.  Any failure there exits
+kinetics are sampled once on the sampling box; every sampled check
+judges that sample.  The seed comes from ``RD_CERTIFY_SEED``, which
+nothing else reads.  Any failure there exits
 1 with a message naming the key, before anything runs or is written.
 That covers non-finite numbers, negative initial data while
 ``enforce_positivity`` is set, ``claimed_C`` and ``claimed_mu`` that
@@ -311,10 +312,10 @@ def parse_config(path) -> RunConfig:
     return parse_config_text(text)
 
 
-def _setup(config_path) -> tuple[RunConfig, int, float]:
-    """The set-up ``run`` and ``check`` share: the parsed config, the
-    sampling seed (the only read of RD_CERTIFY_SEED) and the edge of the
-    square sampling box.  Raises ConfigError before anything runs or is
+def _setup(config_path) -> tuple[RunConfig, verify.BoxSample]:
+    """The set-up ``run`` and ``check`` share: the parsed config and the
+    kinetics sampled on the square box (seeded by the only read of
+    RD_CERTIFY_SEED).  Raises ConfigError before anything runs or is
     written, also for an output path that cannot be written."""
     cfg = parse_config(config_path)
     for key, path in (("output.csv", cfg.csv), ("output.report", cfg.report)):
@@ -325,7 +326,7 @@ def _setup(config_path) -> tuple[RunConfig, int, float]:
     with _config_keys():
         seed = verify.sampling_seed()
         box = verify.default_box(params.C, params.u_bar0, params.v_bar0)
-    return cfg, seed, box
+    return cfg, verify.sample_box(cfg.model, box, CHECK_N_PER_AXIS, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +365,7 @@ def cmd_run(config_path) -> int:
     # only config errors end the command here: a ValueError from deeper in
     # the run (np.linalg.LinAlgError among them) propagates
     try:
-        cfg, seed, box = _setup(config_path)
+        cfg, sample = _setup(config_path)
         with _config_keys():
             series, verdict = run(cfg.model, cfg.scheme, cfg.grid, cfg.u0,
                                   cfg.v0, cfg.params)
@@ -374,8 +375,7 @@ def cmd_run(config_path) -> int:
 
     params = cfg.params
     claim = verify.assemble_claim_report(series)
-    mass = verify.check_mass_control(cfg.model, params.C, params.mu, box, box,
-                                     CHECK_N_PER_AXIS, seed=seed)
+    mass = verify.check_mass_control(sample, params.C, params.mu)
 
     write_csv(series, cfg.csv, cfg.log_every)
     report_lines = (_verdict_lines(verdict) + claim.to_lines()
@@ -394,19 +394,17 @@ def cmd_run(config_path) -> int:
 
 def cmd_check(config_path) -> int:
     try:
-        cfg, seed, box = _setup(config_path)
+        cfg, sample = _setup(config_path)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 1
 
-    model, params = cfg.model, cfg.params
-    if model.claimed_mu is not None:
-        mass = verify.check_mass_control(model, params.C, params.mu, box, box,
-                                         CHECK_N_PER_AXIS, seed=seed)
+    params = cfg.params
+    if cfg.model.claimed_mu is not None:
+        mass = verify.check_mass_control(sample, params.C, params.mu)
     else:
-        mass = verify.search_mu(model, params.C, box, box, CHECK_N_PER_AXIS,
-                                seed=seed)
-    gn = verify.check_g_nonneg(model, box, box, CHECK_N_PER_AXIS)
+        mass = verify.search_mu(sample, params.C)
+    gn = verify.check_g_nonneg(sample)
 
     for line in mass.to_lines() + gn.to_lines():
         print(line)

@@ -4,8 +4,11 @@ The control-of-mass condition
 
     f(u, v) <= f(u, v) + mu * g(u, v) <= 0   for u, v >= 0, u + v >= C
 
-is checked on a bounded box [0, u_max] x [0, v_max]: a deterministic
-lattice plus an equal number of seeded uniform samples.  The report
+is checked on a bounded box [0, edge]^2, sampled once by ``sample_box``:
+the kinetics at a deterministic lattice plus an equal number of seeded
+uniform points.  ``check_mass_control`` judges that sample for one mu,
+``search_mu`` for each mu it tries, ``check_g_nonneg`` on its lattice
+for g >= 0.  The report
 records the box, the seed, and up to 100 violation witnesses, so every
 certificate is explicit about its scope.  Samples where the kinetics
 overflow are counted as indeterminate, never as passes.
@@ -59,13 +62,43 @@ class MassControlViolation:
     which: str   # "f_le_f_plus_mu_g" or "f_plus_mu_g_le_0"
 
 
+@dataclass(frozen=True)
+class BoxSample:
+    """``model.rates`` at the n_per_axis^2 lattice of [0, edge]^2 (u
+    running fastest), then at as many seeded uniform points; f and g
+    may hold inf or nan where the kinetics overflow."""
+    edge: float
+    n_per_axis: int
+    seed: int
+    u: np.ndarray
+    v: np.ndarray
+    f: np.ndarray
+    g: np.ndarray
+
+
+def sample_box(model, edge: float, n_per_axis: int,
+               seed: int = DEFAULT_SEED) -> BoxSample:
+    """Sample the box and evaluate ``model.rates`` once on every point."""
+    if not edge > 0:
+        raise ValueError(f"the box edge must be > 0, got {edge}")
+    if not n_per_axis >= 2:
+        raise ValueError(f"n_per_axis must be >= 2, got {n_per_axis}")
+    n, seed = int(n_per_axis), int(seed)
+    axis = np.linspace(0.0, edge, n)
+    rand = np.random.default_rng(seed).uniform(0.0, edge, size=(n * n, 2))
+    u = np.concatenate([np.tile(axis, n), rand[:, 0]])
+    v = np.concatenate([np.repeat(axis, n), rand[:, 1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g = model.rates(u, v)
+    return BoxSample(float(edge), n, seed, u, v, f, g)
+
+
 @dataclass
 class MassControlReport:
     passed: bool
     mu: float
     C: float
-    u_max: float
-    v_max: float
+    edge: float
     n_per_axis: int
     seed: int
     samples_tested: int
@@ -78,7 +111,7 @@ class MassControlReport:
             f"{prefix}.passed: {str(self.passed).lower()}",
             f"{prefix}.mu: {self.mu!r}",
             f"{prefix}.C: {self.C!r}",
-            f"{prefix}.box: [0,{self.u_max!r}]x[0,{self.v_max!r}]",
+            f"{prefix}.box: [0,{self.edge!r}]x[0,{self.edge!r}]",
             f"{prefix}.n_per_axis: {self.n_per_axis}",
             f"{prefix}.seed: {self.seed}",
             f"{prefix}.samples_tested: {self.samples_tested}",
@@ -93,81 +126,52 @@ class MassControlReport:
         return lines
 
 
-def _lattice(u_max, v_max, n_per_axis):
-    """The n_per_axis^2 lattice of [0, u_max] x [0, v_max], flattened to
-    (u, v), u running fastest."""
-    uu, vv = np.meshgrid(np.linspace(0.0, u_max, n_per_axis),
-                         np.linspace(0.0, v_max, n_per_axis))
-    return uu.ravel(), vv.ravel()
-
-
-def _sample_box(C, u_max, v_max, n_per_axis, seed):
-    lattice = np.column_stack(_lattice(u_max, v_max, n_per_axis))
-    rng = np.random.default_rng(seed)
-    rand = rng.uniform([0.0, 0.0], [u_max, v_max],
-                       size=(n_per_axis * n_per_axis, 2))
-    pts = np.vstack([lattice, rand])         # lattice first: merge order
-    return pts[pts[:, 0] + pts[:, 1] >= C]
-
-
-def check_mass_control(model, C: float, mu: float, u_max: float, v_max: float,
-                       n_per_axis: int, seed: int = DEFAULT_SEED) -> MassControlReport:
-    """Check f <= f + mu*g <= 0 on the region u + v >= C of the box.
+def check_mass_control(sample: BoxSample, C: float,
+                       mu: float) -> MassControlReport:
+    """Judge f <= f + mu*g <= 0 on the sample's points with u + v >= C.
 
     ``passed`` is True exactly when no violation was found among the
     finite samples; overflowing samples are reported as indeterminate.
     """
     if not mu > 0:
         raise ValueError(f"mu must be > 0, got {mu}")
-    if not (C >= 0 and u_max > 0 and v_max > 0):
-        raise ValueError("need C >= 0 and a positive sampling box")
-    if not n_per_axis >= 2:
-        raise ValueError(f"n_per_axis must be >= 2, got {n_per_axis}")
-    seed = int(seed)
-
-    pts = _sample_box(C, u_max, v_max, int(n_per_axis), seed)
+    if not C >= 0:
+        raise ValueError(f"C must be >= 0, got {C}")
+    keep = sample.u + sample.v >= C
+    u, v, f, g = sample.u[keep], sample.v[keep], sample.f[keep], sample.g[keep]
     with np.errstate(over="ignore", invalid="ignore"):
-        f, g = model.rates(pts[:, 0], pts[:, 1])
         fpm = f + mu * g
     finite = np.isfinite(f) & np.isfinite(g) & np.isfinite(fpm)
 
-    violations = []
     first = f > fpm        # fails f <= f + mu*g, i.e. mu*g < 0
     second = fpm > 0.0     # fails f + mu*g <= 0
-    for idx in np.flatnonzero(finite & (first | second)):
-        if len(violations) >= MAX_WITNESSES:
-            break
-        which = "f_le_f_plus_mu_g" if first[idx] else "f_plus_mu_g_le_0"
-        violations.append(MassControlViolation(
-            u=float(pts[idx, 0]), v=float(pts[idx, 1]),
-            f=float(f[idx]), f_plus_mu_g=float(fpm[idx]), which=which))
+    bad = np.flatnonzero(finite & (first | second))[:MAX_WITNESSES]
+    violations = [MassControlViolation(
+        float(u[i]), float(v[i]), float(f[i]), float(fpm[i]),
+        "f_le_f_plus_mu_g" if first[i] else "f_plus_mu_g_le_0") for i in bad]
 
     return MassControlReport(
-        passed=not violations, mu=float(mu), C=float(C),
-        u_max=float(u_max), v_max=float(v_max), n_per_axis=int(n_per_axis),
-        seed=seed, samples_tested=int(finite.sum()),
+        passed=not violations, mu=float(mu), C=float(C), edge=sample.edge,
+        n_per_axis=sample.n_per_axis, seed=sample.seed,
+        samples_tested=int(finite.sum()),
         samples_indeterminate=int((~finite).sum()), violations=violations)
 
 
-def search_mu(model, C: float, u_max: float, v_max: float, n_per_axis: int,
-              seed: int = DEFAULT_SEED) -> MassControlReport:
-    """Fallback when a model claims no mu: try mu = 1, 1/2, ..., 2**-20
-    and return the report of the largest passing value (or the last,
-    fully failed attempt when none passes)."""
-    report = None
+def search_mu(sample: BoxSample, C: float) -> MassControlReport:
+    """Fallback when a model claims no mu: judge the sample at mu = 1,
+    1/2, ..., 2**-20 and return the report of the largest passing value
+    (or the last, fully failed attempt when none passes)."""
     for k in range(21):
-        report = check_mass_control(model, C, 2.0 ** -k, u_max, v_max,
-                                    n_per_axis, seed)
+        report = check_mass_control(sample, C, 2.0 ** -k)
         if report.passed:
-            return report
+            break
     return report
 
 
 @dataclass
 class GNonNegReport:
     passed: bool
-    u_max: float
-    v_max: float
+    edge: float
     n_per_axis: int
     samples_tested: int
     samples_indeterminate: int
@@ -177,7 +181,7 @@ class GNonNegReport:
         prefix = "g_nonneg"
         lines = [
             f"{prefix}.passed: {str(self.passed).lower()}",
-            f"{prefix}.box: [0,{self.u_max!r}]x[0,{self.v_max!r}]",
+            f"{prefix}.box: [0,{self.edge!r}]x[0,{self.edge!r}]",
             f"{prefix}.samples_tested: {self.samples_tested}",
             f"{prefix}.samples_indeterminate: {self.samples_indeterminate}",
             f"{prefix}.violations: {len(self.violations)}",
@@ -187,20 +191,16 @@ class GNonNegReport:
         return lines
 
 
-def check_g_nonneg(model, u_max: float, v_max: float,
-                   n_per_axis: int) -> GNonNegReport:
-    """Sampled check that g >= 0 on the lattice of the box."""
-    if not (u_max > 0 and v_max > 0 and n_per_axis >= 2):
-        raise ValueError("need a positive box and n_per_axis >= 2")
-    u, v = _lattice(u_max, v_max, int(n_per_axis))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, g = model.rates(u, v)
+def check_g_nonneg(sample: BoxSample) -> GNonNegReport:
+    """Judge g >= 0 on the sample's lattice points."""
+    n = sample.n_per_axis ** 2
+    u, v, g = sample.u[:n], sample.v[:n], sample.g[:n]
     finite = np.isfinite(g)
     bad = np.flatnonzero(finite & (g < 0.0))[:MAX_WITNESSES]
     violations = [(float(u[i]), float(v[i]), float(g[i])) for i in bad]
     return GNonNegReport(
-        passed=not violations, u_max=float(u_max), v_max=float(v_max),
-        n_per_axis=int(n_per_axis), samples_tested=int(finite.sum()),
+        passed=not violations, edge=sample.edge,
+        n_per_axis=sample.n_per_axis, samples_tested=int(finite.sum()),
         samples_indeterminate=int((~finite).sum()), violations=violations)
 
 

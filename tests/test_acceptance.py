@@ -16,7 +16,8 @@ from rdcertify.integrator import SchemeConfig, run
 from rdcertify.kinetics import Absorption, BlowupExample, Combustion, Exp
 from rdcertify.lyapunov import build_params, check_conditions, quadratic_Ti
 from rdcertify.mesh import Grid, integrate
-from rdcertify.verify import assemble_claim_report, check_mass_control
+from rdcertify.verify import (assemble_claim_report, check_mass_control,
+                              sample_box)
 
 
 def report(n, checks):
@@ -230,10 +231,10 @@ def test_criterion_4_blowup_reproduction(blowup_cli_run):
 
 
 def test_criterion_5_mass_control_checker():
-    combustion = check_mass_control(Combustion(1), 0.0, 0.5, 10.0, 10.0, 64)
-    absorption = check_mass_control(Absorption(Exp(), Exp()), 0.0, 0.5,
-                                    10.0, 10.0, 64)
-    blowup = check_mass_control(BlowupExample(), 0.0, 0.5, 10.0, 10.0, 64)
+    models = (Combustion(1), Absorption(Exp(), Exp()), BlowupExample())
+    combustion, absorption, blowup = (
+        check_mass_control(sample_box(model, 10.0, 64), 0.0, 0.5)
+        for model in models)
     witness_ok = (not blowup.passed and len(blowup.violations) > 0
                   and any(w.f > 0.0 for w in blowup.violations)
                   and "witness_1" in "\n".join(blowup.to_lines()))

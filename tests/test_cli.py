@@ -1,4 +1,6 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from rdcertify.cli import (CSV_HEADER, ConfigError, cmd_check, cmd_run,
                            cmd_theta, main, parse_config_text)
 from rdcertify.integrator import SchemeConfig
-from rdcertify.kinetics import Combustion, Power, find_threshold_A
+from rdcertify.kinetics import (BlowupExample, Combustion, Power,
+                                find_threshold_A)
 from rdcertify.lyapunov import build_params
 from rdcertify.mesh import Grid
 
@@ -32,6 +35,14 @@ value = 0.0
 kind = uniform
 value = 0.0
 """
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+# absorption whose F/G threshold search fails, so no mu is claimed
+POWER_SEARCH = (COMBUSTION_ZERO
+                .replace("kind = combustion\nm = 1", "kind = absorption\n"
+                         "F = power:0.5\nG = power:2.0\nlam = 0.5")
+                .replace("value = 0.0", "value = 1.0"))
 
 
 def blowup_config(tmp_path, rtol="1e-4", log_every=1):
@@ -453,3 +464,43 @@ def test_cmd_check_config_error(tmp_path, capsys):
     path.write_text(COMBUSTION_ZERO.replace("length = 1.0", "length = 0.0"))
     assert cmd_check(path) == 1
     assert "grid.length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config,code,digest", [
+    ("combustion_bump.ini", 0, "422bde10"),
+    ("absorption_decay.ini", 0, "422bde10"),
+    ("blowup.ini", 3, "d3aefa5e"),
+    (None, 0, "bd85fc9f"),
+], ids=["combustion_bump", "absorption_decay", "blowup", "power_search"])
+def test_cmd_check_output_bytes(config, code, digest, tmp_path, capsys,
+                                monkeypatch):
+    # the stdout of check is pinned byte for byte at the default seed
+    monkeypatch.delenv("RD_CERTIFY_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    if config is None:
+        path = tmp_path / "power.ini"
+        path.write_text(POWER_SEARCH)
+    else:
+        path = CONFIGS / config
+    assert cmd_check(path) == code
+    out = capsys.readouterr().out
+    if config is None:
+        assert "mass_control.mu: 0.03125" in out.splitlines()
+    assert hashlib.sha256(out.encode()).hexdigest()[:8] == digest
+
+
+def test_cmd_check_evaluates_the_kinetics_once(tmp_path, capsys, monkeypatch):
+    # with no mu claimed, search_mu judges all 21 values of mu and
+    # check_g_nonneg the lattice, all on one sample of the box
+    monkeypatch.chdir(tmp_path)
+    sizes = []
+    rates = BlowupExample.rates
+
+    def counted(self, u, v):
+        sizes.append(np.size(u))
+        return rates(self, u, v)
+
+    monkeypatch.setattr(BlowupExample, "rates", counted)
+    assert cmd_check(CONFIGS / "blowup.ini") == 3
+    assert "mass_control.mu: 9.5367431640625e-07" in capsys.readouterr().out
+    assert sizes == [2 * 64 * 64]

@@ -9,7 +9,8 @@ from rdcertify.mesh import Grid, ParamError
 from rdcertify.verify import (DEFAULT_SEED, BoundEvent,
                               assemble_claim_report, check_g_nonneg,
                               check_mass_control, default_box,
-                              monitor_bounds, sampling_seed, search_mu)
+                              monitor_bounds, sample_box, sampling_seed,
+                              search_mu)
 
 
 class SignFlip(ReactionModel):
@@ -26,7 +27,7 @@ class SignFlip(ReactionModel):
 # ---------------------------------------------------------------------------
 
 def test_combustion_passes_mass_control():
-    report = check_mass_control(Combustion(1), 0.0, 0.5, 10.0, 10.0, 41)
+    report = check_mass_control(sample_box(Combustion(1), 10.0, 41), 0.0, 0.5)
     assert report.passed
     assert report.violations == []
     assert report.samples_tested > 0
@@ -35,13 +36,14 @@ def test_combustion_passes_mass_control():
 
 def test_absorption_exp_passes_mass_control():
     model = Absorption(Exp(), Exp())
-    report = check_mass_control(model, 0.0, 0.5, 10.0, 10.0, 41)
+    report = check_mass_control(sample_box(model, 10.0, 41), 0.0, 0.5)
     assert report.passed
 
 
 def test_blowup_example_fails_with_positive_f_witness():
+    sample = sample_box(BlowupExample(), 10.0, 41)
     for C in (0.0, 1.0):
-        report = check_mass_control(BlowupExample(), C, 0.5, 10.0, 10.0, 41)
+        report = check_mass_control(sample, C, 0.5)
         assert not report.passed
         assert report.violations
         assert any(w.f > 0.0 for w in report.violations)
@@ -54,40 +56,43 @@ def test_blowup_example_fails_with_positive_f_witness():
 def test_overflow_samples_are_indeterminate_not_passes():
     # the box reaches past e^v representability: those samples are
     # reported separately and the finite ones still decide the verdict
-    report = check_mass_control(Combustion(1), 0.0, 0.5, 5.0, 800.0, 31)
+    report = check_mass_control(sample_box(Combustion(1), 800.0, 31), 0.0, 0.5)
     assert report.samples_indeterminate > 0
     assert report.passed
 
 
 def test_mass_control_monotone_in_mu():
     # for g >= 0, shrinking mu keeps f + mu g <= f + mu' g <= 0
-    model = Absorption(Exp(), Exp())
+    sample = sample_box(Absorption(Exp(), Exp()), 10.0, 21)
     for mu in (0.5, 0.25, 0.125):
-        assert check_mass_control(model, 0.0, mu, 10.0, 10.0, 21).passed
+        assert check_mass_control(sample, 0.0, mu).passed
     # and a failing model cannot be rescued by shrinking mu
+    sample = sample_box(BlowupExample(), 10.0, 21)
     for mu in (0.5, 2.0 ** -10):
-        assert not check_mass_control(BlowupExample(), 0.0, mu,
-                                      10.0, 10.0, 21).passed
+        assert not check_mass_control(sample, 0.0, mu).passed
 
 
 def test_mass_control_monotone_in_C():
     counts = []
+    sample = sample_box(BlowupExample(), 4.0, 9)
     for C in (0.0, 2.0, 5.0):
-        report = check_mass_control(BlowupExample(), C, 0.5, 4.0, 4.0, 9)
+        report = check_mass_control(sample, C, 0.5)
         counts.append(len(report.violations))
     assert counts[0] >= counts[1] >= counts[2]
 
 
 def test_mass_control_seed_is_reproducible(monkeypatch):
-    r1 = check_mass_control(BlowupExample(), 0.0, 0.5, 4.0, 4.0, 9, seed=123)
-    r2 = check_mass_control(BlowupExample(), 0.0, 0.5, 4.0, 4.0, 9, seed=123)
+    r1 = check_mass_control(sample_box(BlowupExample(), 4.0, 9, seed=123),
+                            0.0, 0.5)
+    r2 = check_mass_control(sample_box(BlowupExample(), 4.0, 9, seed=123),
+                            0.0, 0.5)
     assert r1.seed == 123
     assert r1.violations == r2.violations
-    # the checks never read the environment; only sampling_seed does
+    # sampling never reads the environment; only sampling_seed does
     monkeypatch.setenv("RD_CERTIFY_SEED", "123")
-    assert check_mass_control(BlowupExample(), 0.0, 0.5, 4.0, 4.0,
-                              9).seed == DEFAULT_SEED
-    assert search_mu(BlowupExample(), 0.0, 4.0, 4.0, 9).seed == DEFAULT_SEED
+    sample = sample_box(BlowupExample(), 4.0, 9)
+    assert check_mass_control(sample, 0.0, 0.5).seed == DEFAULT_SEED
+    assert search_mu(sample, 0.0).seed == DEFAULT_SEED
     assert sampling_seed() == 123
     for bad in ("abc", "-1"):
         monkeypatch.setenv("RD_CERTIFY_SEED", bad)
@@ -97,20 +102,23 @@ def test_mass_control_seed_is_reproducible(monkeypatch):
 
 
 def test_mass_control_validates_arguments():
+    sample = sample_box(Combustion(1), 10.0, 11)
     with pytest.raises(ValueError):
-        check_mass_control(Combustion(1), 0.0, -0.5, 10.0, 10.0, 11)
+        check_mass_control(sample, 0.0, -0.5)
     with pytest.raises(ValueError):
-        check_mass_control(Combustion(1), 0.0, 0.5, 10.0, 10.0, 1)
+        sample_box(Combustion(1), 10.0, 1)
     with pytest.raises(ValueError):
-        check_mass_control(Combustion(1), -1.0, 0.5, 10.0, 10.0, 11)
+        check_mass_control(sample, -1.0, 0.5)
+    with pytest.raises(ValueError):
+        sample_box(Combustion(1), 0.0, 11)
 
 
 def test_search_mu_finds_largest_passing():
-    report = search_mu(Absorption(Exp(), Exp()), 0.0, 10.0, 10.0, 21)
+    report = search_mu(sample_box(Absorption(Exp(), Exp()), 10.0, 21), 0.0)
     assert report.passed
     # f + g = 0 for F = G, so every mu <= 1 passes and 1 is returned
     assert report.mu == 1.0
-    failed = search_mu(BlowupExample(), 0.0, 10.0, 10.0, 21)
+    failed = search_mu(sample_box(BlowupExample(), 10.0, 21), 0.0)
     assert not failed.passed
     assert failed.mu == 2.0 ** -20
 
@@ -138,13 +146,12 @@ def test_default_box():
 # ---------------------------------------------------------------------------
 
 def test_g_nonneg_catalog_models():
-    assert check_g_nonneg(Combustion(2), 10.0, 10.0, 31).passed
-    assert check_g_nonneg(Absorption(Exp(), Exp()), 10.0, 10.0, 31).passed
-    assert check_g_nonneg(BlowupExample(), 10.0, 10.0, 31).passed
+    for model in (Combustion(2), Absorption(Exp(), Exp()), BlowupExample()):
+        assert check_g_nonneg(sample_box(model, 10.0, 31)).passed
 
 
 def test_g_nonneg_catches_sign_flip():
-    report = check_g_nonneg(SignFlip(), 2.0, 2.0, 21)
+    report = check_g_nonneg(sample_box(SignFlip(), 2.0, 21))
     assert not report.passed
     u, v, g = report.violations[0]
     assert g < 0.0 and u < 0.5
