@@ -40,13 +40,17 @@ That covers non-finite numbers, negative initial data while
 ``enforce_positivity`` is set, ``claimed_C`` and ``claimed_mu`` that
 are not finite (C >= 0, mu > 0), a ``claimed_C`` or initial data so
 large that the sampling box (twice the larger of C and the data sups)
-overflows, a ``theta`` that is not finite, ``p`` outside [2, 1000],
-``m`` < 1, ``lam`` outside (0, 1), an ``RD_CERTIFY_SEED`` that is not
-an integer >= 0, and an ``[output]`` ``csv`` or ``report`` path whose
-directory does not exist.  The range rules on values live
-in the library, which raises :class:`rdcertify.mesh.ParamError`; this
-module maps the parameter it names to its config key.  Only bump
-``width > 0`` and ``log_every >= 1`` are the parser's own.
+overflows, a diffusion pair ``a``, ``b`` whose bound (a+b)^2/(4ab) is
+not finite, a ``length`` whose node spacing squared is 0 or overflows,
+growth-law parameters that are not finite, a ``theta`` that is not
+finite, ``p`` outside [2, 1000], ``m`` < 1, ``lam`` outside (0, 1), an
+``RD_CERTIFY_SEED`` that is not an integer >= 0, and an ``[output]``
+``csv`` or ``report`` path whose directory does not exist.  The range
+rules on values live in the library, which raises
+:class:`rdcertify.mesh.ParamError`; ``main`` maps the parameter it
+names to its config key, and is the one place a refusal is printed
+and turned into exit 1.  Only bump ``width > 0`` and
+``log_every >= 1`` are the parser's own.
 """
 
 from __future__ import annotations
@@ -315,17 +319,17 @@ def parse_config(path) -> RunConfig:
 def _setup(config_path) -> tuple[RunConfig, verify.BoxSample]:
     """The set-up ``run`` and ``check`` share: the parsed config and the
     kinetics sampled on the square box (seeded by the only read of
-    RD_CERTIFY_SEED).  Raises ConfigError before anything runs or is
-    written, also for an output path that cannot be written."""
+    RD_CERTIFY_SEED).  Raises ConfigError, or a ParamError that ``main``
+    maps to its config key, before anything runs or is written, also for
+    an output path that cannot be written."""
     cfg = parse_config(config_path)
     for key, path in (("output.csv", cfg.csv), ("output.report", cfg.report)):
         target = Path(path)
         if target.is_dir() or not os.access(target.parent, os.W_OK):
             raise ConfigError(key, f"cannot write {path}")
     params = cfg.params
-    with _config_keys():
-        seed = verify.sampling_seed()
-        box = verify.default_box(params.C, params.u_bar0, params.v_bar0)
+    seed = verify.sampling_seed()
+    box = verify.default_box(params.C, params.u_bar0, params.v_bar0)
     return cfg, verify.sample_box(cfg.model, box, CHECK_N_PER_AXIS, seed)
 
 
@@ -362,17 +366,13 @@ def _verdict_lines(verdict: Verdict) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_run(config_path) -> int:
-    # only config errors end the command here: a ValueError from deeper in
-    # the run (np.linalg.LinAlgError among them) propagates
-    try:
-        cfg, sample = _setup(config_path)
-        with _config_keys():
-            series, verdict = run(cfg.model, cfg.scheme, cfg.grid, cfg.u0,
-                                  cfg.v0, cfg.params)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-
+    """Integrate the configured system, write the CSV and the report,
+    and return the exit code of its verdict.  A refused config raises
+    ConfigError (or ParamError) from the set-up, before anything runs
+    or is written."""
+    cfg, sample = _setup(config_path)
+    series, verdict = run(cfg.model, cfg.scheme, cfg.grid, cfg.u0, cfg.v0,
+                          cfg.params)
     params = cfg.params
     claim = verify.assemble_claim_report(series)
     mass = verify.check_mass_control(sample, params.C, params.mu)
@@ -393,12 +393,10 @@ def cmd_run(config_path) -> int:
 
 
 def cmd_check(config_path) -> int:
-    try:
-        cfg, sample = _setup(config_path)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-
+    """Print the sampled control-of-mass and g >= 0 checks; 0 when both
+    pass, else 3.  A refused config raises ConfigError (or ParamError)
+    from the set-up."""
+    cfg, sample = _setup(config_path)
     params = cfg.params
     if cfg.model.claimed_mu is not None:
         mass = verify.check_mass_control(sample, params.C, params.mu)
@@ -413,14 +411,9 @@ def cmd_check(config_path) -> int:
 
 def cmd_theta(a: float, b: float, mu: float, p: int,
               theta: float | None = None) -> int:
-    try:
-        with _config_keys():
-            params = lyapunov.build_params(a, b, mu, 0.0, p, 0.0, 0.0,
-                                           theta=theta)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-
+    """Print the weight sequence and its conditions; 0 when they hold,
+    else 3.  Invalid arguments raise the library's ParamError."""
+    params = lyapunov.build_params(a, b, mu, 0.0, p, 0.0, 0.0, theta=theta)
     report = lyapunov.check_conditions(params, a, b)
     logs = params.log_theta_seq()
     ratios = np.exp(logs[:-1] - logs[1:])
@@ -459,11 +452,18 @@ def main(argv=None) -> int:
     p_theta.add_argument("--theta", type=float, default=None)
 
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config)
-    if args.command == "check":
-        return cmd_check(args.config)
-    return cmd_theta(args.a, args.b, args.mu, args.p, args.theta)
+    # only refusals end a command here: any other ValueError from deeper
+    # in the run (np.linalg.LinAlgError among them) propagates
+    try:
+        with _config_keys():
+            if args.command == "run":
+                return cmd_run(args.config)
+            if args.command == "check":
+                return cmd_check(args.config)
+            return cmd_theta(args.a, args.b, args.mu, args.p, args.theta)
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 def console_main():

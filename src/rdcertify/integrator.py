@@ -7,15 +7,14 @@ out once with dt and twice with dt/2; the difference of the two results
 is the local error estimate, accepted when it is below rtol times the
 solution scale, and the kept state is the Richardson combination
 2*fine - coarse.  On failure dt halves and the step retries; stepping
-ends with one of three verdicts:
+ends with one of three verdicts, all decided by ``run``:
 
 * ``completed``   -- reached t_end;
-* ``blowup``      -- the row of an accepted state has sup_u + sup_v
-                     above the divergence threshold M, or not finite
-                     (judged by ``run``), or the kinetics overflowed at
-                     the current state (judged by ``step_imex``;
-                     double-exponential reactions overflow long before
-                     any threshold on the fields themselves);
+* ``blowup``      -- the kinetics are not finite at the current state
+                     (double-exponential reactions overflow long before
+                     any threshold on the fields themselves), or the row
+                     of an accepted state has sup_u + sup_v above the
+                     divergence threshold M, or not finite;
 * ``dt_underflow``-- halving would push dt below dt_min.
 
 Each accepted state is looked at once, when ``run`` logs its row: the
@@ -190,11 +189,9 @@ def solve_diffusion_implicit(f, coeff: float, dt: float, grid: Grid) -> np.ndarr
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _advance(u, v, dt, model, cfg: SchemeConfig, grid: Grid, rates=None):
-    """One Lie-split substep; None when the reaction stage leaves the
-    representable range (caller halves dt)."""
-    if rates is None:
-        rates = model.rates(u, v)
+def _advance(u, v, dt, rates, cfg: SchemeConfig, grid: Grid):
+    """One Lie-split substep from the rates at (u, v); None when the
+    reaction stage leaves the representable range (caller halves dt)."""
     f, g = rates
     with np.errstate(invalid="ignore"):
         u1 = u + dt * f
@@ -205,64 +202,58 @@ def _advance(u, v, dt, model, cfg: SchemeConfig, grid: Grid, rates=None):
             solve_diffusion_implicit(v1, cfg.b, dt, grid))
 
 
+def _trial(u, v, dt, rates0, model, cfg: SchemeConfig, grid: Grid):
+    """One step-doubling trial of size dt: the accepted ``(u, v, err,
+    scale)``, or None when it is rejected (a NaN err or minimum rejects)."""
+    coarse = _advance(u, v, dt, rates0, cfg, grid)
+    if coarse is None:
+        return None
+    half = _advance(u, v, 0.5 * dt, rates0, cfg, grid)
+    if half is None:
+        return None
+    fine = _advance(half[0], half[1], 0.5 * dt, model.rates(*half), cfg, grid)
+    if fine is None:
+        return None
+    err = max(sup_norm(coarse[0] - fine[0]), sup_norm(coarse[1] - fine[1]))
+    scale = max(1.0, sup_norm(fine[0]), sup_norm(fine[1]))
+    if not err <= cfg.rtol * scale:
+        return None
+    u_new = 2.0 * fine[0] - coarse[0]
+    v_new = 2.0 * fine[1] - coarse[1]
+    if cfg.enforce_positivity:
+        if not min(u_new.min(), v_new.min()) >= -NEGATIVITY_TOL:
+            return None
+        np.clip(u_new, 0.0, None, out=u_new)
+        np.clip(v_new, 0.0, None, out=v_new)
+    return u_new, v_new, err, scale
+
+
 class StepResult(NamedTuple):
-    state: SimState | None      # advanced state (None when no step landed)
-    verdict: Verdict | None     # None for an ordinary accepted step
+    state: SimState | None      # advanced state (None on dt underflow)
     dt_used: float              # step size actually taken (after halvings)
 
 
 def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
-              rates0=None) -> StepResult:
+              rates0) -> StepResult:
     """Advance one accepted step starting from ``state.dt``.
 
-    The verdict is None when a step was accepted; the accepted state is
-    not judged here (``run`` reads divergence from its logged row).  It
-    is ``blowup`` when the kinetics already overflow at the current
-    state and ``dt_underflow`` when halving would drop below dt_min; in
-    both cases there is no new state.  ``rates0`` is ``model.rates`` at
-    the state, for a caller that already has it.
+    ``rates0`` is ``model.rates`` at the state.  A rejected trial halves
+    dt; the state is None when halving would drop below dt_min.  ``run``
+    judges the outcome.
     """
-    u, v, t = state.u, state.v, state.t
-    if rates0 is None:
-        rates0 = model.rates(u, v)
-    if not (np.isfinite(rates0[0]).all() and np.isfinite(rates0[1]).all()):
-        return StepResult(None, Verdict("blowup", t), 0.0)
+    u, v, dt = state.u, state.v, state.dt
+    while (accepted := _trial(u, v, dt, rates0, model, cfg, grid)) is None:
+        if 0.5 * dt < cfg.dt_min:
+            return StepResult(None, 0.0)
+        dt *= 0.5
 
-    dt = state.dt
-    while True:
-        accepted = None
-        coarse = _advance(u, v, dt, model, cfg, grid, rates=rates0)
-        if coarse is not None:
-            half = _advance(u, v, 0.5 * dt, model, cfg, grid, rates=rates0)
-            fine = None if half is None else _advance(
-                half[0], half[1], 0.5 * dt, model, cfg, grid)
-            if fine is not None:
-                err = max(sup_norm(coarse[0] - fine[0]),
-                          sup_norm(coarse[1] - fine[1]))
-                scale = max(1.0, sup_norm(fine[0]), sup_norm(fine[1]))
-                if err <= cfg.rtol * scale:
-                    u_new = 2.0 * fine[0] - coarse[0]
-                    v_new = 2.0 * fine[1] - coarse[1]
-                    if cfg.enforce_positivity:
-                        if min(u_new.min(), v_new.min()) >= -NEGATIVITY_TOL:
-                            np.clip(u_new, 0.0, None, out=u_new)
-                            np.clip(v_new, 0.0, None, out=v_new)
-                            accepted = (u_new, v_new, err, scale)
-                    else:
-                        accepted = (u_new, v_new, err, scale)
-        if accepted is None:
-            if 0.5 * dt < cfg.dt_min:
-                return StepResult(None, Verdict("dt_underflow", t), 0.0)
-            dt *= 0.5
-            continue
-
-        u_new, v_new, err, scale = accepted
-        if err == 0.0:
-            factor = 2.0
-        else:
-            factor = min(2.0, max(0.2, 0.9 * math.sqrt(cfg.rtol * scale / err)))
-        dt_next = min(cfg.dt_max, max(cfg.dt_min, dt * factor))
-        return StepResult(SimState(t + dt, u_new, v_new, dt_next), None, dt)
+    u_new, v_new, err, scale = accepted
+    if err == 0.0:
+        factor = 2.0
+    else:
+        factor = min(2.0, max(0.2, 0.9 * math.sqrt(cfg.rtol * scale / err)))
+    dt_next = min(cfg.dt_max, max(cfg.dt_min, dt * factor))
+    return StepResult(SimState(state.t + dt, u_new, v_new, dt_next), dt)
 
 
 def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
@@ -272,9 +263,11 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     Every accepted state is logged as one row: sup norms, the functional
     L, the dissipation and reaction diagnostics I and J, the step size
     taken, and the flag ``sup_u > u_bar0 or sup_v > v_bar0``.  The first
-    flagged row is scanned once for the first offending node.  A step
-    whose row has ``sup_u + sup_v`` above the threshold, or not finite,
-    ends the run with ``blowup`` at that row's t.  Identical inputs
+    flagged row is scanned once for the first offending node.  Every
+    verdict is decided here: ``blowup`` at the current t when the
+    kinetics there are not finite, ``dt_underflow`` at it when the step
+    lands no state, and ``blowup`` at a row's t when its ``sup_u +
+    sup_v`` is above the threshold or not finite.  Identical inputs
     produce a bit-identical series.  Initial data that is not finite,
     or negative while positivity is enforced, raises ParamError naming
     ``u0`` or ``v0``.
@@ -288,21 +281,26 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     rates = _log(series, state, cfg.dt_init, model, cfg, grid, functional)
 
     t_stop = cfg.t_end * (1.0 - 1e-12)
-    verdict = None
-    while verdict is None and state.t < t_stop:
+    verdict = Verdict("completed")
+    while state.t < t_stop:
+        if not (np.isfinite(rates[0]).all() and np.isfinite(rates[1]).all()):
+            verdict = Verdict("blowup", state.t)
+            break
         trial = SimState(state.t, state.u, state.v,
                          min(state.dt, cfg.t_end - state.t))
-        result = step_imex(trial, model, cfg, grid, rates0=rates)
-        verdict = result.verdict
-        if result.state is not None:
-            state = result.state
-            rates = _log(series, state, result.dt_used, model, cfg, grid,
-                         functional)
-            _, sup_u, sup_v = series.rows[-1][:3]
-            if not sup_u + sup_v <= cfg.blowup_threshold:
-                verdict = Verdict("blowup", state.t)
+        result = step_imex(trial, model, cfg, grid, rates)
+        if result.state is None:
+            verdict = Verdict("dt_underflow", state.t)
+            break
+        state = result.state
+        rates = _log(series, state, result.dt_used, model, cfg, grid,
+                     functional)
+        _, sup_u, sup_v = series.rows[-1][:3]
+        if not sup_u + sup_v <= cfg.blowup_threshold:
+            verdict = Verdict("blowup", state.t)
+            break
     series.final_state = state
-    return series, verdict if verdict is not None else Verdict("completed")
+    return series, verdict
 
 
 def _log(series, state, dt_used, model, cfg, grid, functional):

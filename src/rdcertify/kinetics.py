@@ -45,11 +45,11 @@ class GrowthFunction:
 
 
 class Power(GrowthFunction):
-    """F(s) = s**beta, beta > 0."""
+    """F(s) = s**beta, 0 < beta < inf."""
 
     def __init__(self, beta: float):
-        if not beta > 0:
-            raise ValueError(f"beta must be > 0, got {beta}")
+        if not 0 < beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {beta}")
         self.beta = float(beta)
 
     def value(self, s):
@@ -114,6 +114,8 @@ class DoubleExpMinusPoly(GrowthFunction):
         self.coeffs = tuple(float(c) for c in coeffs)
         if not self.coeffs:
             raise ValueError("coeffs must contain at least one coefficient")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError(f"coeffs must be finite, got {self.coeffs}")
 
     def _poly(self, s):
         return np.polynomial.polynomial.polyval(s, self.coeffs)

@@ -127,8 +127,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _theta_sq_bound(a: float, b: float) -> float:
-    """(a+b)^2/(4ab): theta^2 must exceed it for T_i to be semidefinite."""
-    return (a + b) ** 2 / (4.0 * a * b)
+    """(a+b)^2/(4ab): theta^2 must exceed it for T_i to be semidefinite.
+    A bound that is not finite raises ParamError naming whichever of a
+    and b lies farther from 1 in log scale."""
+    try:
+        bound = (a + b) ** 2 / (4.0 * a * b)
+    except (OverflowError, ZeroDivisionError):
+        bound = math.inf
+    if not bound < math.inf:
+        name = "a" if abs(math.log(a)) >= abs(math.log(b)) else "b"
+        raise ParamError(name, f"the diffusion pair a = {a}, b = {b} has no "
+                         "finite theta^2 bound (a+b)^2/(4ab)")
+    return bound
 
 
 def build_params(a: float, b: float, mu: float, C: float, p: int,
@@ -138,8 +148,9 @@ def build_params(a: float, b: float, mu: float, C: float, p: int,
     theta defaults to sqrt(1.1 * max((a+b)^2/(4ab), 1)); a supplied
     theta must satisfy theta > 1 and theta^2 > (a+b)^2/(4ab).  The first
     weights are theta0 = mu/2 and theta1 = 1, so theta0/theta1 < mu; mu/2
-    must not underflow to 0.  C must be finite and >= 0, and u0, v0
-    finite; a violation raises ParamError naming the parameter.  The
+    must not underflow to 0.  C must be finite and >= 0, u0, v0 finite,
+    and the bound finite; a violation raises ParamError naming the
+    parameter.  The
     candidate bounds are max(C, sup u0) and max(C, sup v0).
     """
     check_positive(a=a, b=b, mu=mu)

@@ -57,6 +57,10 @@ class Grid:
         if self.n_nodes < 3:
             raise ParamError("n_nodes", f"n_nodes must be >= 3, got {self.n_nodes}")
         check_positive(length=self.length)
+        h = self.spacing        # the diffusion solve divides by h^2
+        if not 0.0 < h * h < math.inf:
+            raise ParamError("length", f"length = {self.length} gives a "
+                             f"spacing h = {h} whose square is 0 or overflows")
 
     @property
     def spacing(self) -> float:

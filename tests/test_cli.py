@@ -205,13 +205,22 @@ def test_cmd_theta_uneven_diffusion(capsys):
 
 
 def test_cmd_theta_rejects_small_p(capsys):
-    assert cmd_theta(1.0, 1.0, 1.0, 1) == 1
+    assert main(["theta", "--a", "1", "--b", "1", "--mu", "1", "--p", "1"]) == 1
     assert "functional.p" in capsys.readouterr().err
 
 
 def test_cmd_theta_rejects_bad_theta(capsys):
-    assert cmd_theta(1.0, 4.0, 0.5, 4, theta=1.2) == 1
+    assert main(["theta", "--a", "1", "--b", "4", "--mu", "0.5", "--p", "4",
+                 "--theta", "1.2"]) == 1
     assert "(a+b)^2/(4ab)" in capsys.readouterr().err
+
+
+def test_cmd_theta_rejects_pair_without_finite_bound(capsys):
+    # (a+b)^2 overflows: a refusal naming the key, not an OverflowError
+    assert main(["theta", "--a", "1e300", "--b", "1", "--mu", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert "config error at scheme.a" in captured.err
+    assert captured.out == ""
 
 
 def test_main_dispatch(capsys):
@@ -330,9 +339,9 @@ def test_cmd_run_dt_underflow_exit_four(tmp_path):
 def test_cmd_run_config_error_exit_one(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(COMBUSTION_ZERO.replace("a = 1.0", "a = -1.0"))
-    assert cmd_run(path) == 1
+    assert main(["run", str(path)]) == 1
     assert "scheme.a" in capsys.readouterr().err
-    assert cmd_run(tmp_path / "missing.ini") == 1
+    assert main(["run", str(tmp_path / "missing.ini")]) == 1
     capsys.readouterr()
 
 
@@ -370,6 +379,17 @@ def test_cmd_run_config_error_exit_one(tmp_path, capsys):
     # no config edit: the environment sets the sampling seed
     ("RD_CERTIFY_SEED", None, "abc"),
     ("RD_CERTIFY_SEED", None, "-1"),
+    # the theta^2 bound (a+b)^2/(4ab) overflows, or divides by 4ab = 0
+    ("scheme.a", "a = 1.0", "a = 1e300"),
+    ("scheme.b", "b = 2.0", "b = 1e200"),
+    ("scheme.a", "a = 1.0\nb = 2.0", "a = 1e-200\nb = 1e-200"),
+    # the spacing squared underflows to 0 or overflows
+    ("grid.length", "length = 1.0", "length = 1e-300"),
+    ("grid.length", "length = 1.0", "length = 1e300"),
+    ("model.G", "kind = combustion\nm = 1",
+     "kind = absorption\nF = exp\nG = power:inf"),
+    ("model.F", "kind = combustion\nm = 1",
+     "kind = absorption\nF = doubleexp-poly:nan,1\nG = exp"),
 ])
 def test_cmd_run_invalid_number_exit_one(tmp_path, capsys, monkeypatch,
                                          needle, old, new):
@@ -384,8 +404,8 @@ def test_cmd_run_invalid_number_exit_one(tmp_path, capsys, monkeypatch,
         text = text.replace(old, new, 1)
     path = tmp_path / "bad.ini"
     path.write_text(text)
-    for command in (cmd_run, cmd_check):
-        assert command(path) == 1
+    for command in ("run", "check"):
+        assert main([command, str(path)]) == 1
         captured = capsys.readouterr()
         assert needle in captured.err
         assert captured.out == ""
@@ -462,7 +482,7 @@ def test_cmd_check_blowup_fails_with_witness(tmp_path, capsys):
 def test_cmd_check_config_error(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text(COMBUSTION_ZERO.replace("length = 1.0", "length = 0.0"))
-    assert cmd_check(path) == 1
+    assert main(["check", str(path)]) == 1
     assert "grid.length" in capsys.readouterr().err
 
 

@@ -133,8 +133,9 @@ def test_step_matches_hand_composition():
     expect_u = 2.0 * fu - cu
     expect_v = 2.0 * fv - cv
 
-    result = step_imex(SimState(0.0, u0, v0, dt), model, cfg, grid)
-    assert result.verdict is None
+    result = step_imex(SimState(0.0, u0, v0, dt), model, cfg, grid,
+                       model.rates(u0, v0))
+    assert result.state is not None
     assert result.dt_used == dt
     assert np.allclose(result.state.u, expect_u, atol=1e-12)
     assert np.allclose(result.state.v, expect_v, atol=1e-12)
@@ -202,8 +203,8 @@ def test_step_leaves_divergence_to_run():
     u0, v0 = np.ones(11), np.ones(11)
     cfg = SchemeConfig(a=1.0, b=1.0, t_end=1.0, blowup_threshold=1.0)
     result = step_imex(SimState(0.0, u0, v0, cfg.dt_init), BlowupExample(),
-                       cfg, grid)
-    assert result.verdict is None
+                       cfg, grid, BlowupExample().rates(u0, v0))
+    assert result.state is not None
     assert sup_norm(result.state.u) + sup_norm(result.state.v) > 1.0
     series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
                           heat_params(u0, v0))
@@ -216,12 +217,11 @@ def test_step_leaves_divergence_to_run():
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_run_ends_on_non_finite_accepted_state(bad, monkeypatch):
     # a non-finite row has an inf or NaN sup: not <= the threshold
-    def step_to_bad_state(state, model, cfg, grid, rates0=None):
+    def step_to_bad_state(state, model, cfg, grid, rates0):
         u = state.u.copy()
         u[3] = bad
         return integrator.StepResult(
-            SimState(state.t + state.dt, u, state.v, state.dt), None,
-            state.dt)
+            SimState(state.t + state.dt, u, state.v, state.dt), state.dt)
 
     monkeypatch.setattr(integrator, "step_imex", step_to_bad_state)
     grid = Grid(11, 1.0)
@@ -341,16 +341,24 @@ def test_dt_underflow_verdict():
     assert len(series) == 1           # only the initial row was logged
 
 
-def test_kinetics_overflow_reports_blowup():
-    # e^v overflows at the initial state already: divergence, not a crash
+def test_kinetics_overflow_reports_blowup(monkeypatch):
+    # e^v overflows at the initial state already: divergence, not a crash,
+    # and run decides it before any step is tried
+    steps = []
+
+    def counting_step(*args, **kwargs):
+        steps.append(1)
+        return step_imex(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "step_imex", counting_step)
     grid = Grid(11, 1.0)
     u0 = np.ones(11)
     v0 = np.full(11, 800.0)
     cfg = SchemeConfig(a=1.0, b=1.0, t_end=1.0, rtol=1e-6)
     series, verdict = run(Combustion(1), cfg, grid, u0, v0,
                           heat_params(u0, v0))
-    assert verdict.kind == "blowup"
-    assert verdict.t == 0.0
+    assert verdict == Verdict("blowup", 0.0)
+    assert steps == []
 
 
 def test_timeseries_time_strictly_increasing():
