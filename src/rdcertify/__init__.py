@@ -17,8 +17,7 @@ from .kinetics import (Absorption, BlowupExample, Combustion, DoubleExp,
                        ReactionModel, SubExp, find_threshold_A,
                        growth_from_spec)
 from .lyapunov import (ConditionReport, FunctionalParams, build_params,
-                       check_conditions, dissipation_I, lyapunov_L,
-                       quadratic_Ti, reaction_J)
+                       check_conditions, quadratic_Ti)
 from .mesh import Grid, as_field, integrate, sup_norm
 from .verify import (BoundEvent, ClaimReport, GNonNegReport,
                      MassControlReport, assemble_claim_report,
@@ -34,8 +33,8 @@ __all__ = [
     "MassControlReport", "Power", "ReactionModel", "SchemeConfig",
     "SimState", "SubExp", "TimeSeries", "Verdict", "as_field",
     "assemble_claim_report", "build_params", "check_conditions",
-    "check_g_nonneg", "check_mass_control", "dissipation_I",
-    "find_threshold_A", "growth_from_spec", "integrate", "lyapunov_L",
-    "monitor_bounds", "quadratic_Ti", "reaction_J", "run", "sample_box",
-    "solve_diffusion_implicit", "step_imex", "sup_norm",
+    "check_g_nonneg", "check_mass_control", "find_threshold_A",
+    "growth_from_spec", "integrate", "monitor_bounds", "quadratic_Ti",
+    "run", "sample_box", "solve_diffusion_implicit", "step_imex",
+    "sup_norm",
 ]

@@ -40,13 +40,15 @@ That covers non-finite numbers, negative initial data while
 ``enforce_positivity`` is set, ``claimed_C`` and ``claimed_mu`` that
 are not finite (C >= 0, mu > 0), a ``claimed_C`` or initial data so
 large that the sampling box (twice the larger of C and the data sups)
-overflows, a diffusion pair ``a``, ``b`` whose bound (a+b)^2/(4ab) is
-not finite, a ``length`` whose node spacing squared is 0 or overflows,
-growth-law parameters that are not finite, a ``theta`` that is not
-finite, ``p`` outside [2, 1000], ``m`` < 1, ``lam`` outside (0, 1), an
-``RD_CERTIFY_SEED`` that is not an integer >= 0, and an ``[output]``
-``csv`` or ``report`` path whose directory does not exist.  The range
-rules on values live in the library, which raises
+overflows, a diffusion pair ``a``, ``b`` whose default theta^2 =
+1.1 (a+b)^2/(4ab) is not finite, a ``length`` whose node spacing
+squared is 0 or overflows, or whose spacing makes the diffusion solve
+singular in double precision, growth-law parameters that are not
+finite, a ``theta`` that is not finite, ``p`` outside [2, 1000],
+``m`` < 1, ``lam`` outside (0, 1), an ``RD_CERTIFY_SEED`` that is not
+an integer >= 0, and an ``[output]`` ``csv`` or ``report`` path whose
+directory does not exist.  The range rules on values live in the
+library, which raises
 :class:`rdcertify.mesh.ParamError`; ``main`` maps the parameter it
 names to its config key, and is the one place a refusal is printed
 and turned into exit 1.  Only bump ``width > 0`` and
@@ -267,6 +269,7 @@ def parse_config_text(text: str) -> RunConfig:
     mu = model.claimed_mu if model.claimed_mu is not None else 0.5
     params = lyapunov.build_params(scheme.a, scheme.b, mu, C, p, u0, v0,
                                    theta=theta)
+    scheme.check_grid(grid)
     return RunConfig(model=model, grid=grid, scheme=scheme, u0=u0, v0=v0,
                      params=params, csv=csv, report=report,
                      log_every=log_every)

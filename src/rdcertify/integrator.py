@@ -73,6 +73,20 @@ class SchemeConfig:
             raise ParamError("blowup_threshold", "blowup_threshold must be > 0, "
                              f"got {self.blowup_threshold}")
 
+    def check_grid(self, grid: Grid) -> None:
+        """Raise ParamError naming ``length`` when, for a step dt <=
+        min(dt_max, t_end), the diffusion solve's largest off-diagonal
+        sum c = 2 * dt * max(a, b) / h^2 swamps the 1 on its diagonal
+        (1 + c == c, or c overflows): the matrix is then singular in
+        double precision."""
+        dt = min(self.dt_max, self.t_end)
+        c = 2.0 * dt * max(self.a, self.b) / grid.spacing ** 2
+        if not 1.0 + c > c:
+            raise ParamError("length", f"length = {grid.length} gives a "
+                             f"spacing h = {grid.spacing} too small for the "
+                             f"diffusion solve: 2 * dt * max(a, b) / h^2 = "
+                             f"{c} at dt = {dt}")
+
     def check_initial_data(self, u0, v0) -> None:
         """The rules on initial data: raise ParamError naming ``u0`` or
         ``v0`` when it is not finite, or negative while positivity is
@@ -268,12 +282,14 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     kinetics there are not finite, ``dt_underflow`` at it when the step
     lands no state, and ``blowup`` at a row's t when its ``sup_u +
     sup_v`` is above the threshold or not finite.  Identical inputs
-    produce a bit-identical series.  Initial data that is not finite,
-    or negative while positivity is enforced, raises ParamError naming
+    produce a bit-identical series.  A grid too fine for the diffusion
+    solve raises ParamError naming ``length``, and initial data that is
+    not finite, or negative while positivity is enforced, one naming
     ``u0`` or ``v0``.
     """
     u = as_field(u0, grid).copy()
     v = as_field(v0, grid).copy()
+    cfg.check_grid(grid)
     cfg.check_initial_data(u, v)
 
     series = TimeSeries(functional.u_bar0, functional.v_bar0)

@@ -20,14 +20,14 @@ normalization constant (the weights are rescaled by their maximum), so
 their signs and zero sets are exact while their raw magnitudes, which
 carry no decision content, stay representable.
 
-``diagnostics`` gives L, I and J of a state in one pass: one screen of
-the fields, one set of excursions and powers U^i, V^j; the weights and
-binomials are computed once per ``FunctionalParams``.  While the fields
-are finite and no node lies above its bound, every term has a zero
-factor, so L = 0.0, J = 0.0 and I = -0.0 (-p(p-1) times a zero
-integral, ``-0`` in the CSV) are returned without the sums, provided
-the rates (for J) and the diffusion pair and squared gradients (for I)
-are finite too; otherwise the full sums keep their inf and NaN results.
+``diagnostics`` gives L, I and J of a state in one pass, with one gate:
+while the fields are finite, no node lies above its bound, every
+difference quotient squares to a finite number and a + b and the rates
+are finite, every term has a zero factor that meets no inf, so it
+returns L = 0.0, I = -0.0 (-p(p-1) times a zero integral, ``-0`` in the
+CSV) and J = 0.0 without the sums.  Otherwise it runs the full sums for
+all three, which keep their inf and NaN results.  The weights and
+binomials are computed once per ``FunctionalParams``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ import numpy as np
 from .mesh import (Grid, ParamError, as_field, check_finite_data,
                    check_positive, integrate, sup_norm)
 
-#: tolerance on the log-domain residual of the weight recurrence
+#: tolerance on the log-domain residual of the weight recurrence, relative
+#: to max(1, max |log theta_i|): the rounding of the closed form grows
+#: with the logs, which reach about p^2 * log theta
 RECURRENCE_TOL = 1e-9
 
 # a gradient at most this large squares to a finite double
@@ -128,16 +130,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _theta_sq_bound(a: float, b: float) -> float:
     """(a+b)^2/(4ab): theta^2 must exceed it for T_i to be semidefinite.
-    A bound that is not finite raises ParamError naming whichever of a
-    and b lies farther from 1 in log scale."""
+    A bound whose default theta^2 = 1.1 * bound is not finite raises
+    ParamError naming whichever of a and b lies farther from 1 in log
+    scale."""
     try:
         bound = (a + b) ** 2 / (4.0 * a * b)
     except (OverflowError, ZeroDivisionError):
         bound = math.inf
-    if not bound < math.inf:
+    if not 1.1 * bound < math.inf:
         name = "a" if abs(math.log(a)) >= abs(math.log(b)) else "b"
         raise ParamError(name, f"the diffusion pair a = {a}, b = {b} has no "
-                         "finite theta^2 bound (a+b)^2/(4ab)")
+                         "finite default theta^2 = 1.1 (a+b)^2/(4ab)")
     return bound
 
 
@@ -149,9 +152,9 @@ def build_params(a: float, b: float, mu: float, C: float, p: int,
     theta must satisfy theta > 1 and theta^2 > (a+b)^2/(4ab).  The first
     weights are theta0 = mu/2 and theta1 = 1, so theta0/theta1 < mu; mu/2
     must not underflow to 0.  C must be finite and >= 0, u0, v0 finite,
-    and the bound finite; a violation raises ParamError naming the
-    parameter.  The
-    candidate bounds are max(C, sup u0) and max(C, sup v0).
+    and the default theta^2 = 1.1 * bound finite; a violation raises
+    ParamError naming the parameter.  The candidate bounds are
+    max(C, sup u0) and max(C, sup v0).
     """
     check_positive(a=a, b=b, mu=mu)
     if not 0 <= C < math.inf:
@@ -188,7 +191,7 @@ class ConditionReport:
     """Outcome of the three structural checks on the weights."""
 
     theta_condition_ok: bool      # theta^2 > (a+b)^2/(4ab)
-    recurrence_ok: bool           # |log residual| <= RECURRENCE_TOL
+    recurrence_ok: bool           # |log residual| <= scaled RECURRENCE_TOL
     recurrence_residual: float
     mu_condition_ok: bool         # theta_i/theta_{i+1} < mu for all i
     theta_sq: float
@@ -207,11 +210,12 @@ def check_conditions(params: FunctionalParams, a: float, b: float) -> ConditionR
     logs = params.log_theta_seq()
     resid = logs[:-2] + logs[2:] - 2.0 * logs[1:-1] - 2.0 * params.log_theta
     residual = float(np.max(np.abs(resid)))
+    tol = RECURRENCE_TOL * max(1.0, float(np.max(np.abs(logs))))
     log_mu = math.log(params.mu)
     mu_ok = bool(np.all(logs[:-1] - logs[1:] < log_mu))
     return ConditionReport(
         theta_condition_ok=theta_sq > bound,
-        recurrence_ok=residual <= RECURRENCE_TOL,
+        recurrence_ok=residual <= tol,
         recurrence_residual=residual,
         mu_condition_ok=mu_ok,
         theta_sq=theta_sq,
@@ -269,120 +273,88 @@ def _sum_rows(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-class _Screened:
-    """One state's fields, screened once; L, I and J each keep their own
-    shortcut (below the bounds with non-finite rates, say, J runs its
-    full sum while L and I return their zeros) and share ``ex``."""
+def diagnostics(params: FunctionalParams, state, grid: Grid, a: float,
+                b: float, rates) -> tuple[float, float, float]:
+    """(L, I, J) of one state; ``rates`` is ``model.rates`` at the state.
 
-    def __init__(self, params: FunctionalParams, state, grid: Grid):
-        self.params, self.grid = params, grid
-        self.u = u = as_field(state.u, grid)
-        self.v = v = as_field(state.v, grid)
-        # NaN propagates into min and max, and a difference quotient is at
-        # most (max - min) / spacing, so four reductions decide the screen
-        lo_u, hi_u, lo_v, hi_v = (float(x) for x in (u.min(), u.max(),
-                                                     v.min(), v.max()))
-        self.finite = all(map(math.isfinite, (lo_u, hi_u, lo_v, hi_v)))
-        self.below = (self.finite and hi_u <= params.u_bar0
-                      and hi_v <= params.v_bar0)
-        # every quotient squares to a finite number, else I's 0 * inf is NaN
-        self.gentle = (self.below and max(hi_u - lo_u, hi_v - lo_v)
-                       / grid.spacing <= _SAFE_SLOPE)
+    L is the trapezoid integral of the nodal H values (inf flags overflow
+    or a non-finite field), and
 
-    @cached_property
-    def ex(self):
-        """(U, V, sgnU, sgnV, Upow, Vpow): excursions above the bounds,
-        their flags with sgn(0) = 0 (the positive-part derivative at the
-        kink), and rows U^i, V^i for i < p.  Each row is ``U ** i`` with an
-        int i; an array of exponents can differ in the last bit."""
-        U = np.maximum(self.u - self.params.u_bar0, 0.0)
-        V = np.maximum(self.v - self.params.v_bar0, 0.0)
-        with np.errstate(over="ignore"):
-            Upow = np.array([U ** i for i in range(self.params.p)])
-            Vpow = np.array([V ** i for i in range(self.params.p)])
-        sU, sV = (U > 0.0).astype(float), (V > 0.0).astype(float)
-        return U, V, sU, sV, Upow, Vpow
+        I = -p(p-1) * sum_i binom(p-2, i) * integral T_i * U^i * V^(p-2-i),
+        J = p * sum_i binom(p-1, i) * integral
+            (theta_{i+1}*sgnU*f + theta_i*sgnV*g) * U^i * V^(p-1-i)
 
-    def L(self) -> float:
-        if not self.finite:
-            return math.inf
-        if self.below:
-            return 0.0
-        p, (U, V) = self.params.p, self.ex[:2]
+    with the weights divided by their maximum (one shared positive
+    constant per parameter set, so the signs are exact); I is
+    nonpositive for every state whenever the weight conditions hold.
+    """
+    u, v = as_field(state.u, grid), as_field(state.v, grid)
+    f, g = rates
+    # NaN propagates into min and max, and a difference quotient is at
+    # most (max - min) / spacing, so four reductions screen the fields
+    lo_u, hi_u, lo_v, hi_v = (float(x) for x in (u.min(), u.max(),
+                                                 v.min(), v.max()))
+    finite = all(map(math.isfinite, (lo_u, hi_u, lo_v, hi_v)))
+    # below the bounds every term has a zero factor; the sums give these
+    # signed zeros unless a zero factor meets an inf, which a slope that
+    # squares past double precision, a + b or the rates could bring
+    if (finite and hi_u <= params.u_bar0 and hi_v <= params.v_bar0
+            and max(hi_u - lo_u, hi_v - lo_v) / grid.spacing <= _SAFE_SLOPE
+            and math.isfinite(a + b)
+            and np.isfinite(f).all() and np.isfinite(g).all()):
+        return 0.0, -0.0, 0.0
+
+    p, binomials = params.p, params.binomials
+    U = np.maximum(u - params.u_bar0, 0.0)
+    V = np.maximum(v - params.v_bar0, 0.0)
+    L = math.inf
+    if finite:
         i = np.arange(p + 1)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = (self.params.binomials[p][:, None]
-                     * self.params.weights[:, None]
+            terms = (binomials[p][:, None] * params.weights[:, None]
                      * U[None] ** i * V[None] ** (p - i))
-        # 0^0 = 1 keeps the pure-U and pure-V monomials alive; 0 * inf means
-        # a zero excursion.  The terms are then >= 0, summed largest first.
+        # 0^0 = 1 keeps the pure-U and pure-V monomials alive; 0 * inf
+        # means a zero excursion.  The terms are then >= 0, summed largest
+        # first.
         terms = np.where(np.isnan(terms), 0.0, terms)
-        return integrate(_sum_rows(np.sort(terms, axis=0)[::-1]), self.grid)
+        L = integrate(_sum_rows(np.sort(terms, axis=0)[::-1]), grid)
 
-    # In I and J, row i of each array belongs to term i: every element
-    # goes through the operations of the term-by-term sum, in order.
+    # I and J share the rows U^i, V^i for i < p, each ``U ** i`` with an
+    # int i (an array of exponents, as in L, can differ in the last bit),
+    # and the flags with sgn(0) = 0, the positive-part derivative at the
+    # kink.  Row i of each array belongs to term i: every element goes
+    # through the operations of the term-by-term sum, in order.
+    sU, sV = (U > 0.0).astype(float), (V > 0.0).astype(float)
+    th = params.normalized_weights[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        du, dv = _gradient(u, grid.spacing), _gradient(v, grid.spacing)
+        Upow = np.array([U ** k for k in range(p)])
+        Vpow = np.array([V ** k for k in range(p)])
+        T = _quadratic(a, b, th[:-2], th[1:-1], th[2:], sU, sV, du, dv)
+        I_sum = _sum_rows(binomials[p - 2][:, None] * T
+                          * Upow[:p - 1] * Vpow[p - 2::-1])
+        J_sum = _sum_rows(binomials[p - 1][:, None]
+                          * (th[1:] * sU * f + th[:-1] * sV * g)
+                          * Upow * Vpow[::-1])
+    return (L, float(-p * (p - 1) * integrate(I_sum, grid)),
+            float(p * integrate(J_sum, grid)))
 
-    def I(self, a: float, b: float) -> float:
-        if math.isfinite(a + b) and self.gentle:
-            return -0.0
-        p, (sU, sV, Upow, Vpow) = self.params.p, self.ex[2:]
-        du, dv = (_gradient(f, self.grid.spacing) for f in (self.u, self.v))
-        th = self.params.normalized_weights[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            T = _quadratic(a, b, th[:-2], th[1:-1], th[2:], sU, sV, du, dv)
-            acc = _sum_rows(self.params.binomials[p - 2][:, None] * T
-                            * Upow[:p - 1] * Vpow[p - 2::-1])
-        return float(-p * (p - 1) * integrate(acc, self.grid))
 
-    def J(self, f, g) -> float:
-        if self.below and np.isfinite(f).all() and np.isfinite(g).all():
-            return 0.0
-        p, (sU, sV, Upow, Vpow) = self.params.p, self.ex[2:]
-        th = self.params.normalized_weights[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            acc = _sum_rows(self.params.binomials[p - 1][:, None]
-                            * (th[1:] * sU * f + th[:-1] * sV * g)
-                            * Upow * Vpow[::-1])
-        return float(p * integrate(acc, self.grid))
-
+# The three quantities one at a time.  Nothing in the library calls
+# these; they stay because bench/tracer.py wraps them by name.
 
 def lyapunov_L(params: FunctionalParams, state, grid: Grid) -> float:
-    """L = trapezoid integral of the nodal H values; inf flags overflow
-    (or a non-finite field)."""
-    return _Screened(params, state, grid).L()
+    """L of ``diagnostics``."""
+    return diagnostics(params, state, grid, 1.0, 1.0, (0.0, 0.0))[0]
 
 
 def dissipation_I(params: FunctionalParams, state, grid: Grid,
                   a: float, b: float) -> float:
-    """Discrete dissipation term
-
-        I = -p(p-1) * sum_i binom(p-2, i) * integral T_i * U^i * V^(p-2-i)
-
-    up to the shared positive weight normalization; nonpositive for every
-    state whenever the weight conditions hold.
-    """
-    return _Screened(params, state, grid).I(a, b)
+    """I of ``diagnostics``."""
+    return diagnostics(params, state, grid, a, b, (0.0, 0.0))[1]
 
 
-def reaction_J(params: FunctionalParams, state, grid: Grid, model,
-               rates=None) -> float:
-    """Discrete reaction term
-
-        J = p * sum_i binom(p-1, i) * integral
-            (theta_{i+1}*sgnU*f + theta_i*sgnV*g) * U^i * V^(p-1-i)
-
-    with the same weight normalization as ``dissipation_I`` (one shared
-    positive constant per parameter set): the sign is exact.  ``rates``
-    is ``model.rates`` at the state, for a caller that already has it.
-    """
-    s = _Screened(params, state, grid)
-    return s.J(*(model.rates(s.u, s.v) if rates is None else rates))
-
-
-def diagnostics(params: FunctionalParams, state, grid: Grid, a: float,
-                b: float, rates) -> tuple[float, float, float]:
-    """(L, I, J) of one state in one pass, bit for bit the values of
-    ``lyapunov_L``, ``dissipation_I`` and ``reaction_J``; ``rates`` is
-    ``model.rates`` at the state."""
-    screened = _Screened(params, state, grid)
-    return screened.L(), screened.I(a, b), screened.J(*rates)
+def reaction_J(params: FunctionalParams, state, grid: Grid, model) -> float:
+    """J of ``diagnostics``, with the rates of ``model`` at the state."""
+    rates = model.rates(as_field(state.u, grid), as_field(state.v, grid))
+    return diagnostics(params, state, grid, 1.0, 1.0, rates)[2]

@@ -223,6 +223,16 @@ def test_cmd_theta_rejects_pair_without_finite_bound(capsys):
     assert captured.out == ""
 
 
+def test_cmd_theta_recurrence_holds_at_large_p(capsys):
+    # the log weights reach about 6e6: the recurrence residual of their
+    # rounding is judged relative to them
+    assert main(["theta", "--a", "1", "--b", "1e6", "--mu", "0.5",
+                 "--p", "1000"]) == 0
+    out = capsys.readouterr().out
+    lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
+    assert lines["condition_recurrence"].startswith("pass")
+
+
 def test_main_dispatch(capsys):
     assert main(["theta", "--a", "1", "--b", "1", "--mu", "1", "--p", "4"]) == 0
     capsys.readouterr()
@@ -386,6 +396,12 @@ def test_cmd_run_config_error_exit_one(tmp_path, capsys):
     # the spacing squared underflows to 0 or overflows
     ("grid.length", "length = 1.0", "length = 1e-300"),
     ("grid.length", "length = 1.0", "length = 1e300"),
+    # the bound is finite, but the default theta^2 = 1.1 * bound overflows
+    ("scheme.a", "a = 1.0\nb = 2.0", "a = 1.45e-309\nb = 1.0"),
+    # 2 * dt_max * max(a, b) / h^2 overflows (subnormal h^2), or swamps
+    # the 1 on the diagonal of the diffusion solve
+    ("grid.length", "length = 1.0", "length = 1e-155"),
+    ("grid.length", "length = 1.0", "length = 1e-7"),
     ("model.G", "kind = combustion\nm = 1",
      "kind = absorption\nF = exp\nG = power:inf"),
     ("model.F", "kind = combustion\nm = 1",

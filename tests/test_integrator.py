@@ -9,7 +9,7 @@ from rdcertify.integrator import (SchemeConfig, SimState, TimeSeries, Verdict,
                                   run, solve_diffusion_implicit, step_imex)
 from rdcertify.kinetics import Absorption, BlowupExample, Combustion, Exp
 from rdcertify.lyapunov import build_params
-from rdcertify.mesh import Grid, integrate, sup_norm
+from rdcertify.mesh import Grid, ParamError, integrate, sup_norm
 
 
 def heat_params(u0, v0, a=1.0, b=1.0, mu=0.5, C=0.0, p=4):
@@ -439,6 +439,20 @@ def test_scheme_config_validation():
         SchemeConfig(a=1.0, b=1.0, t_end=1.0, dt_init=1.0, dt_max=0.1)
     with pytest.raises(ValueError):
         SchemeConfig(a=1.0, b=1.0, t_end=1.0, rtol=0.0)
+
+
+@pytest.mark.parametrize("length", [1e-155, 1e-7])
+def test_run_refuses_grid_too_fine_for_the_diffusion_solve(length):
+    # 2 * dt_max * max(a, b) / h^2 overflows (1e-155) or swamps the 1 on
+    # the diagonal (1e-7): the solve's matrix is singular in double
+    # precision, so run refuses before its first step; 1e-6 passes
+    u0 = np.zeros(21)
+    cfg = SchemeConfig(a=1.0, b=2.0, t_end=0.5)
+    with pytest.raises(ParamError) as err:
+        run(Combustion(1), cfg, Grid(21, length), u0, u0,
+            heat_params(u0, u0, b=2.0))
+    assert err.value.param == "length"
+    cfg.check_grid(Grid(21, 1e-6))
 
 
 def test_verdict_is_kind_and_time():
