@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
 import rdcertify.integrator as integrator
@@ -101,9 +102,10 @@ def test_diffusion_solve_validates_arguments():
 # ---------------------------------------------------------------------------
 
 def test_step_matches_hand_composition():
-    # Combustion m=1 with v = 0 gives f = -u, g = u at t = 0.  The kept
-    # state is 2*fine - coarse where each substep is explicit reaction
-    # then a dense implicit diffusion solve (rebuilt here by hand).
+    # Combustion m=1 with v = 0 gives f = -u, g = u at t = 0.  Level k of
+    # the tableau is k substeps of dt/k, each an explicit reaction then a
+    # dense implicit diffusion solve (rebuilt here by hand); the kept
+    # state is the extrapolated T33 = (9 T3 - 8 T2 + T1) / 2.
     grid = Grid(7, 1.0)
     x = grid.nodes()
     u0 = 0.5 + np.exp(-((x - 0.5) / 0.2) ** 2)
@@ -126,12 +128,15 @@ def test_step_matches_hand_composition():
         vn = np.linalg.solve(np.eye(7) - dt * cfg.b * A, v1)
         return un, vn
 
+    def level(k, dt):
+        u, v = u0, v0
+        for _ in range(k):
+            u, v = substep(u, v, dt / k)
+        return np.array([u, v])
+
     dt = cfg.dt_init
-    cu, cv = substep(u0, v0, dt)
-    mu, mv = substep(u0, v0, dt / 2)
-    fu, fv = substep(mu, mv, dt / 2)
-    expect_u = 2.0 * fu - cu
-    expect_v = 2.0 * fv - cv
+    T1, T2, T3 = (level(k, dt) for k in (1, 2, 3))
+    expect_u, expect_v = (9.0 * T3 - 8.0 * T2 + T1) / 2.0
 
     result = step_imex(SimState(0.0, u0, v0, dt), model, cfg, grid,
                        model.rates(u0, v0))
@@ -175,16 +180,27 @@ def test_pure_heat_equation_against_separation_of_variables():
 # Full runs
 # ---------------------------------------------------------------------------
 
-def test_run_blowup_example_diverges():
+# Crossing of u + v = 1e6 by the uniform-data ODE u' = (u - u^2) v^2,
+# v' = u v^2 from (0.75, 1): scipy DOP853 at rtol = atol = 1e-13.
+BLOWUP_T_STAR = 1.1224527129123567
+
+
+@pytest.mark.parametrize("rtol", [1e-4, 1e-5, 1e-6, 1e-7])
+def test_run_blowup_example_diverges(rtol):
+    # The divergence time is found to within 2 rtol at every tolerance,
+    # and u stays in its invariant region on every row: a looser error
+    # test lets a step of the final approach run away (u far above 1,
+    # then dt underflow).
     grid = Grid(15, 1.0)
     u0 = np.full(15, 0.75)
     v0 = np.ones(15)
-    cfg = SchemeConfig(a=1.0, b=1.0, t_end=3.0, rtol=1e-4, dt_init=1e-3,
+    cfg = SchemeConfig(a=1.0, b=1.0, t_end=3.0, rtol=rtol, dt_init=1e-3,
                        dt_max=0.05)
     series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
                           heat_params(u0, v0))
     assert verdict.kind == "blowup"
     assert verdict.t <= 2.0
+    assert abs(verdict.t - BLOWUP_T_STAR) <= 2.0 * rtol
     assert verdict.t == series.t[-1]
     assert series.sup_u[-1] + series.sup_v[-1] > cfg.blowup_threshold
     # comparison bound v(t) >= 1/(1 - t/2) before the divergence time
@@ -194,6 +210,29 @@ def test_run_blowup_example_diverges():
     # invariant region for the reactant
     assert series.sup_u.min() >= 0.5
     assert series.sup_u.max() <= 1.0
+
+
+def test_temporal_order_on_coupled_kinetics():
+    # Homogeneous combustion (the criterion-6 case) against a DOP853
+    # reference: the error stays below rtol and the steps grow by at most
+    # x2.5 per decade of rtol (a dt ~ rtol^(1/2) controller: about x3.1).
+    grid = Grid(11, 1.0)
+    u0 = v0 = np.ones(11)
+    ref = solve_ivp(lambda t, y: [-y[0] * np.exp(y[1]), y[0] * np.exp(y[1])],
+                    (0.0, 2.0), [1.0, 1.0], method="DOP853", rtol=1e-13,
+                    atol=1e-13, dense_output=True)
+    steps = []
+    for rtol in (1e-5, 1e-6, 1e-7, 1e-8):
+        cfg = SchemeConfig(a=1.0, b=2.0, t_end=2.0, rtol=rtol, dt_init=1e-5)
+        series, verdict = run(Combustion(1), cfg, grid, u0, v0,
+                              heat_params(u0, v0, b=2.0))
+        assert verdict.kind == "completed"
+        exact_u, exact_v = ref.sol(series.t)
+        err = max(np.max(np.abs(series.sup_u - exact_u)),
+                  np.max(np.abs(series.sup_v - exact_v)))
+        assert err <= rtol
+        steps.append(len(series) - 1)
+    assert all(fine <= 2.5 * coarse for coarse, fine in zip(steps, steps[1:]))
 
 
 def test_step_leaves_divergence_to_run():
@@ -392,8 +431,8 @@ class CountingBlowup(CountingRates, BlowupExample):
 @pytest.mark.parametrize("case", ["completed", "threshold", "overflow"])
 def test_rates_calls_per_row_and_trial(case, monkeypatch):
     # One rates call per logged row, shared by J and the next step, plus
-    # one per trial for the second half step; every trial here runs all
-    # three substeps, so it costs exactly 6 solves.
+    # three per trial for the later substeps of levels 2 and 3; every
+    # trial here runs all six substeps, so it costs exactly 12 solves.
     solves = []
 
     def counting_solve(*args):
@@ -424,10 +463,10 @@ def test_rates_calls_per_row_and_trial(case, monkeypatch):
         assert verdict.t == series.t[-1]
     if case == "overflow":          # rates overflow at t = 0: no step lands
         assert len(series) == 1 and verdict.t == 0.0
-    assert len(solves) % 6 == 0
-    trials = len(solves) // 6
+    assert len(solves) % 12 == 0
+    trials = len(solves) // 12
     assert trials >= len(series) - 1
-    assert model.calls == len(series) + trials
+    assert model.calls == len(series) + 3 * trials
 
 
 def test_scheme_config_validation():
