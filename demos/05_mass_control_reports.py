@@ -38,11 +38,11 @@ for name, model in MODELS:
 
 print("threshold search: smallest A past which F/G stays above lam")
 cases = [
-    ("F=G=exp, lam=0.5", Exp(), Exp(), 0.5, 10.0),
+    ("F=G=exp, lam=0.5", Exp(), Exp(), 0.5),
     ("F=e^(e^s)-s, G=e^(e^s), lam=0.91", DoubleExpMinusPoly([0.0, 1.0]),
-     DoubleExp(), 0.91, 10.0),
-    ("F=s, G=e^s, lam=0.5", Power(1.0), Exp(), 0.5, 20.0),
+     DoubleExp(), 0.91),
+    ("F=s, G=e^s, lam=0.5", Power(1.0), Exp(), 0.5),
 ]
-for label, F, G, lam, s_max in cases:
-    A = find_threshold_A(F, G, lam, s_max, 200001)
+for label, F, G, lam in cases:
+    A = find_threshold_A(F, G, lam)
     print(f"  {label}: A = {A if A is not None else 'not found'}")

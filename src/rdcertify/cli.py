@@ -46,9 +46,9 @@ squared is 0 or overflows, or whose spacing makes the diffusion solve
 singular in double precision, growth-law parameters that are not
 finite, a ``theta`` that is not finite, ``p`` outside [2, 1000],
 ``m`` < 1, ``lam`` outside (0, 1), an ``RD_CERTIFY_SEED`` that is not
-an integer >= 0, and an ``[output]`` ``csv`` or ``report`` path whose
-directory does not exist.  The range rules on values live in the
-library, which raises
+an integer >= 0, an ``[output]`` ``csv`` or ``report`` path whose
+directory does not exist, and a ``report`` that is the ``csv`` file.
+The range rules on values live in the library, which raises
 :class:`rdcertify.mesh.ParamError`; ``main`` maps the parameter it
 names to its config key, and is the one place a refusal is printed
 and turned into exit 1.  Only bump ``width > 0`` and
@@ -227,12 +227,8 @@ def parse_config_text(text: str) -> RunConfig:
     else:
         model = kinetics.BlowupExample()
     # a claim overrides the model's own, after any threshold search
-    claimed_C = sec.float("claimed_C", default=None)
-    if claimed_C is not None:
-        model.claimed_C = claimed_C
-    claimed_mu = sec.float("claimed_mu", default=None)
-    if claimed_mu is not None:
-        model.claimed_mu = claimed_mu
+    model.claimed_C = sec.float("claimed_C", default=model.claimed_C)
+    model.claimed_mu = sec.float("claimed_mu", default=model.claimed_mu)
     sec.finish()
 
     sec = section("grid")
@@ -330,6 +326,8 @@ def _setup(config_path) -> tuple[RunConfig, verify.BoxSample]:
         target = Path(path)
         if target.is_dir() or not os.access(target.parent, os.W_OK):
             raise ConfigError(key, f"cannot write {path}")
+    if Path(cfg.report).resolve() == Path(cfg.csv).resolve():
+        raise ConfigError("output.report", f"{cfg.report} is the csv file")
     params = cfg.params
     seed = verify.sampling_seed()
     box = verify.default_box(params.C, params.u_bar0, params.v_bar0)

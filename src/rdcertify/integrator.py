@@ -219,7 +219,7 @@ def _advance(u, v, dt, rates, cfg: SchemeConfig, grid: Grid):
     """One Lie-split substep from the rates at (u, v); None when the
     reaction stage leaves the representable range (caller halves dt)."""
     f, g = rates
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         u1 = u + dt * f
         v1 = v + dt * g
     if not (np.isfinite(u1).all() and np.isfinite(v1).all()):

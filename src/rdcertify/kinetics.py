@@ -187,9 +187,6 @@ class ReactionModel:
         """Vectorized (f, g) without domain checks; may overflow to inf."""
         raise NotImplementedError
 
-    def __repr__(self):
-        return f"{type(self).__name__}(C={self.claimed_C}, mu={self.claimed_mu})"
-
 
 def _zero_where_zero(base, factor):
     # base * factor with the convention 0 * inf = 0 (reactant absent).
@@ -202,9 +199,9 @@ class Absorption(ReactionModel):
     """f = -u F(v), g = u G(v): species u consumed, v produced.
 
     The claimed constants are C = A, mu = lam, where A is the threshold
-    ``find_threshold_A`` samples at its defaults: past A the ratio F/G
-    stays above lam.  When that search fails the model claims nothing;
-    it refuses a lam outside (0, 1).
+    ``find_threshold_A`` samples on its fixed grid of [0, 10]: past A the
+    ratio F/G stays above lam.  When that search fails the model claims
+    nothing; it refuses a lam outside (0, 1).
     """
 
     def __init__(self, F: GrowthFunction, G: GrowthFunction, lam: float = 0.5):
@@ -267,21 +264,19 @@ class BlowupExample(ReactionModel):
 # Threshold search for the ratio F/G
 # ---------------------------------------------------------------------------
 
-def find_threshold_A(F: GrowthFunction, G: GrowthFunction, lam: float,
-                     s_max: float = 10.0, n_samples: int = 2001):
-    """Smallest sampled A with F(s)/G(s) > lam for every sample in (A, s_max].
+def find_threshold_A(F: GrowthFunction, G: GrowthFunction, lam: float):
+    """Smallest sampled A with F(s)/G(s) > lam for every sample in (A, 10],
+    on the fixed grid of 2,001 points of [0, 10].
 
     The ratio test runs entirely in the log domain (log F - log G >
     log lam), so F and G may individually overflow where their ratio is
-    benign.  Returns None when the tail condition fails at s_max or the
+    benign.  Returns None when the tail condition fails at s = 10 or the
     log ratio is unrepresentable there.  A lam outside (0, 1) raises
     ParamError naming ``lam``.
     """
     if not 0.0 < lam < 1.0:
         raise ParamError("lam", f"lam must lie in (0, 1), got {lam}")
-    if not (s_max > 0 and n_samples >= 2):
-        raise ValueError("need s_max > 0 and n_samples >= 2")
-    s = np.linspace(0.0, float(s_max), int(n_samples))
+    s = np.linspace(0.0, 10.0, 2001)
     with np.errstate(invalid="ignore"):
         log_ratio = F.log_value(s) - G.log_value(s)
         ok = log_ratio > math.log(lam)        # NaN compares False

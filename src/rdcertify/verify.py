@@ -6,12 +6,12 @@ The control-of-mass condition
 
 is checked on a bounded box [0, edge]^2, sampled once by ``sample_box``:
 the kinetics at a deterministic lattice plus an equal number of seeded
-uniform points.  ``check_mass_control`` judges that sample for one mu,
-``search_mu`` for each mu it tries, ``check_g_nonneg`` on its lattice
-for g >= 0.  The report
-records the box, the seed, and up to 100 violation witnesses, so every
-certificate is explicit about its scope.  Samples where the kinetics
-overflow are counted as indeterminate, never as passes.
+uniform points.  ``check_mass_control`` (one mu) and ``search_mu`` (mu =
+1, 1/2, ..., 2**-20) share one judging loop and build one report, for
+the mu returned; ``check_g_nonneg`` judges g >= 0 on the lattice.  A
+report records the box, the seed, and up to 100 violation witnesses, so
+every certificate is explicit about its scope.  Samples where the
+kinetics overflow are counted as indeterminate, never as passes.
 
 The candidate bounds (u_bar0, v_bar0) are sup-norm bounds:
 ||u(t)||_inf <= u_bar0 and ||v(t)||_inf <= v_bar0.  A run flags each
@@ -126,6 +126,37 @@ class MassControlReport:
         return lines
 
 
+def _judge(sample: BoxSample, C: float, mus) -> MassControlReport:
+    """The one judging loop: filter the points by u + v >= C once, judge
+    each mu by its mask, and report the first that passes (or the last),
+    with witnesses for that mu only."""
+    if not C >= 0:
+        raise ValueError(f"C must be >= 0, got {C}")
+    keep = sample.u + sample.v >= C
+    u, v, f, g = sample.u[keep], sample.v[keep], sample.f[keep], sample.g[keep]
+    finite_fg = np.isfinite(f) & np.isfinite(g)
+    fpm = np.empty(f.shape)    # f + mu*g, one buffer reused for every mu
+    for mu in mus:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(mu, g, out=fpm)
+            fpm += f
+        finite = finite_fg & np.isfinite(fpm)
+        first = f > fpm        # fails f <= f + mu*g, i.e. mu*g < 0
+        bad = finite & (first | (fpm > 0.0))   # or fails f + mu*g <= 0
+        if not bad.any():
+            break
+
+    violations = [MassControlViolation(
+        float(u[i]), float(v[i]), float(f[i]), float(fpm[i]),
+        "f_le_f_plus_mu_g" if first[i] else "f_plus_mu_g_le_0")
+        for i in np.flatnonzero(bad)[:MAX_WITNESSES]]
+    return MassControlReport(
+        passed=not violations, mu=float(mu), C=float(C), edge=sample.edge,
+        n_per_axis=sample.n_per_axis, seed=sample.seed,
+        samples_tested=int(finite.sum()),
+        samples_indeterminate=int((~finite).sum()), violations=violations)
+
+
 def check_mass_control(sample: BoxSample, C: float,
                        mu: float) -> MassControlReport:
     """Judge f <= f + mu*g <= 0 on the sample's points with u + v >= C.
@@ -135,44 +166,20 @@ def check_mass_control(sample: BoxSample, C: float,
     """
     if not mu > 0:
         raise ValueError(f"mu must be > 0, got {mu}")
-    if not C >= 0:
-        raise ValueError(f"C must be >= 0, got {C}")
-    keep = sample.u + sample.v >= C
-    u, v, f, g = sample.u[keep], sample.v[keep], sample.f[keep], sample.g[keep]
-    with np.errstate(over="ignore", invalid="ignore"):
-        fpm = f + mu * g
-    finite = np.isfinite(f) & np.isfinite(g) & np.isfinite(fpm)
-
-    first = f > fpm        # fails f <= f + mu*g, i.e. mu*g < 0
-    second = fpm > 0.0     # fails f + mu*g <= 0
-    bad = np.flatnonzero(finite & (first | second))[:MAX_WITNESSES]
-    violations = [MassControlViolation(
-        float(u[i]), float(v[i]), float(f[i]), float(fpm[i]),
-        "f_le_f_plus_mu_g" if first[i] else "f_plus_mu_g_le_0") for i in bad]
-
-    return MassControlReport(
-        passed=not violations, mu=float(mu), C=float(C), edge=sample.edge,
-        n_per_axis=sample.n_per_axis, seed=sample.seed,
-        samples_tested=int(finite.sum()),
-        samples_indeterminate=int((~finite).sum()), violations=violations)
+    return _judge(sample, C, [mu])
 
 
 def search_mu(sample: BoxSample, C: float) -> MassControlReport:
     """Fallback when a model claims no mu: judge the sample at mu = 1,
     1/2, ..., 2**-20 and return the report of the largest passing value
     (or the last, fully failed attempt when none passes)."""
-    for k in range(21):
-        report = check_mass_control(sample, C, 2.0 ** -k)
-        if report.passed:
-            break
-    return report
+    return _judge(sample, C, [2.0 ** -k for k in range(21)])
 
 
 @dataclass
 class GNonNegReport:
     passed: bool
     edge: float
-    n_per_axis: int
     samples_tested: int
     samples_indeterminate: int
     violations: list = field(default_factory=list)   # (u, v, g) triples
@@ -200,7 +207,7 @@ def check_g_nonneg(sample: BoxSample) -> GNonNegReport:
     violations = [(float(u[i]), float(v[i]), float(g[i])) for i in bad]
     return GNonNegReport(
         passed=not violations, edge=sample.edge,
-        n_per_axis=sample.n_per_axis, samples_tested=int(finite.sum()),
+        samples_tested=int(finite.sum()),
         samples_indeterminate=int((~finite).sum()), violations=violations)
 
 

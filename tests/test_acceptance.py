@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from rdcertify.cli import CSV_HEADER, cmd_run
 from rdcertify.integrator import SchemeConfig, run
@@ -33,28 +34,8 @@ def report(n, checks):
 # Independent oracles (built separately from the library under test)
 # ---------------------------------------------------------------------------
 
-def rk4_pair(rhs, y0, t_end, n_steps):
-    """Fixed-step classical RK4 on a 2-component ODE system."""
-    ts = np.linspace(0.0, t_end, n_steps + 1)
-    ys = np.empty((n_steps + 1, 2))
-    ys[0] = y0
-    h = t_end / n_steps
-    for k in range(n_steps):
-        y = ys[k]
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        ys[k + 1] = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return ts, ys
-
-
-def combustion_rhs(y):
-    return np.array([-y[0] * math.exp(y[1]), y[0] * math.exp(y[1])])
-
-
-def absorption_rhs(y):
-    return np.array([-y[0] * math.exp(y[1]), y[0] * math.exp(y[1])])
+def combustion_rhs(t, y):
+    return [-y[0] * math.exp(y[1]), y[0] * math.exp(y[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +132,16 @@ def blowup_cli_run(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def ode_agreement_runs():
+    # Combustion and absorption with F = G = exp share the reduced ODE
+    # Y' = -Y e^T, T' = Y e^T: one DOP853 dense solution is the oracle
+    oracle = solve_ivp(combustion_rhs, (0.0, 2.0), [1.0, 1.0],
+                       method="DOP853", rtol=1e-13, atol=1e-13,
+                       dense_output=True).sol
+    ts = np.linspace(0.0, 2.0, 100001)
+    ys = oracle(ts).T
     out = {}
-    for name, model, rhs in (("combustion", Combustion(1), combustion_rhs),
-                             ("absorption", Absorption(Exp(), Exp()),
-                              absorption_rhs)):
+    for name, model in (("combustion", Combustion(1)),
+                        ("absorption", Absorption(Exp(), Exp()))):
         grid = Grid(11, 1.0)
         u0 = np.ones(11)
         v0 = np.ones(11)
@@ -162,9 +149,9 @@ def ode_agreement_runs():
         params = build_params(1.0, 2.0, 0.5, 0.0, 4, u0, v0)
         series, verdict = run(model, cfg, grid, u0, v0, params)
         assert verdict.kind == "completed"
-        ts, ys = rk4_pair(rhs, np.array([1.0, 1.0]), 2.0, 100000)
-        err_u = np.max(np.abs(series.sup_u - np.interp(series.t, ts, ys[:, 0])))
-        err_v = np.max(np.abs(series.sup_v - np.interp(series.t, ts, ys[:, 1])))
+        exact_u, exact_v = oracle(series.t)
+        err_u = np.max(np.abs(series.sup_u - exact_u))
+        err_v = np.max(np.abs(series.sup_v - exact_v))
         out[name] = (series, max(err_u, err_v), (ts, ys))
     return out
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rdcertify import verify
 from rdcertify.cli import (CSV_HEADER, ConfigError, cmd_check, cmd_run,
                            cmd_theta, main, parse_config_text)
 from rdcertify.integrator import SchemeConfig
@@ -109,6 +110,14 @@ def test_parse_minimal_config_defaults():
     ("scheme.b", COMBUSTION_ZERO.replace("b = 2.0", "b = two")),
     ("model.m", COMBUSTION_ZERO.replace("m = 1", "m = 0")),
     ("initial_v.value", COMBUSTION_ZERO[:COMBUSTION_ZERO.rfind("value")]),
+    ("config: unparseable INI", "n_nodes = 21\n" + COMBUSTION_ZERO),
+    ("output.log_every", COMBUSTION_ZERO + "\n[output]\nlog_every = 0\n"),
+    ("initial_u.width", COMBUSTION_ZERO.replace(
+        "[initial_u]\nkind = uniform\nvalue = 0.0",
+        "[initial_u]\nkind = bump\ncenter = 0.5\nwidth = 0\nheight = 1")),
+    ("initial_u.nodes", COMBUSTION_ZERO.replace(
+        "[initial_u]\nkind = uniform\nvalue = 0.0",
+        "[initial_u]\nkind = nodes\nnodes = 0.5, x")),
 ])
 def test_parse_errors_name_the_key(needle, broken):
     with pytest.raises(ConfigError) as err:
@@ -148,6 +157,9 @@ def test_bool_values_are_strict():
     with pytest.raises(ConfigError, match="enforce_positivity"):
         parse_config_text(COMBUSTION_ZERO.replace(
             "t_end = 0.5", "t_end = 0.5\nenforce_positivity = yes"))
+    cfg = parse_config_text(COMBUSTION_ZERO.replace(
+        "t_end = 0.5", "t_end = 0.5\nenforce_positivity = true"))
+    assert cfg.scheme.enforce_positivity is True
 
 
 def test_make_model_and_fields():
@@ -386,6 +398,8 @@ def test_cmd_run_config_error_exit_one(tmp_path, capsys):
     ("initial_u", "value = 0.0", "value = 1e308"),
     ("output.csv", "bad.csv", "nodir/bad.csv"),
     ("output.report", "r.txt", "nodir/r.txt"),
+    # the report would overwrite the csv
+    ("output.report", "r.txt", "./bad.csv"),
     # no config edit: the environment sets the sampling seed
     ("RD_CERTIFY_SEED", None, "abc"),
     ("RD_CERTIFY_SEED", None, "-1"),
@@ -426,6 +440,24 @@ def test_cmd_run_invalid_number_exit_one(tmp_path, capsys, monkeypatch,
         assert needle in captured.err
         assert captured.out == ""
         assert not csv.exists()
+
+
+def test_overflowing_reaction_stage_ends_quietly(tmp_path, capsys,
+                                                 monkeypatch):
+    # every trial's reaction stage overflows: dt underflows at t = 0 with
+    # no RuntimeWarning (an error under pytest's filter) on stderr
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "over.ini"
+    path.write_text((CONFIGS / "blowup.ini").read_text()
+                    .replace("t_end = 3.0", "t_end = 20")
+                    .replace("dt_init = 1e-3", "dt_init = 10")
+                    .replace("dt_max = 0.05", "dt_max = 10")
+                    .replace("kind = uniform\nvalue = 1.0",
+                             "kind = uniform\nvalue = 1e154"))
+    assert main(["run", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert "verdict: dt_underflow" in captured.out
+    assert captured.err == ""
 
 
 def test_env_seed_reaches_both_reports(tmp_path, capsys, monkeypatch):
@@ -540,3 +572,20 @@ def test_cmd_check_evaluates_the_kinetics_once(tmp_path, capsys, monkeypatch):
     assert cmd_check(CONFIGS / "blowup.ini") == 3
     assert "mass_control.mu: 9.5367431640625e-07" in capsys.readouterr().out
     assert sizes == [2 * 64 * 64]
+
+
+def test_cmd_check_builds_one_report(tmp_path, capsys, monkeypatch):
+    # search_mu judges 21 values of mu but builds the witnesses of the
+    # one report it returns: at most MAX_WITNESSES of them
+    monkeypatch.chdir(tmp_path)
+    built = []
+    violation = verify.MassControlViolation
+
+    def counted(*args):
+        built.append(1)
+        return violation(*args)
+
+    monkeypatch.setattr(verify, "MassControlViolation", counted)
+    assert cmd_check(CONFIGS / "blowup.ini") == 3
+    assert "mass_control.violations: 100" in capsys.readouterr().out
+    assert len(built) == verify.MAX_WITNESSES == 100

@@ -314,6 +314,25 @@ def test_run_positivity_guard():
         run(Combustion(1), cfg, grid, -u0, v0, heat_params(u0, v0))
 
 
+@pytest.mark.parametrize("guard,dt_used,u_min", [
+    (True, 0.0125, 0.15952737417927945),
+    (False, 0.1, -305926.906786895),
+])
+def test_step_positivity_guard_rejects_negative_trials(guard, dt_used, u_min):
+    # homogeneous combustion from (1, 5): the error test passes at any dt
+    # (rtol = 1e9), so only the guard halves dt (three times when on)
+    grid = Grid(5, 1.0)
+    u0, v0 = np.ones(5), np.full(5, 5.0)
+    cfg = SchemeConfig(a=1.0, b=1.0, t_end=1.0, rtol=1e9, dt_init=0.1,
+                       enforce_positivity=guard)
+    model = Combustion(1)
+    result = step_imex(SimState(0.0, u0, v0, cfg.dt_init), model, cfg, grid,
+                       model.rates(u0, v0))
+    assert result.dt_used == dt_used
+    assert result.state.u.min() == pytest.approx(u_min, rel=1e-9)
+    assert (result.state.u.min() >= 0.0) == guard
+
+
 def test_run_combustion_conserves_total_mass():
     grid = Grid(61, 1.0)
     x = grid.nodes()
@@ -398,6 +417,19 @@ def test_kinetics_overflow_reports_blowup(monkeypatch):
                           heat_params(u0, v0))
     assert verdict == Verdict("blowup", 0.0)
     assert steps == []
+
+
+def test_overflowing_reaction_stage_is_rejected_quietly():
+    # v + dt*g overflows for every dt down to dt_min: each trial is
+    # rejected without a RuntimeWarning (an error under pytest's filter)
+    grid = Grid(5, 1.0)
+    u0, v0 = np.ones(5), np.full(5, 1e154)
+    cfg = SchemeConfig(a=1.0, b=1.0, t_end=20.0, dt_init=10.0, dt_max=10.0,
+                       rtol=1e9)
+    model = BlowupExample()
+    result = step_imex(SimState(0.0, u0, v0, cfg.dt_init), model, cfg, grid,
+                       model.rates(u0, v0))
+    assert result == integrator.StepResult(None, 0.0)
 
 
 def test_timeseries_time_strictly_increasing():

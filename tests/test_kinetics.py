@@ -145,34 +145,34 @@ def test_growth_parameter_validation():
 
 def test_threshold_equal_growth_is_zero():
     # F/G = 1 > 0.5 everywhere, so the threshold sits at the first sample
-    assert find_threshold_A(Exp(), Exp(), 0.5, 10.0, 101) == 0.0
+    assert find_threshold_A(Exp(), Exp(), 0.5) == 0.0
 
 
 def test_threshold_matches_dense_sampling_oracle():
-    # oracle: ratio (e^(e^s) - s)/e^(e^s) = 1 - s*exp(-exp(s)) sampled densely
-    s_max, n = 10.0, 200001
-    s = np.linspace(0.0, s_max, n)
+    # oracle: ratio (e^(e^s) - s)/e^(e^s) = 1 - s*exp(-exp(s)) sampled on
+    # the search's own grid, 2,001 points of [0, 10]
+    s = np.linspace(0.0, 10.0, 2001)
     ratio = 1.0 - s * np.exp(-np.exp(s))
     F = DoubleExpMinusPoly([0.0, 1.0])
     G = DoubleExp()
     for lam in (0.9, 0.91):
         bad = np.flatnonzero(~(ratio > lam))
         expected = s[bad[-1]] if bad.size else 0.0
-        assert find_threshold_A(F, G, lam, s_max, n) == pytest.approx(expected)
+        assert find_threshold_A(F, G, lam) == pytest.approx(expected)
     # the ratio dips to ~0.9027, so 0.91 needs a strictly positive threshold
-    assert find_threshold_A(F, G, 0.91, s_max, n) > 0.5
+    assert find_threshold_A(F, G, 0.91) > 0.5
 
 
 def test_threshold_not_found_for_vanishing_ratio():
-    # s/e^s -> 0, so no tail of (0, 20] keeps the ratio above 0.5
-    assert find_threshold_A(Power(1.0), Exp(), 0.5, 20.0, 2001) is None
+    # s/e^s -> 0, so no tail of (0, 10] keeps the ratio above 0.5
+    assert find_threshold_A(Power(1.0), Exp(), 0.5) is None
 
 
 def test_threshold_rejects_bad_lambda():
     with pytest.raises(ValueError):
-        find_threshold_A(Exp(), Exp(), 1.0, 10.0, 101)
+        find_threshold_A(Exp(), Exp(), 1.0)
     with pytest.raises(ValueError):
-        find_threshold_A(Exp(), Exp(), 0.0, 10.0, 101)
+        find_threshold_A(Exp(), Exp(), 0.0)
 
 
 # ---------------------------------------------------------------------------
