@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from contextlib import contextmanager
@@ -431,7 +432,9 @@ def cmd_theta(a: float, b: float, mu: float, p: int,
     return 0 if report.passed else 3
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="rd-certify",
         description="Simulate 2x2 reaction-diffusion systems and check "
@@ -451,8 +454,11 @@ def main(argv=None) -> int:
     p_theta.add_argument("--mu", type=float, required=True)
     p_theta.add_argument("--p", type=int, default=4)
     p_theta.add_argument("--theta", type=float, default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     # only refusals end a command here: any other ValueError from deeper
     # in the run (np.linalg.LinAlgError among them) propagates
     try:

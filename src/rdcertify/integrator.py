@@ -1,8 +1,11 @@
 """Method-of-lines time integration with blow-up detection.
 
 The base substep of size h advances (u, v) by Lie splitting: a forward
-Euler reaction update followed by a backward Euler diffusion solve per
-species (unconditionally stable, tridiagonal).  A trial step of size dt
+Euler reaction update followed by a backward Euler diffusion solve
+(unconditionally stable, tridiagonal).  The pair is carried as one
+(2, n) array, and both species are solved in one ``?gtsv`` call on a
+block-diagonal band whose coupling entries between the blocks are zero,
+so each species gets the bits of its own solve.  A trial step of size dt
 extrapolates that first-order substep over the harmonic sequence 1, 2,
 3 (the linearly implicit Euler extrapolation of SEULEX/LIMEX; Hairer &
 Wanner, *Solving ODEs II*, IV.9): level k takes k substeps of size dt/k
@@ -31,9 +34,12 @@ three verdicts, all decided by ``run``:
 * ``dt_underflow``-- halving would push dt below dt_min.
 
 Each accepted state is looked at once, when ``run`` logs its row: the
-sup norms, L, I, J, and the flag for the sup-norm bound,
-sup_u > u_bar0 or sup_v > v_bar0.  The divergence verdict, the first
-bound violation and the claim report are all read from those rows.
+sup norms, the flag for the sup-norm bound, sup_u > u_bar0 or
+sup_v > v_bar0, and the first bound violation at once, since the
+verdicts read them; L, I and J, which no verdict reads, come from one
+``lyapunov.diagnostics_block`` call per block of queued rows.  The
+divergence verdict, the first bound violation and the claim report are
+all read from those rows.
 
 Accepted states are kept nonnegative: values in (-1e-12, 0) are clamped
 to zero and anything below -1e-12 rejects the step.  This guard can be
@@ -54,6 +60,11 @@ from .mesh import (Grid, ParamError, as_field, check_finite_data,
                    check_positive, sup_norm)
 
 NEGATIVITY_TOL = 1e-12
+
+# the queued rows' L, I and J are filled in once the rows hold this many
+# elements of L's power table, (p + 1) * n_nodes each: 27 rows at p = 4,
+# n = 31, and one row per block from (p + 1) * n_nodes >= 4096 on
+DIAGNOSTICS_BLOCK = 4096
 
 _gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
 
@@ -195,18 +206,36 @@ def solve_diffusion_implicit(f, coeff: float, dt: float, grid: Grid) -> np.ndarr
     if not (coeff > 0 and dt > 0):
         raise ValueError("need coeff > 0 and dt > 0")
     f = as_field(f, grid)
-    n = grid.n_nodes
     r = dt * coeff / grid.spacing ** 2
-    lower = np.full(n - 1, -r)
-    lower[-1] = -2.0 * r         # last row couples twice to node n-2
-    diag = np.full(n, 1.0 + 2.0 * r)
-    upper = np.full(n - 1, -r)
-    upper[0] = -2.0 * r          # row 0 couples twice to node 1
-    shift = f[0]
-    *_, w, info = _gtsv(lower, diag, upper, f - shift, overwrite_dl=True,
-                        overwrite_d=True, overwrite_du=True, overwrite_b=True)
+    return _solve(_band([r], grid.n_nodes), f[None])[0]
+
+
+def _band(rs, n: int):
+    """The diagonals (lower, diag, upper) of the block-diagonal matrix
+    with one block I - dt*coeff*Lap of n rows per r = dt*coeff/h^2 in
+    ``rs``.  The two entries that would couple neighbouring blocks are
+    zero, so ``?gtsv``'s elimination passes each block's rows through
+    the arithmetic of that block solved alone."""
+    r = np.array(rs, dtype=float)[:, None]
+    lower, diag = np.empty((2, len(rs), n))
+    lower[:] = -r
+    upper = lower.copy()
+    # row 0 couples twice to node 1, and the last row to node n-2
+    lower[:, -2] = upper[:, 0] = -2.0 * r[:, 0]
+    lower[:, -1] = upper[:, -1] = 0.0  # no coupling between blocks
+    diag[:] = 1.0 + 2.0 * r
+    return lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1]
+
+
+def _solve(band, rhs: np.ndarray) -> np.ndarray:
+    """Solve the ``_band`` system for one right-hand side per row of
+    ``rhs``, each on its deviation from its first value; ``band`` is
+    left intact for the next solve."""
+    shift = rhs[:, :1]
+    *_, w, info = _gtsv(*band, (rhs - shift).ravel(), overwrite_b=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"?gtsv failed with info = {info}")
+    w = w.reshape(rhs.shape)
     w += shift
     return w
 
@@ -215,59 +244,60 @@ def solve_diffusion_implicit(f, coeff: float, dt: float, grid: Grid) -> np.ndarr
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _advance(u, v, dt, rates, cfg: SchemeConfig, grid: Grid):
-    """One Lie-split substep from the rates at (u, v); None when the
-    reaction stage leaves the representable range (caller halves dt)."""
-    f, g = rates
+def _advance(w, dt, rates, band):
+    """One Lie-split substep of the pair stacked as the rows of ``w``,
+    from the rates there (stacked alike); None when the reaction stage
+    leaves the representable range (caller halves dt)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        u1 = u + dt * f
-        v1 = v + dt * g
-    if not (np.isfinite(u1).all() and np.isfinite(v1).all()):
+        w1 = w + dt * rates
+    if not np.isfinite(w1).all():
         return None
-    return (solve_diffusion_implicit(u1, cfg.a, dt, grid),
-            solve_diffusion_implicit(v1, cfg.b, dt, grid))
+    return _solve(band, w1)
 
 
-def _trial(u, v, dt, rates0, model, cfg: SchemeConfig, grid: Grid):
-    """One extrapolated trial of size dt: the accepted ``(u, v, err,
-    scale)``, or None when it is rejected (a NaN err or minimum rejects).
+def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid):
+    """One extrapolated trial of size dt from the pair stacked as the
+    rows of ``w``: the accepted ``(w_new, err, scale)``, or None when it
+    is rejected (a NaN err or minimum rejects).
 
-    Level k in 1, 2, 3 takes k substeps of size dt/k from (u, v); each
+    Level k in 1, 2, 3 takes k substeps of size dt/k from w; each
     level's first substep uses ``rates0`` and every later one calls
-    ``model.rates``, so a full trial costs 12 solves and 3 calls.  The
-    kept state is T33 and err is sup|T32 - T22|, the tableau and error
-    test of the module docstring.
+    ``model.rates``, so a full trial costs 6 two-field solves (12 fields)
+    and 3 calls.  Each level builds its two-block band once.  The kept
+    state is T33 and err is sup|T32 - T22|, the tableau and error test
+    of the module docstring.
     """
+    spacing_sq = grid.spacing ** 2
     levels = []
     for k in (1, 2, 3):
-        w, rates = (u, v), rates0
+        h = dt / k
+        band = _band([h * cfg.a / spacing_sq, h * cfg.b / spacing_sq],
+                     grid.n_nodes)
+        level, rates = w, rates0
         for i in range(k):
             if i:
-                rates = model.rates(*w)
-            w = _advance(*w, dt / k, rates, cfg, grid)
-            if w is None:
+                rates = np.array(model.rates(*level))
+            level = _advance(level, h, rates, band)
+            if level is None:
                 return None
-        levels.append(w)
+        levels.append(level)
 
-    kept, diffs = [], []
-    for T1, T2, T3 in zip(*levels):
-        d1 = T2 - T1
-        d2 = T3 - T2
-        T22 = T2 + d1
-        T32 = T3 + 2.0 * d2
-        kept.append(T3 + (3.5 * d2 - 0.5 * d1))     # T33
-        diffs.append(sup_norm(T32 - T22))
-    u_new, v_new = kept
-    err = float(np.max(diffs))          # NaN-propagating, unlike max()
-    scale = max(1.0, sup_norm(u_new), sup_norm(v_new))
+    T1, T2, T3 = levels
+    d1 = T2 - T1
+    d2 = T3 - T2
+    T22 = T2 + d1
+    T32 = T3 + 2.0 * d2
+    kept = T3 + (3.5 * d2 - 0.5 * d1)               # T33
+    err = float(np.max(np.abs(T32 - T22)))          # NaN-propagating
+    sup_u, sup_v = np.abs(kept).max(axis=1)
+    scale = max(1.0, float(sup_u), float(sup_v))
     if not err <= cfg.rtol * scale:
         return None
     if cfg.enforce_positivity:
-        if not min(u_new.min(), v_new.min()) >= -NEGATIVITY_TOL:
+        if not kept.min() >= -NEGATIVITY_TOL:
             return None
-        np.clip(u_new, 0.0, None, out=u_new)
-        np.clip(v_new, 0.0, None, out=v_new)
-    return u_new, v_new, err, scale
+        np.clip(kept, 0.0, None, out=kept)
+    return kept, err, scale
 
 
 class StepResult(NamedTuple):
@@ -283,19 +313,20 @@ def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
     dt; the state is None when halving would drop below dt_min.  ``run``
     judges the outcome.
     """
-    u, v, dt = state.u, state.v, state.dt
-    while (accepted := _trial(u, v, dt, rates0, model, cfg, grid)) is None:
+    w, dt = np.array((state.u, state.v)), state.dt
+    rates0 = np.asarray(rates0, dtype=float)
+    while (accepted := _trial(w, dt, rates0, model, cfg, grid)) is None:
         if 0.5 * dt < cfg.dt_min:
             return StepResult(None, 0.0)
         dt *= 0.5
 
-    u_new, v_new, err, scale = accepted
+    w_new, err, scale = accepted
     if err == 0.0:
         factor = 2.0
     else:
         factor = min(2.0, max(0.2, 0.9 * (cfg.rtol * scale / err) ** (1 / 3)))
     dt_next = min(cfg.dt_max, max(cfg.dt_min, dt * factor))
-    return StepResult(SimState(state.t + dt, u_new, v_new, dt_next), dt)
+    return StepResult(SimState(state.t + dt, w_new[0], w_new[1], dt_next), dt)
 
 
 def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
@@ -305,8 +336,10 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     Every accepted state is logged as one row: sup norms, the functional
     L, the dissipation and reaction diagnostics I and J, the step size
     taken, and the flag ``sup_u > u_bar0 or sup_v > v_bar0``.  The first
-    flagged row is scanned once for the first offending node.  Every
-    verdict is decided here: ``blowup`` at the current t when the
+    flagged row is scanned once for the first offending node.  L, I and
+    J, which no verdict reads, are filled in a block of rows at a time
+    (``DIAGNOSTICS_BLOCK``), and for the last rows before the return.
+    Every verdict is decided here: ``blowup`` at the current t when the
     kinetics there are not finite, ``dt_underflow`` at it when the step
     lands no state, and ``blowup`` at a row's t when its ``sup_u +
     sup_v`` is above the threshold or not finite.  Identical inputs
@@ -322,12 +355,14 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
 
     series = TimeSeries(functional.u_bar0, functional.v_bar0)
     state = SimState(0.0, u, v, cfg.dt_init)
-    rates = _log(series, state, cfg.dt_init, model, cfg, grid, functional)
+    queue = []
+    rates = _log(series, state, cfg.dt_init, model, queue)
+    row_size = (functional.p + 1) * grid.n_nodes
 
     t_stop = cfg.t_end * (1.0 - 1e-12)
     verdict = Verdict("completed")
     while state.t < t_stop:
-        if not (np.isfinite(rates[0]).all() and np.isfinite(rates[1]).all()):
+        if not np.isfinite(rates).all():
             verdict = Verdict("blowup", state.t)
             break
         trial = SimState(state.t, state.u, state.v,
@@ -337,26 +372,43 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
             verdict = Verdict("dt_underflow", state.t)
             break
         state = result.state
-        rates = _log(series, state, result.dt_used, model, cfg, grid,
-                     functional)
+        rates = _log(series, state, result.dt_used, model, queue)
+        if row_size * len(queue) >= DIAGNOSTICS_BLOCK:
+            _fill_diagnostics(series, queue, cfg, grid, functional)
         _, sup_u, sup_v = series.rows[-1][:3]
         if not sup_u + sup_v <= cfg.blowup_threshold:
             verdict = Verdict("blowup", state.t)
             break
+    _fill_diagnostics(series, queue, cfg, grid, functional)
     series.final_state = state
     return series, verdict
 
 
-def _log(series, state, dt_used, model, cfg, grid, functional):
-    """Append the row of an accepted state; return the rates there, which
-    J and the next step both use."""
-    rates = model.rates(state.u, state.v)
-    L, I, J = lyapunov.diagnostics(functional, state, grid, cfg.a, cfg.b,
-                                   rates)
+def _log(series, state, dt_used, model, queue):
+    """Append the row of an accepted state, with L, I and J left to
+    ``_fill_diagnostics`` and the state queued for it; return the rates
+    there, stacked as one (2, n) array, which J and the next step both
+    use."""
+    rates = np.array(model.rates(state.u, state.v))
     sup_u, sup_v = sup_norm(state.u), sup_norm(state.v)
     violated = sup_u > series.u_bar0 or sup_v > series.v_bar0
     if violated and series.first_violation is None:
         series.first_violation = verify.monitor_bounds(
             state, series.u_bar0, series.v_bar0)
-    series.append(state.t, sup_u, sup_v, L, I, J, dt_used, violated)
+    series.append(state.t, sup_u, sup_v, None, None, None, dt_used, violated)
+    queue.append((len(series) - 1, (state.u, state.v), rates))
     return rates
+
+
+def _fill_diagnostics(series, queue, cfg, grid, functional):
+    """Fill in L, I and J of the queued rows with one
+    ``lyapunov.diagnostics_block`` call, and empty the queue."""
+    if not queue:
+        return
+    rows, fields, rates = zip(*queue)
+    L, I, J = lyapunov.diagnostics_block(functional, grid, cfg.a, cfg.b,
+                                         np.array(fields), np.array(rates))
+    for k, L_k, I_k, J_k in zip(rows, L.tolist(), I.tolist(), J.tolist()):
+        row = series.rows[k]
+        series.rows[k] = row[:3] + (L_k, I_k, J_k) + row[6:]
+    queue.clear()

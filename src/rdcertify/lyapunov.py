@@ -9,25 +9,33 @@ theta_i * theta_{i+2} / theta_{i+1}^2 = theta^2, the functional
     U = (u - u_bar0)_+,   V = (v - v_bar0)_+,
 
 vanishes exactly while the solution stays below the bounds and grows as
-soon as either field exceeds them.  Its formal time derivative splits
-into a dissipation part I (a weighted integral of the gradient
-quadratics T_i, nonpositive whenever theta^2 > (a+b)^2/(4ab)) and a
-reaction part J.  This module builds the weight sequence in the log
-domain (theta_i grows like theta^(i*(i-1)), far past double precision
-for large p), checks the structural conditions, and evaluates L, I, J
-as discrete diagnostics: I and J are reported up to one shared positive
-normalization constant (the weights are rescaled by their maximum), so
-their signs and zero sets are exact while their raw magnitudes, which
-carry no decision content, stay representable.
+soon as either field exceeds them.  Along a solution
 
-``diagnostics`` gives L, I and J of a state in one pass, with one gate:
-while the fields are finite, no node lies above its bound, every
-difference quotient squares to a finite number and a + b and the rates
-are finite, every term has a zero factor that meets no inf, so it
-returns L = 0.0, I = -0.0 (-p(p-1) times a zero integral, ``-0`` in the
-CSV) and J = 0.0 without the sums.  Otherwise it runs the full sums for
-all three, which keep their inf and NaN results.  The weights and
-binomials are computed once per ``FunctionalParams``.
+    dL/dt = kappa * (I + J) + K,   kappa = max_i theta_i,
+
+with a dissipation part I (a weighted integral of the gradient
+quadratics T_i, nonpositive whenever theta^2 > (a+b)^2/(4ab)), a
+reaction part J, and a level-set term K <= 0 from the crossings of
+u = u_bar0 and v = v_bar0, where the monomials theta_1 U V^(p-1) and
+theta_(p-1) U^(p-1) V are only continuous.  So dL/dt <= kappa (I + J),
+while I alone is not the dissipation rate.  This module builds the
+weight sequence in the log domain (theta_i grows like theta^(i*(i-1)),
+far past double precision for large p), checks the structural
+conditions, and evaluates L, I, J as discrete diagnostics: I and J are
+reported divided by kappa (the weights are rescaled by their maximum),
+so their signs and zero sets are exact while their raw magnitudes,
+which carry no decision content, stay representable.
+
+``diagnostics_block`` gives L, I and J of a block of states in one
+pass, with one gate per state: while the fields are finite, no node
+lies above its bound, every difference quotient squares to a finite
+number and a + b and the rates are finite, every term has a zero factor
+that meets no inf, so the state gets L = 0.0, I = -0.0 (-p(p-1) times a
+zero integral, ``-0`` in the CSV) and J = 0.0 without the sums.  The
+other states get the full sums of all three, as one block, which keep
+their inf and NaN results.  Each state's numbers are bit for bit those
+of ``diagnostics``, the same function on a block of one.  The weights
+and binomials are computed once per ``FunctionalParams``.
 """
 
 from __future__ import annotations
@@ -256,18 +264,18 @@ def quadratic_Ti(params: FunctionalParams, i: int, a: float, b: float,
 
 
 def _gradient(f: np.ndarray, h: float) -> np.ndarray:
-    # the differences np.gradient(f, h) takes, without its per-call set-up:
-    # central inside, one-sided at the two boundary nodes
+    # the differences np.gradient(f, h, axis=-1) takes, without its
+    # per-call set-up: central inside, one-sided at the two boundary nodes
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    out[0] = (f[1] - f[0]) / h
-    out[-1] = (f[-1] - f[-2]) / h
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    out[..., 0] = (f[..., 1] - f[..., 0]) / h
+    out[..., -1] = (f[..., -1] - f[..., -2]) / h
     return out
 
 
 def _sum_rows(terms: np.ndarray) -> np.ndarray:
-    """Add the rows one at a time, in order, to a row of +0.0."""
-    total = np.zeros(terms.shape[1])
+    """Add terms[0], terms[1], ... one at a time, in order, to +0.0."""
+    total = np.zeros(terms.shape[1:])
     for row in terms:
         total += row
     return total
@@ -287,57 +295,88 @@ def diagnostics(params: FunctionalParams, state, grid: Grid, a: float,
     with the weights divided by their maximum (one shared positive
     constant per parameter set, so the signs are exact); I is
     nonpositive for every state whenever the weight conditions hold.
+    This is ``diagnostics_block`` on a block of one state.
     """
-    u, v = as_field(state.u, grid), as_field(state.v, grid)
-    f, g = rates
-    # NaN propagates into min and max, and a difference quotient is at
-    # most (max - min) / spacing, so four reductions screen the fields
-    lo_u, hi_u, lo_v, hi_v = (float(x) for x in (u.min(), u.max(),
-                                                 v.min(), v.max()))
-    finite = all(map(math.isfinite, (lo_u, hi_u, lo_v, hi_v)))
-    # below the bounds every term has a zero factor; the sums give these
-    # signed zeros unless a zero factor meets an inf, which a slope that
-    # squares past double precision, a + b or the rates could bring
-    if (finite and hi_u <= params.u_bar0 and hi_v <= params.v_bar0
-            and max(hi_u - lo_u, hi_v - lo_v) / grid.spacing <= _SAFE_SLOPE
-            and math.isfinite(a + b)
-            and np.isfinite(f).all() and np.isfinite(g).all()):
-        return 0.0, -0.0, 0.0
+    fields = np.array([(as_field(state.u, grid), as_field(state.v, grid))])
+    stacked = np.empty_like(fields)
+    stacked[0, 0], stacked[0, 1] = rates
+    L, I, J = diagnostics_block(params, grid, a, b, fields, stacked)
+    return float(L[0]), float(I[0]), float(J[0])
+
+
+def diagnostics_block(params: FunctionalParams, grid: Grid, a: float,
+                      b: float, fields, rates) -> np.ndarray:
+    """Rows (L, I, J) of a block of k states: ``fields[j]`` is the pair
+    (u, v) of state j and ``rates[j]`` the pair (f, g) there, each of
+    shape (k, 2, n_nodes).
+
+    Every state gets the bits of ``diagnostics`` on that state alone:
+    every element goes through the same operations in the same order,
+    and the one power with an array of exponents (L's table U^i,
+    V^(p-i)) runs one inner loop per state and exponent, as for a single
+    state.
+    """
+    fields = np.asarray(fields, dtype=float)
+    rates = np.asarray(rates, dtype=float)
+    out = np.zeros((3, len(fields)))
+    out[1] = -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # NaN propagates into min and max, and a difference quotient is
+        # at most (max - min) / spacing, so two reductions screen a pair:
+        # a finite spread also says that both fields are finite
+        lo, hi = fields.min(axis=2), fields.max(axis=2)
+        # below the bounds every term has a zero factor; the sums give
+        # these signed zeros unless a zero factor meets an inf, which a
+        # slope that squares past double precision, a + b or the rates
+        # could bring
+        gated = ((hi - lo).max(axis=1) / grid.spacing <= _SAFE_SLOPE)
+        gated &= (hi <= (params.u_bar0, params.v_bar0)).all(axis=1)
+        gated &= np.isfinite(rates).all(axis=(1, 2)) & math.isfinite(a + b)
+    if gated.all():
+        return out
+    rows = np.flatnonzero(~gated)
+    L, I, J = out
+    u, v = fields[rows, 0], fields[rows, 1]
+    f, g = rates[rows, 0], rates[rows, 1]
+    finite = (np.isfinite(lo[rows]) & np.isfinite(hi[rows])).all(axis=1)
 
     p, binomials = params.p, params.binomials
     U = np.maximum(u - params.u_bar0, 0.0)
     V = np.maximum(v - params.v_bar0, 0.0)
-    L = math.inf
-    if finite:
+    L[rows] = math.inf
+    if finite.any():
+        Uf, Vf = U[finite, None], V[finite, None]
         i = np.arange(p + 1)[:, None]
         with np.errstate(over="ignore", invalid="ignore"):
             terms = (binomials[p][:, None] * params.weights[:, None]
-                     * U[None] ** i * V[None] ** (p - i))
+                     * Uf ** i * Vf ** (p - i))
         # 0^0 = 1 keeps the pure-U and pure-V monomials alive; 0 * inf
         # means a zero excursion.  The terms are then >= 0, summed largest
         # first.
         terms = np.where(np.isnan(terms), 0.0, terms)
-        L = integrate(_sum_rows(np.sort(terms, axis=0)[::-1]), grid)
+        ordered = np.sort(terms, axis=1)[:, ::-1]
+        L[rows[finite]] = integrate(_sum_rows(ordered.swapaxes(0, 1)), grid)
 
     # I and J share the rows U^i, V^i for i < p, each ``U ** i`` with an
     # int i (an array of exponents, as in L, can differ in the last bit),
     # and the flags with sgn(0) = 0, the positive-part derivative at the
-    # kink.  Row i of each array belongs to term i: every element goes
-    # through the operations of the term-by-term sum, in order.
+    # kink.  Axis 0 of each array is the term: every element goes through
+    # the operations of the term-by-term sum, in order.
     sU, sV = (U > 0.0).astype(float), (V > 0.0).astype(float)
-    th = params.normalized_weights[:, None]
+    th = params.normalized_weights[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         du, dv = _gradient(u, grid.spacing), _gradient(v, grid.spacing)
         Upow = np.array([U ** k for k in range(p)])
         Vpow = np.array([V ** k for k in range(p)])
         T = _quadratic(a, b, th[:-2], th[1:-1], th[2:], sU, sV, du, dv)
-        I_sum = _sum_rows(binomials[p - 2][:, None] * T
+        I_sum = _sum_rows(binomials[p - 2][:, None, None] * T
                           * Upow[:p - 1] * Vpow[p - 2::-1])
-        J_sum = _sum_rows(binomials[p - 1][:, None]
+        J_sum = _sum_rows(binomials[p - 1][:, None, None]
                           * (th[1:] * sU * f + th[:-1] * sV * g)
                           * Upow * Vpow[::-1])
-    return (L, float(-p * (p - 1) * integrate(I_sum, grid)),
-            float(p * integrate(J_sum, grid)))
+        I[rows] = -p * (p - 1) * integrate(I_sum, grid)
+        J[rows] = p * integrate(J_sum, grid)
+    return out
 
 
 # The three quantities one at a time.  Nothing in the library calls

@@ -86,8 +86,14 @@ def sup_norm(f) -> float:
     return float(np.max(np.abs(np.asarray(f, dtype=float))))
 
 
-def integrate(f, grid: Grid) -> float:
-    """Trapezoid-rule integral of a nodal field over [0, length]."""
-    f = as_field(f, grid)
-    h = grid.spacing
-    return float(h * (0.5 * (f[0] + f[-1]) + f[1:-1].sum()))
+def integrate(f, grid: Grid):
+    """Trapezoid-rule integral of a nodal field over [0, length]: a float,
+    or for a block of fields, one per row, the array of their integrals,
+    each summed as the field alone is."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim not in (1, 2) or f.shape[-1] != grid.n_nodes:
+        raise ValueError(f"field has shape {f.shape}, expected "
+                         f"({grid.n_nodes},) or (rows, {grid.n_nodes})")
+    total = grid.spacing * (0.5 * (f[..., 0] + f[..., -1])
+                            + f[..., 1:-1].sum(axis=-1))
+    return float(total) if f.ndim == 1 else total

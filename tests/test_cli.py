@@ -5,10 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rdcertify.cli as cli
 from rdcertify import verify
 from rdcertify.cli import (CSV_HEADER, ConfigError, cmd_check, cmd_run,
                            cmd_theta, main, parse_config_text)
-from rdcertify.integrator import SchemeConfig
+from rdcertify.integrator import SchemeConfig, run
 from rdcertify.kinetics import (BlowupExample, Combustion, Power,
                                 find_threshold_A)
 from rdcertify.lyapunov import build_params
@@ -504,6 +505,40 @@ def test_cmd_run_is_byte_deterministic(tmp_path):
     assert cmd_run(path1) == 2
     assert cmd_run(path2) == 2
     assert csv1.read_bytes() == csv2.read_bytes()
+
+
+# sha256 prefixes recorded before L, I and J were filled in by blocks of
+# rows and both fields were solved in one call: the float.hex of every
+# series row (all eight columns, also the rows the CSV leaves out), then
+# the CSV and the report bytes, with the exit code
+PINNED_SHIPPED_RUNS = {
+    "absorption_decay": (3, "4463ef77554bc1d2", "cedef440", "8f9c7495"),
+    "combustion_bump": (0, "5fc83878f96d3ea1", "a3c025b8", "30a7b415"),
+    "blowup": (2, "874df256f649470d", "8e7f9915", "a2f2a189"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHIPPED_RUNS))
+def test_shipped_config_rows_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("RD_CERTIFY_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    runs = []
+
+    def recording_run(*args):
+        runs.append(run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    code = cmd_run(CONFIGS / f"{name}.ini")
+    capsys.readouterr()
+    (series, _), = runs
+    rows = "\n".join(",".join(float(x).hex() for x in row)
+                     for row in series.rows)
+    digests = [hashlib.sha256(data).hexdigest() for data in (
+        rows.encode(), (tmp_path / f"{name}.csv").read_bytes(),
+        (tmp_path / f"{name}_report.txt").read_bytes())]
+    assert (code, digests[0][:16], digests[1][:8], digests[2][:8]) == \
+        PINNED_SHIPPED_RUNS[name]
 
 
 # ---------------------------------------------------------------------------

@@ -464,14 +464,16 @@ class CountingBlowup(CountingRates, BlowupExample):
 def test_rates_calls_per_row_and_trial(case, monkeypatch):
     # One rates call per logged row, shared by J and the next step, plus
     # three per trial for the later substeps of levels 2 and 3; every
-    # trial here runs all six substeps, so it costs exactly 12 solves.
-    solves = []
+    # trial here runs all six substeps, each one solve of both fields, so
+    # it solves exactly 12 fields.
+    fields = []
+    solve = integrator._solve
 
-    def counting_solve(*args):
-        solves.append(1)
-        return solve_diffusion_implicit(*args)
+    def counting_solve(band, rhs):
+        fields.append(len(rhs))
+        return solve(band, rhs)
 
-    monkeypatch.setattr(integrator, "solve_diffusion_implicit", counting_solve)
+    monkeypatch.setattr(integrator, "_solve", counting_solve)
     if case == "completed":
         grid = Grid(21, 1.0)
         u0, v0 = np.ones(21), np.full(21, 0.5)
@@ -495,8 +497,8 @@ def test_rates_calls_per_row_and_trial(case, monkeypatch):
         assert verdict.t == series.t[-1]
     if case == "overflow":          # rates overflow at t = 0: no step lands
         assert len(series) == 1 and verdict.t == 0.0
-    assert len(solves) % 12 == 0
-    trials = len(solves) // 12
+    assert set(fields) <= {2} and sum(fields) % 12 == 0
+    trials = sum(fields) // 12
     assert trials >= len(series) - 1
     assert model.calls == len(series) + 3 * trials
 

@@ -8,7 +8,8 @@ import pytest
 from rdcertify.integrator import SimState
 from rdcertify.kinetics import BlowupExample, Combustion
 from rdcertify.lyapunov import (FunctionalParams, build_params,
-                                check_conditions, diagnostics, dissipation_I,
+                                check_conditions, diagnostics,
+                                diagnostics_block, dissipation_I,
                                 lyapunov_L, quadratic_Ti, reaction_J)
 from rdcertify.mesh import Grid, ParamError
 
@@ -611,3 +612,48 @@ def test_diagnostics_matches_the_three_functions(case, p):
         lines.append(" ".join(x.hex() for x in fused))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
     assert digest == PINNED_DIAGNOSTICS[case, p]
+
+
+@pytest.mark.parametrize("n", [3, 31, 33, 2001])
+@pytest.mark.parametrize("p", [2, 3, 4, 8])
+def test_diagnostics_block_rows_match_one_state_calls(p, n):
+    # a block mixes gated rows, rows above the bounds, rows with an inf or
+    # NaN field and rows whose rates are not finite; each row of the block
+    # keeps the bits of the one-state call.  A row above the bounds at one
+    # node only lets one node's rounding reach L.
+    grid = Grid(n, 1.0)
+    rng = np.random.default_rng(100 * p + n)
+    params = build_params(0.7, 2.5, 0.5, 0.0, p, ZEROS, ZEROS)
+    params = dataclasses.replace(params, u_bar0=1.0, v_bar0=1.0)
+    kinds = ["below", "above", "one_node_above", "inf_field", "nan_field",
+             "nonfinite_rates", "above_nonfinite_rates"] * 3
+    kinds += ["one_node_above"] * 30
+    rng.shuffle(kinds)
+    fields, rates = [], []
+    for kind in kinds:
+        u = rng.uniform(0.0, 3.0, n)
+        v = rng.uniform(0.0, 3.0, n)
+        node = int(rng.integers(n))
+        if kind in ("below", "nonfinite_rates", "one_node_above"):
+            u, v = u / 3.0, v / 3.0
+        if kind == "one_node_above":
+            u[node] += 1.0
+            v[node] += 1.0
+        if kind == "inf_field":
+            u[node] = math.inf
+        elif kind == "nan_field":
+            v[node] = math.nan
+        f, g = BlowupExample().rates(u, v)
+        if kind.endswith("nonfinite_rates"):
+            (f if rng.uniform() < 0.5 else g)[node] = rng.choice(
+                [math.inf, -math.inf, math.nan])
+        fields.append((u, v))
+        rates.append((f, g))
+    block = diagnostics_block(params, grid, 0.7, 2.5, np.array(fields),
+                              np.array(rates))
+    assert block.shape == (3, len(kinds))
+    for j, ((u, v), row_rates) in enumerate(zip(fields, rates)):
+        alone = diagnostics(params, SimState(0.0, u, v, 1e-3), grid, 0.7,
+                            2.5, row_rates)
+        assert [x.hex() for x in block[:, j].tolist()] == \
+            [x.hex() for x in alone], kinds[j]
