@@ -36,4 +36,4 @@ print("  t        sup_v        1/(1-t/2)    dt")
 for frac in (0.0, 0.5, 0.8, 0.95, 0.999):
     k = int(frac * (len(series) - 1))
     print(f"  {t[k]:.5f}  {series.sup_v[k]:.5e}  "
-          f"{1.0 / (1.0 - t[k] / 2.0):.5e}  {series.column('dt')[k]:.2e}")
+          f"{1.0 / (1.0 - t[k] / 2.0):.5e}  {series.dt[k]:.2e}")

@@ -63,16 +63,17 @@ import functools
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import kinetics, lyapunov, verify
-from .integrator import SchemeConfig, Verdict, run
+from .integrator import SchemeConfig, TimeSeries, Verdict, run
 from .mesh import Grid, ParamError
 
-CSV_HEADER = "t,sup_u,sup_v,L,I,J,dt,bound_violation"
+# t,sup_u,sup_v,L,I,J,dt,bound_violation: the series' columns, in order
+CSV_HEADER = ",".join(f.name for f in fields(TimeSeries) if not f.kw_only)
 CHECK_N_PER_AXIS = 64
 EXIT_CODES = {"blowup": 2, "dt_underflow": 4}     # run's other verdicts
 
@@ -90,6 +91,7 @@ _CONFIG_KEYS = {
     "n_nodes": "grid.n_nodes", "length": "grid.length",
     "a": "scheme.a", "b": "scheme.b", "t_end": "scheme.t_end",
     "dt_min": "scheme.dt_min", "dt_init": "scheme.dt_init",
+    "dt_max": "scheme.dt_max",
     "rtol": "scheme.rtol", "blowup_threshold": "scheme.blowup_threshold",
     "p": "functional.p", "theta": "functional.theta",
     "mu": "model.claimed_mu",
@@ -349,10 +351,10 @@ def write_csv(series, path, log_every: int):
     if idx and idx[-1] != n - 1:
         idx.append(n - 1)
     lines = [CSV_HEADER]
-    for i in idx:
-        t, su, sv, L, I, J, dt, flag = series.rows[i]
-        lines.append(",".join([_fmt(t), _fmt(su), _fmt(sv), _fmt(L),
-                               _fmt(I), _fmt(J), _fmt(dt), str(int(flag))]))
+    columns = [getattr(series, name)[idx].tolist()
+               for name in CSV_HEADER.split(",")]
+    for *numbers, flag in zip(*columns):
+        lines.append(",".join([*map(_fmt, numbers), str(int(flag))]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -28,18 +28,17 @@ three verdicts, all decided by ``run``:
 * ``completed``   -- reached t_end;
 * ``blowup``      -- the kinetics are not finite at the current state
                      (double-exponential reactions overflow long before
-                     any threshold on the fields themselves), or the row
-                     of an accepted state has sup_u + sup_v above the
+                     any threshold on the fields themselves), or a
+                     stepped-to state has sup_u + sup_v above the
                      divergence threshold M, or not finite;
 * ``dt_underflow``-- halving would push dt below dt_min.
 
-Each accepted state is looked at once, when ``run`` logs its row: the
-sup norms, the flag for the sup-norm bound, sup_u > u_bar0 or
-sup_v > v_bar0, and the first bound violation at once, since the
-verdicts read them; L, I and J, which no verdict reads, come from one
-``lyapunov.diagnostics_block`` call per block of queued rows.  The
-divergence verdict, the first bound violation and the claim report are
-all read from those rows.
+Each accepted state is looked at once, by ``run``: its sup norms and
+the first bound violation at once, since the verdicts read them; L, I
+and J, which no verdict reads, from one ``lyapunov.diagnostics_block``
+call per block of queued states.  ``run`` returns the columns as one
+``TimeSeries``, built when the run ends; the claim report is read from
+those columns.
 
 Accepted states are kept nonnegative: values in (-1e-12, 0) are clamped
 to zero and anything below -1e-12 rejects the step.  This guard can be
@@ -49,7 +48,7 @@ runs with signed data, e.g. pure-diffusion convergence studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -61,9 +60,9 @@ from .mesh import (Grid, ParamError, as_field, check_finite_data,
 
 NEGATIVITY_TOL = 1e-12
 
-# the queued rows' L, I and J are filled in once the rows hold this many
-# elements of L's power table, (p + 1) * n_nodes each: 27 rows at p = 4,
-# n = 31, and one row per block from (p + 1) * n_nodes >= 4096 on
+# L, I and J of the queued states are computed once the states hold this
+# many elements of L's power table, (p + 1) * n_nodes each: 27 states at
+# p = 4, n = 31, and one state per block from (p + 1) * n_nodes >= 4096 on
 DIAGNOSTICS_BLOCK = 4096
 
 _gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
@@ -87,6 +86,9 @@ class SchemeConfig:
         check_positive(a=self.a, b=self.b, t_end=self.t_end)
         if not self.dt_min > 0:
             raise ParamError("dt_min", f"dt_min must be > 0, got {self.dt_min}")
+        if not self.dt_max >= self.dt_min:
+            raise ParamError("dt_max", "dt_max must be >= dt_min, got "
+                             f"{self.dt_max}, {self.dt_min}")
         if not self.dt_min <= self.dt_init <= self.dt_max:
             raise ParamError("dt_init", f"need dt_min <= dt_init <= dt_max, got "
                              f"{self.dt_min}, {self.dt_init}, {self.dt_max}")
@@ -138,53 +140,39 @@ class Verdict:
     t: float | None = None     # divergence / underflow time
 
 
-@dataclass
+@dataclass(eq=False)      # == on array fields has no single truth value
 class TimeSeries:
-    """One row per accepted state (t, sup_u, sup_v, L, I, J, dt, violation
-    flag), plus the first bound violation: the first node over its bound
-    in the first flagged row."""
+    """The columns of a run, one entry per accepted state: t, sup_u,
+    sup_v, L, I, J, the step dt taken to reach it, and the flag
+    sup_u > u_bar0 or sup_v > v_bar0.  The positional fields are the
+    columns in CSV order (``cli.CSV_HEADER`` is built from them); the
+    keyword fields are the bounds, the first bound violation (the first
+    node over its bound in the first flagged state) and the final
+    state."""
 
+    t: np.ndarray
+    sup_u: np.ndarray
+    sup_v: np.ndarray
+    L: np.ndarray
+    I: np.ndarray
+    J: np.ndarray
+    dt: np.ndarray
+    bound_violation: np.ndarray
+    _: KW_ONLY
     u_bar0: float
     v_bar0: float
-    rows: list = field(default_factory=list)
     first_violation: verify.BoundEvent | None = None
     final_state: SimState | None = None
 
-    COLUMNS = ("t", "sup_u", "sup_v", "L", "I", "J", "dt", "bound_violation")
-
-    def append(self, t, sup_u, sup_v, L, I, J, dt, violated: bool):
-        self.rows.append((t, sup_u, sup_v, L, I, J, dt, bool(violated)))
-
     def __len__(self):
-        return len(self.rows)
-
-    def column(self, name: str) -> np.ndarray:
-        idx = self.COLUMNS.index(name)
-        return np.array([row[idx] for row in self.rows])
+        return len(self.t)
 
     @property
-    def t(self):
-        return self.column("t")
-
-    @property
-    def sup_u(self):
-        return self.column("sup_u")
-
-    @property
-    def sup_v(self):
-        return self.column("sup_v")
-
-    @property
-    def L(self):
-        return self.column("L")
-
-    @property
-    def I(self):
-        return self.column("I")
-
-    @property
-    def J(self):
-        return self.column("J")
+    def rows(self) -> list[tuple]:
+        # kept only because bench/tracer.py:164 reads series.rows
+        # (lyapunov.zero_rows_frac); nothing in the library does
+        return list(zip(*(getattr(self, f.name).tolist()
+                          for f in fields(self) if not f.kw_only)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,84 +319,78 @@ def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
 
 def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
         functional: lyapunov.FunctionalParams):
-    """Integrate from (u0, v0) until t_end, blow-up, or dt underflow.
+    """Integrate from (u0, v0) until t_end, blow-up, or dt underflow, and
+    return the ``TimeSeries`` of every accepted state with the verdict.
 
-    Every accepted state is logged as one row: sup norms, the functional
-    L, the dissipation and reaction diagnostics I and J, the step size
-    taken, and the flag ``sup_u > u_bar0 or sup_v > v_bar0``.  The first
-    flagged row is scanned once for the first offending node.  L, I and
-    J, which no verdict reads, are filled in a block of rows at a time
-    (``DIAGNOSTICS_BLOCK``), and for the last rows before the return.
-    Every verdict is decided here: ``blowup`` at the current t when the
-    kinetics there are not finite, ``dt_underflow`` at it when the step
-    lands no state, and ``blowup`` at a row's t when its ``sup_u +
-    sup_v`` is above the threshold or not finite.  Identical inputs
-    produce a bit-identical series.  A grid too fine for the diffusion
-    solve raises ParamError naming ``length``, and initial data that is
-    not finite, or negative while positivity is enforced, one naming
-    ``u0`` or ``v0``.
+    Each accepted state is looked at once: its rates (which J and the
+    next step both use), its sup norms and, until the first bound
+    violation is found, whether it is one.  L, I and J, which no verdict
+    reads, come a block of states at a time (``DIAGNOSTICS_BLOCK``).
+    The series is built once, when the run ends; its flag column is the
+    rule ``sup_u > u_bar0 or sup_v > v_bar0`` taken on the sup-norm
+    columns.  Every verdict is decided here: ``blowup`` at a stepped-to
+    state's t when its ``sup_u + sup_v`` is above the threshold or not
+    finite, ``blowup`` at the current t when the kinetics there are not
+    finite, and ``dt_underflow`` at it when the step lands no state.
+    Identical inputs produce a bit-identical series.  A grid too fine
+    for the diffusion solve raises ParamError naming ``length``, and
+    initial data that is not finite, or negative while positivity is
+    enforced, one naming ``u0`` or ``v0``.
     """
     u = as_field(u0, grid).copy()
     v = as_field(v0, grid).copy()
     cfg.check_grid(grid)
     cfg.check_initial_data(u, v)
 
-    series = TimeSeries(functional.u_bar0, functional.v_bar0)
-    state = SimState(0.0, u, v, cfg.dt_init)
-    queue = []
-    rates = _log(series, state, cfg.dt_init, model, queue)
+    u_bar0, v_bar0 = functional.u_bar0, functional.v_bar0
     row_size = (functional.p + 1) * grid.n_nodes
-
     t_stop = cfg.t_end * (1.0 - 1e-12)
-    verdict = Verdict("completed")
-    while state.t < t_stop:
-        if not np.isfinite(rates).all():
-            verdict = Verdict("blowup", state.t)
-            break
-        trial = SimState(state.t, state.u, state.v,
-                         min(state.dt, cfg.t_end - state.t))
-        result = step_imex(trial, model, cfg, grid, rates)
-        if result.state is None:
-            verdict = Verdict("dt_underflow", state.t)
-            break
-        state = result.state
-        rates = _log(series, state, result.dt_used, model, queue)
+    state, dt_used = SimState(0.0, u, v, cfg.dt_init), cfg.dt_init
+    ts, sups, dts, queue, diagnostics = [], [], [], [], []
+    first_violation = verdict = None
+    while verdict is None:
+        rates = np.array(model.rates(state.u, state.v))
+        sup_u, sup_v = sup_norm(state.u), sup_norm(state.v)
+        ts.append(state.t)
+        sups.append((sup_u, sup_v))
+        dts.append(dt_used)
+        if first_violation is None and (sup_u > u_bar0 or sup_v > v_bar0):
+            first_violation = verify.monitor_bounds(state, u_bar0, v_bar0)
+        queue.append(((state.u, state.v), rates))
         if row_size * len(queue) >= DIAGNOSTICS_BLOCK:
-            _fill_diagnostics(series, queue, cfg, grid, functional)
-        _, sup_u, sup_v = series.rows[-1][:3]
-        if not sup_u + sup_v <= cfg.blowup_threshold:
+            diagnostics.append(_diagnostics(queue, cfg, grid, functional))
+
+        # the threshold judges the states a step reached, not the data
+        if len(ts) > 1 and not sup_u + sup_v <= cfg.blowup_threshold:
             verdict = Verdict("blowup", state.t)
-            break
-    _fill_diagnostics(series, queue, cfg, grid, functional)
-    series.final_state = state
+        elif not state.t < t_stop:
+            verdict = Verdict("completed")
+        elif not np.isfinite(rates).all():
+            verdict = Verdict("blowup", state.t)
+        else:
+            trial = SimState(state.t, state.u, state.v,
+                             min(state.dt, cfg.t_end - state.t))
+            result = step_imex(trial, model, cfg, grid, rates)
+            if result.state is None:
+                verdict = Verdict("dt_underflow", state.t)
+            else:
+                state, dt_used = result.state, result.dt_used
+
+    if queue:
+        diagnostics.append(_diagnostics(queue, cfg, grid, functional))
+    sup_u, sup_v = np.array(sups).T
+    series = TimeSeries(np.array(ts), sup_u, sup_v,
+                        *np.concatenate(diagnostics, axis=1), np.array(dts),
+                        (sup_u > u_bar0) | (sup_v > v_bar0),
+                        u_bar0=u_bar0, v_bar0=v_bar0,
+                        first_violation=first_violation, final_state=state)
     return series, verdict
 
 
-def _log(series, state, dt_used, model, queue):
-    """Append the row of an accepted state, with L, I and J left to
-    ``_fill_diagnostics`` and the state queued for it; return the rates
-    there, stacked as one (2, n) array, which J and the next step both
-    use."""
-    rates = np.array(model.rates(state.u, state.v))
-    sup_u, sup_v = sup_norm(state.u), sup_norm(state.v)
-    violated = sup_u > series.u_bar0 or sup_v > series.v_bar0
-    if violated and series.first_violation is None:
-        series.first_violation = verify.monitor_bounds(
-            state, series.u_bar0, series.v_bar0)
-    series.append(state.t, sup_u, sup_v, None, None, None, dt_used, violated)
-    queue.append((len(series) - 1, (state.u, state.v), rates))
-    return rates
-
-
-def _fill_diagnostics(series, queue, cfg, grid, functional):
-    """Fill in L, I and J of the queued rows with one
-    ``lyapunov.diagnostics_block`` call, and empty the queue."""
-    if not queue:
-        return
-    rows, fields, rates = zip(*queue)
-    L, I, J = lyapunov.diagnostics_block(functional, grid, cfg.a, cfg.b,
-                                         np.array(fields), np.array(rates))
-    for k, L_k, I_k, J_k in zip(rows, L.tolist(), I.tolist(), J.tolist()):
-        row = series.rows[k]
-        series.rows[k] = row[:3] + (L_k, I_k, J_k) + row[6:]
+def _diagnostics(queue, cfg, grid, functional) -> np.ndarray:
+    """The (3, k) rows L, I and J of the k queued states, from one
+    ``lyapunov.diagnostics_block`` call; the queue is emptied."""
+    states, rates = zip(*queue)
     queue.clear()
+    return lyapunov.diagnostics_block(functional, grid, cfg.a, cfg.b,
+                                      np.array(states), np.array(rates))

@@ -15,8 +15,8 @@ kinetics overflow are counted as indeterminate, never as passes.
 
 The candidate bounds (u_bar0, v_bar0) are sup-norm bounds:
 ||u(t)||_inf <= u_bar0 and ||v(t)||_inf <= v_bar0.  A run flags each
-row whose sup norms break them, and calls ``monitor_bounds`` once, on
-the first flagged row's state, for the first offending node.
+state whose sup norms break them, and calls ``monitor_bounds`` once, on
+the first flagged state, for the first offending node.
 ``assemble_claim_report`` folds the run's series into a machine-readable
 verdict on whether the bounds held.
 """
@@ -291,17 +291,14 @@ class ClaimReport:
 def assemble_claim_report(series) -> ClaimReport:
     """Fold a run's series into a ClaimReport.
 
-    The per-field flags come from the logged sup norms against the
-    bounds stored on the series, the rule that sets each row's flag;
-    the first violation is the one the series recorded.
+    The per-field flags come from the sup-norm columns against the
+    bounds stored on the series, the rule of its flag column; the first
+    violation is the one the series recorded.
     """
-    sup_u = series.sup_u
-    sup_v = series.sup_v
     with np.errstate(invalid="ignore"):
-        bound_u_held = not bool(np.any(sup_u > series.u_bar0))
-        bound_v_held = not bool(np.any(sup_v > series.v_bar0))
-        J = series.J
-        signs = np.sign(J)
+        bound_u_held = not bool(np.any(series.sup_u > series.u_bar0))
+        bound_v_held = not bool(np.any(series.sup_v > series.v_bar0))
+        signs = np.sign(series.J)
     return ClaimReport(
         bound_u_held=bound_u_held,
         bound_v_held=bound_v_held,

@@ -254,9 +254,9 @@ def test_criterion_7_claim_measurement_fidelity(ode_agreement_runs):
         frac = (1.0 - ys[i - 1, 1]) / (ys[i, 1] - ys[i - 1, 1])
         t_ode = ts[i - 1] + frac * (ts[i] - ts[i - 1])
     violation = claim.first_violation
-    rows_flagged = np.flatnonzero(series.column("bound_violation"))
+    rows_flagged = np.flatnonzero(series.bound_violation)
     first_row = int(rows_flagged[0])
-    dt_at_violation = float(series.column("dt")[first_row])
+    dt_at_violation = float(series.dt[first_row])
     l_positive_rows = np.flatnonzero(series.L > 0.0)
     report(7, [
         ("a v-bound violation was recorded",

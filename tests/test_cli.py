@@ -378,6 +378,11 @@ def test_cmd_run_config_error_exit_one(tmp_path, capsys):
     ("scheme.b", "b = 2.0", "b = -2.0"),
     ("scheme.dt_min", "t_end = 0.5", "t_end = 0.5\ndt_min = 0"),
     ("scheme.dt_init", "t_end = 0.5", "t_end = 0.5\ndt_init = 1.0"),
+    # dt_max below dt_min, or NaN, is named itself; a dt_max between
+    # dt_min and dt_init names dt_init
+    ("scheme.dt_max", "t_end = 0.5", "t_end = 0.5\ndt_max = nan"),
+    ("scheme.dt_max", "t_end = 0.5", "t_end = 0.5\ndt_max = 0"),
+    ("scheme.dt_init", "t_end = 0.5", "t_end = 0.5\ndt_max = 1e-4"),
     ("scheme.rtol", "t_end = 0.5", "t_end = 0.5\nrtol = 0"),
     ("scheme.blowup_threshold", "t_end = 0.5",
      "t_end = 0.5\nblowup_threshold = -1"),

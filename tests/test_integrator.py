@@ -512,6 +512,7 @@ def test_scheme_config_validation():
         SchemeConfig(a=1.0, b=1.0, t_end=1.0, dt_init=1.0, dt_max=0.1)
     with pytest.raises(ValueError):
         SchemeConfig(a=1.0, b=1.0, t_end=1.0, rtol=0.0)
+    SchemeConfig(a=1.0, b=1.0, t_end=1.0, dt_max=np.inf)
 
 
 @pytest.mark.parametrize("length", [1e-155, 1e-7])

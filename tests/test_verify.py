@@ -203,11 +203,8 @@ def test_monitor_bounds_scan_order():
 # ---------------------------------------------------------------------------
 
 def series_with(rows, first_violation=None, u_bar0=1.0, v_bar0=1.0):
-    s = TimeSeries(u_bar0, v_bar0)
-    for row in rows:
-        s.append(*row)
-    s.first_violation = first_violation
-    return s
+    return TimeSeries(*map(np.array, zip(*rows)), u_bar0=u_bar0,
+                      v_bar0=v_bar0, first_violation=first_violation)
 
 
 def test_assemble_claim_report_clean_run():
@@ -263,7 +260,7 @@ def test_run_flags_agree_with_the_claim_report(enforce_positivity):
     series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
                           build_params(1.0, 1.0, 0.5, 0.0, 4, u0, v0))
     assert verdict.kind == "completed"
-    flags = np.array([row[-1] for row in series.rows])
+    flags = series.bound_violation
     assert np.array_equal(flags, (series.sup_u > series.u_bar0)
                           | (series.sup_v > series.v_bar0))
     assert flags.any()
