@@ -48,11 +48,14 @@ runs with signed data, e.g. pure-diffusion convergence studies.
 
 from __future__ import annotations
 
+import os
 from dataclasses import KW_ONLY, dataclass, fields
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from . import lyapunov, verify
 from .mesh import (Grid, ParamError, as_field, check_finite_data,
@@ -65,7 +68,24 @@ NEGATIVITY_TOL = 1e-12
 # p = 4, n = 31, and one state per block from (p + 1) * n_nodes >= 4096 on
 DIAGNOSTICS_BLOCK = 4096
 
-_gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
+
+def _load_gtsv():
+    """LAPACK ``dgtsv`` from scipy's f2py extension ``_flapack``: the
+    wrapper ``scipy.linalg.get_lapack_funcs(("gtsv",), np.float64)``
+    returns, loaded without running ``scipy.linalg``'s package
+    ``__init__``.  That import pulls in numpy.f2py, numpy.testing and
+    numpy.ma through scipy's array-API layer, none of which is used
+    here, and costs about half of every command's start-up."""
+    name = "scipy.linalg._flapack"
+    spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ImportError(f"cannot find {name}", name=name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dgtsv
+
+
+_gtsv = _load_gtsv()
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+# loaded on import, not inside a command's timed path
+from numpy.polynomial.polynomial import polyval
 
 from .mesh import ParamError
 
@@ -118,7 +120,7 @@ class DoubleExpMinusPoly(GrowthFunction):
             raise ValueError(f"coeffs must be finite, got {self.coeffs}")
 
     def _poly(self, s):
-        return np.polynomial.polynomial.polyval(s, self.coeffs)
+        return polyval(s, self.coeffs)
 
     def value(self, s):
         s = np.asarray(s, dtype=float)

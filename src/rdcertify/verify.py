@@ -28,6 +28,8 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+# loaded on import, not inside a command's timed path
+from numpy.random import default_rng
 
 from .mesh import ParamError
 
@@ -85,7 +87,7 @@ def sample_box(model, edge: float, n_per_axis: int,
         raise ValueError(f"n_per_axis must be >= 2, got {n_per_axis}")
     n, seed = int(n_per_axis), int(seed)
     axis = np.linspace(0.0, edge, n)
-    rand = np.random.default_rng(seed).uniform(0.0, edge, size=(n * n, 2))
+    rand = default_rng(seed).uniform(0.0, edge, size=(n * n, 2))
     u = np.concatenate([np.tile(axis, n), rand[:, 0]])
     v = np.concatenate([np.repeat(axis, n), rand[:, 1]])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 import rdcertify.integrator as integrator
 from rdcertify.integrator import (SchemeConfig, SimState, TimeSeries, Verdict,
@@ -85,6 +85,12 @@ def test_diffusion_solve_bit_identical_to_solve_banded(n):
         expect = solve_banded((1, 1), ab, f - f[0]) + f[0]
         assert np.array_equal(solve_diffusion_implicit(f, coeff, dt, grid),
                               expect)
+
+
+def test_diffusion_solve_is_scipys_gtsv_wrapper():
+    # loaded without scipy.linalg's package init, but the same object
+    gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
+    assert integrator._gtsv is gtsv
 
 
 def test_diffusion_solve_validates_arguments():

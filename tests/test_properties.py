@@ -1,9 +1,11 @@
-"""Property tests: the sign of I, positivity of a step, and the monotone
+"""Property tests: the sign of I, the sign of the J integrand, the θ²
+condition, positivity and mass balance of a step, and the monotone
 structure of the sampled mass-control check, over drawn inputs.
 
 The draws are derandomized, so every run tries the same examples.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,11 +16,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rdcertify.integrator import SchemeConfig, SimState, step_imex
+from rdcertify.integrator import (NEGATIVITY_TOL, SchemeConfig, SimState,
+                                  step_imex)
 from rdcertify.kinetics import (Absorption, BlowupExample, Combustion, Exp,
                                 ReactionModel)
 from rdcertify.lyapunov import build_params, check_conditions, diagnostics
-from rdcertify.mesh import Grid
+from rdcertify.mesh import Grid, integrate
 from rdcertify.verify import check_mass_control, sample_box, search_mu
 
 PROPERTIES = settings(derandomize=True, database=None, deadline=None,
@@ -39,8 +42,8 @@ def nodal(n, lo, hi):
 # I <= 0 whenever the weight conditions hold
 # ---------------------------------------------------------------------------
 
-@st.composite
-def functional_and_state(draw):
+def draw_functional(draw):
+    """(a, b, params, n): weights for constant initial data on n nodes."""
     a, b = draw(positive(1e-2, 1e2)), draw(positive(1e-2, 1e2))
     p = draw(st.integers(2, 8))
     # theta^2 = (1 + delta) (a+b)^2/(4ab), so theta^2 > the bound > 1
@@ -50,7 +53,12 @@ def functional_and_state(draw):
     n = draw(st.integers(3, 12))
     u0 = np.full(n, draw(st.floats(0.0, 2.0)))
     v0 = np.full(n, draw(st.floats(0.0, 2.0)))
-    params = build_params(a, b, mu, C, p, u0, v0, theta=theta)
+    return a, b, build_params(a, b, mu, C, p, u0, v0, theta=theta), n
+
+
+@st.composite
+def functional_and_state(draw):
+    a, b, params, n = draw_functional(draw)
     # excursions of up to 5 past each bound, clipped at 0
     u = np.maximum(params.u_bar0 + draw(nodal(n, -2.0, 5.0)), 0.0)
     v = np.maximum(params.v_bar0 + draw(nodal(n, -2.0, 5.0)), 0.0)
@@ -67,6 +75,49 @@ def test_dissipation_is_nonpositive(drawn):
     _, I, _ = diagnostics(params, state, grid, a, b,
                           Combustion(1).rates(u, v))
     assert I <= 0.0
+
+
+@st.composite
+def functional_above_bounds(draw):
+    """Valid weights and a state with both fields above their bounds at
+    every node, with rates that have the control-of-mass structure
+    f <= f + mu g <= 0 there.  The bounds are at least C, so the state
+    lies in the region u + v >= C where the structure is claimed."""
+    a, b, params, n = draw_functional(draw)
+    u = params.u_bar0 + draw(nodal(n, 1e-3, 5.0))
+    v = params.v_bar0 + draw(nodal(n, 1e-3, 5.0))
+    g = draw(nodal(n, 0.0, 10.0))
+    f = -params.mu * g - draw(nodal(n, 0.0, 10.0))
+    return a, b, params, Grid(n, draw(positive(0.1, 10.0))), u, v, f, g
+
+
+@PROPERTIES
+@given(functional_above_bounds())
+def test_reaction_integrand_is_nonpositive_above_both_bounds(drawn):
+    # theta_{i+1} f + theta_i g <= theta_{i+1} (f + mu g) <= 0 term by
+    # term, since theta_i / theta_{i+1} < mu and g >= 0: so J <= 0 for a
+    # state whose every node lies in the set
+    a, b, params, grid, u, v, f, g = drawn
+    assume(check_conditions(params, a, b).passed)
+    _, _, J = diagnostics(params, SimState(0.0, u, v, 1e-3), grid, a, b,
+                          (f, g))
+    assert J <= 0.0
+
+
+@PROPERTIES
+@given(a=positive(1e-2, 1e2), b=positive(1e-2, 1e2), p=st.integers(2, 8),
+       mu=positive(1e-3, 10.0), delta=positive(1e-12, 0.5),
+       above=st.booleans())
+def test_conditions_fail_once_theta_sq_crosses_its_bound(a, b, p, mu, delta,
+                                                         above):
+    data = np.ones(3)
+    params = build_params(a, b, mu, 0.0, p, data, data)
+    bound = check_conditions(params, a, b).theta_sq_bound
+    theta = math.sqrt(bound * (1.0 + delta if above else 1.0 - delta))
+    # build_params refuses such a theta; check_conditions judges any
+    report = check_conditions(dataclasses.replace(params, theta=theta), a, b)
+    assert report.theta_condition_ok == above
+    assert report.passed == above
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +142,28 @@ def test_step_from_nonnegative_data_is_nonnegative(model, n, data, a, b,
     if result.state is not None:
         assert result.state.u.min() >= 0.0
         assert result.state.v.min() >= 0.0
+
+
+@PROPERTIES
+@given(m=st.integers(1, 3), n=st.integers(3, 16), data=st.data(),
+       a=positive(1e-2, 1e2), b=positive(1e-2, 1e2),
+       length=positive(0.1, 10.0), dt=positive(1e-6, 0.1),
+       rtol=positive(1e-8, 1e-2))
+def test_combustion_step_keeps_the_mass(m, n, data, a, b, length, dt, rtol):
+    # f + g = 0, and the Neumann backward-Euler solve keeps the trapezoid
+    # integral of each field: the mass of u + v changes by round-off and
+    # by the clamp of values in (-NEGATIVITY_TOL, 0) to zero
+    u = data.draw(nodal(n, 0.0, 3.0))
+    v = data.draw(nodal(n, 0.0, 3.0))
+    model, grid = Combustion(m), Grid(n, length)
+    cfg = SchemeConfig(a=a, b=b, t_end=1.0, dt_init=dt, rtol=rtol)
+    result = step_imex(SimState(0.0, u, v, dt), model, cfg, grid,
+                       model.rates(u, v))
+    assume(result.state is not None)
+    m0 = integrate(u + v, grid)
+    m1 = integrate(result.state.u + result.state.v, grid)
+    eps = np.finfo(float).eps
+    assert abs(m1 - m0) <= 64 * n * eps * m0 + NEGATIVITY_TOL * length
 
 
 # ---------------------------------------------------------------------------
