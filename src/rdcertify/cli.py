@@ -7,13 +7,20 @@ sections are::
     [model]      kind = combustion | absorption | blowup_example
                  m (combustion), F, G, lam (absorption),
                  claimed_C, claimed_mu (optional overrides)
-    [grid]       n_nodes, length
-    [scheme]     a, b, t_end; optional dt_init, dt_min, dt_max, rtol,
-                 blowup_threshold, enforce_positivity
+    [grid]       the fields of Grid: n_nodes, length
+    [scheme]     the fields of SchemeConfig: a, b, t_end; optional
+                 dt_init, dt_min, dt_max, rtol, blowup_threshold,
+                 enforce_positivity
     [functional] p (default 4, at most 1000), optional theta
     [initial_u]  kind = uniform | bump | nodes, plus kind fields:
     [initial_v]  value | center,width,height,baseline | nodes=v0,v1,...
     [output]     csv, report, log_every
+
+The ``[grid]`` and ``[scheme]`` keys are read off
+:class:`rdcertify.mesh.Grid` and :class:`rdcertify.integrator.SchemeConfig`:
+each field is a key, read by its type (``int``, ``float``, or ``bool``
+as ``true``/``false``), and required when it has no default.  An unset
+key keeps the library's default.
 
 Growth functions use the strings of :func:`rdcertify.kinetics.growth_from_spec`
 (``exp``, ``power:2.0``, ``subexp:0.5``, ``doubleexp``,
@@ -51,8 +58,8 @@ directory does not exist, and a ``report`` that is the ``csv`` file.
 The range rules on values live in the library, which raises
 :class:`rdcertify.mesh.ParamError`; ``main`` maps the parameter it
 names to its config key, and is the one place a refusal is printed
-and turned into exit 1.  Only bump ``width > 0`` and
-``log_every >= 1`` are the parser's own.
+and turned into exit 1.  Only bump ``width > 0``, ``log_every >= 1``
+and a ``nodes`` list as long as the grid are the parser's own.
 """
 
 from __future__ import annotations
@@ -63,7 +70,8 @@ import functools
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -88,11 +96,8 @@ class ConfigError(Exception):
 
 # library parameter name -> config key
 _CONFIG_KEYS = {
-    "n_nodes": "grid.n_nodes", "length": "grid.length",
-    "a": "scheme.a", "b": "scheme.b", "t_end": "scheme.t_end",
-    "dt_min": "scheme.dt_min", "dt_init": "scheme.dt_init",
-    "dt_max": "scheme.dt_max",
-    "rtol": "scheme.rtol", "blowup_threshold": "scheme.blowup_threshold",
+    **{f.name: f"grid.{f.name}" for f in fields(Grid)},
+    **{f.name: f"scheme.{f.name}" for f in fields(SchemeConfig)},
     "p": "functional.p", "theta": "functional.theta",
     "mu": "model.claimed_mu",
     "C": "model.claimed_C", "m": "model.m", "lam": "model.lam",
@@ -129,71 +134,84 @@ class RunConfig:
     log_every: int
 
 
-class _Section:
-    """One config section with required/optional typed reads and a
-    leftover-key check."""
-
-    def __init__(self, name: str, mapping):
-        self.name = name
-        self.map = dict(mapping)
-        self.used = set()
-
-    _REQUIRED = object()
-
-    def raw(self, key, default=_REQUIRED):
-        if key in self.map:
-            self.used.add(key)
-            return self.map[key]
-        if default is self._REQUIRED:
-            raise ConfigError(f"{self.name}.{key}", "missing required key")
-        return default
-
-    def _convert(self, key, default, conv, kindname):
-        text = self.raw(key, default)
-        if not isinstance(text, str):
-            return text
-        try:
-            return conv(text)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{self.name}.{key}",
-                              f"expected {kindname}, got {text!r} ({exc})")
-
-    def float(self, key, default=_REQUIRED):
-        return self._convert(key, default, float, "a number")
-
-    def int(self, key, default=_REQUIRED):
-        return self._convert(key, default, int, "an integer")
-
-    def bool(self, key):
-        text = self.raw(key)
-        if text == "true":
-            return True
-        if text == "false":
-            return False
-        raise ConfigError(f"{self.name}.{key}",
-                          f"expected true or false, got {text!r}")
-
-    def given(self, read, *keys):
-        """``{key: read(key)}`` for the keys among ``keys`` this section
-        sets, so an unset key keeps the library's default."""
-        return {key: read(key) for key in keys if key in self.map}
-
-    def choice(self, key, choices):
-        text = self.raw(key)
-        if text not in choices:
-            raise ConfigError(f"{self.name}.{key}",
-                              f"expected one of {sorted(choices)}, got {text!r}")
-        return text
-
-    def finish(self):
-        leftover = set(self.map) - self.used
-        if leftover:
-            key = sorted(leftover)[0]
-            raise ConfigError(f"{self.name}.{key}", "unknown key")
+def _bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
 
 
+def _numbers(text: str) -> np.ndarray:
+    return np.array([float(tok) for tok in text.split(",")])
+
+
+def _dataclass_keys(cls) -> tuple[dict, list]:
+    """The readers and the required keys of a dataclass's fields: a field
+    is read by its type, and required when it has no default."""
+    readers = {"int": int, "float": float, "bool": _bool}
+    return ({f.name: readers[f.type] for f in fields(cls)},
+            [f.name for f in fields(cls)
+             if f.default is MISSING and f.default_factory is MISSING])
+
+
+def _model(build, readers: dict) -> tuple:
+    """A [model] kind: its constructor, the readers of its keywords, and
+    the required ones, which the constructor gives no default."""
+    params = signature(build).parameters.values()
+    return build, readers, [p.name for p in params if p.default is p.empty]
+
+
+_GRID_KEYS = _dataclass_keys(Grid)
+_SCHEME_KEYS = _dataclass_keys(SchemeConfig)
+# [model] kind -> _model
+_MODELS = {
+    "combustion": _model(kinetics.Combustion, {"m": int}),
+    "absorption": _model(kinetics.Absorption,
+                         {"F": kinetics.growth_from_spec,
+                          "G": kinetics.growth_from_spec, "lam": float}),
+    "blowup_example": _model(kinetics.BlowupExample, {}),
+}
+_CLAIMS = {"claimed_C": float, "claimed_mu": float}
+# [initial_u], [initial_v] kind -> the readers of its keys, all required
+# but a bump's baseline
+_FIELDS = {
+    "uniform": {"value": float},
+    "bump": {"center": float, "width": float, "height": float,
+             "baseline": float},
+    "nodes": {"nodes": _numbers},
+}
 _KNOWN_SECTIONS = ("model", "grid", "scheme", "functional",
                    "initial_u", "initial_v", "output")
+
+
+def _read(cp, name: str, readers: dict, required=()) -> dict:
+    """The keys section ``name`` sets, each converted by its reader; an
+    unset key is left out, so the library's default applies.  A missing
+    required key, a key with no reader and a text its reader refuses
+    raise ConfigError naming ``name.key``."""
+    section = cp[name] if cp.has_section(name) else {}
+    for key in required:
+        if key not in section:
+            raise ConfigError(f"{name}.{key}", "missing required key")
+    values = {}
+    for key, text in section.items():
+        if key not in readers:
+            raise ConfigError(f"{name}.{key}", "unknown key")
+        try:
+            values[key] = readers[key](text)
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{key}", f"cannot read {text!r} ({exc})")
+    return values
+
+
+def _kind(cp, name: str, kinds) -> str:
+    """The section's required ``kind``, one of ``kinds``."""
+    kind = cp.get(name, "kind", fallback=None)
+    if kind is None:
+        raise ConfigError(f"{name}.kind", "missing required key")
+    if kind not in kinds:
+        raise ConfigError(f"{name}.kind",
+                          f"expected one of {sorted(kinds)}, got {kind!r}")
+    return kind
 
 
 @_config_keys()
@@ -217,96 +235,55 @@ def parse_config_text(text: str) -> RunConfig:
         if section not in _KNOWN_SECTIONS:
             raise ConfigError(section, "unknown section")
 
-    def section(name):
-        return _Section(name, cp[name] if cp.has_section(name) else {})
-
-    sec = section("model")
-    kind = sec.choice("kind", {"combustion", "absorption", "blowup_example"})
-    if kind == "combustion":
-        model = kinetics.Combustion(**sec.given(sec.int, "m"))
-    elif kind == "absorption":
-        model = kinetics.Absorption(_growth(sec, "F"), _growth(sec, "G"),
-                                    **sec.given(sec.float, "lam"))
-    else:
-        model = kinetics.BlowupExample()
+    build, readers, required = _MODELS[_kind(cp, "model", _MODELS)]
+    values = _read(cp, "model", {"kind": str, **readers, **_CLAIMS}, required)
+    model = build(**{key: values[key] for key in readers if key in values})
     # a claim overrides the model's own, after any threshold search
-    model.claimed_C = sec.float("claimed_C", default=model.claimed_C)
-    model.claimed_mu = sec.float("claimed_mu", default=model.claimed_mu)
-    sec.finish()
+    for key in _CLAIMS:
+        setattr(model, key, values.get(key, getattr(model, key)))
 
-    sec = section("grid")
-    grid = Grid(n_nodes=sec.int("n_nodes"), length=sec.float("length"))
-    sec.finish()
-
-    sec = section("scheme")
-    scheme = SchemeConfig(
-        a=sec.float("a"), b=sec.float("b"), t_end=sec.float("t_end"),
-        **sec.given(sec.float, "dt_init", "dt_min", "dt_max", "rtol",
-                    "blowup_threshold"),
-        **sec.given(sec.bool, "enforce_positivity"))
-    sec.finish()
-
-    sec = section("functional")
-    p = sec.int("p", default=4)
-    theta = sec.float("theta", default=None)
-    sec.finish()
-
-    u0 = _initial_field(section("initial_u"), grid)
-    v0 = _initial_field(section("initial_v"), grid)
-
-    sec = section("output")
-    csv = sec.raw("csv", default="run.csv")
-    report = sec.raw("report", default="run_report.txt")
-    log_every = sec.int("log_every", default=1)
+    grid = Grid(**_read(cp, "grid", *_GRID_KEYS))
+    scheme = SchemeConfig(**_read(cp, "scheme", *_SCHEME_KEYS))
+    functional = _read(cp, "functional", {"p": int, "theta": float})
+    u0 = _initial_field(cp, "initial_u", grid)
+    v0 = _initial_field(cp, "initial_v", grid)
+    output = _read(cp, "output", {"csv": str, "report": str, "log_every": int})
+    log_every = output.get("log_every", 1)
     if log_every < 1:
         raise ConfigError("output.log_every", f"must be >= 1, got {log_every}")
-    sec.finish()
 
     scheme.check_initial_data(u0, v0)
     # with no claim, the functional uses C = 0 and mu = 1/2
     C = model.claimed_C if model.claimed_C is not None else 0.0
     mu = model.claimed_mu if model.claimed_mu is not None else 0.5
-    params = lyapunov.build_params(scheme.a, scheme.b, mu, C, p, u0, v0,
-                                   theta=theta)
+    params = lyapunov.build_params(scheme.a, scheme.b, mu, C,
+                                   functional.get("p", 4), u0, v0,
+                                   theta=functional.get("theta"))
     scheme.check_grid(grid)
     return RunConfig(model=model, grid=grid, scheme=scheme, u0=u0, v0=v0,
-                     params=params, csv=csv, report=report,
+                     params=params, csv=output.get("csv", "run.csv"),
+                     report=output.get("report", "run_report.txt"),
                      log_every=log_every)
 
 
-def _growth(sec: _Section, key: str) -> kinetics.GrowthFunction:
-    text = sec.raw(key)
-    try:
-        return kinetics.growth_from_spec(text)
-    except ValueError as exc:
-        raise ConfigError(f"{sec.name}.{key}", str(exc))
-
-
-def _initial_field(sec: _Section, grid: Grid) -> np.ndarray:
-    kind = sec.choice("kind", {"uniform", "bump", "nodes"})
+def _initial_field(cp, name: str, grid: Grid) -> np.ndarray:
+    kind = _kind(cp, name, _FIELDS)
+    readers = _FIELDS[kind]
+    values = _read(cp, name, {"kind": str, **readers},
+                   [key for key in readers if key != "baseline"])
+    x = grid.nodes()
     if kind == "uniform":
-        field = np.full(grid.n_nodes, sec.float("value"), dtype=float)
-    elif kind == "bump":
-        center = sec.float("center")
-        width = sec.float("width")
+        return np.full_like(x, values["value"])
+    if kind == "bump":
+        width = values["width"]
         if not width > 0:
-            raise ConfigError(f"{sec.name}.width", f"must be > 0, got {width}")
-        height = sec.float("height")
-        baseline = sec.float("baseline", default="0.0")
-        x = grid.nodes()
-        field = baseline + height * np.exp(-((x - center) / width) ** 2)
-    else:
-        tokens = sec.raw("nodes").split(",")
-        try:
-            field = np.array([float(tok) for tok in tokens])
-        except ValueError as exc:
-            raise ConfigError(f"{sec.name}.nodes",
-                              f"expected comma-separated numbers ({exc})")
-        if len(field) != grid.n_nodes:
-            raise ConfigError(f"{sec.name}.nodes",
-                              f"{len(field)} values for a grid of "
-                              f"{grid.n_nodes} nodes")
-    sec.finish()
+            raise ConfigError(f"{name}.width", f"must be > 0, got {width}")
+        return (values.get("baseline", 0.0) + values["height"]
+                * np.exp(-((x - values["center"]) / width) ** 2))
+    field = values["nodes"]
+    if len(field) != len(x):
+        raise ConfigError(f"{name}.nodes", f"{len(field)} values for a grid "
+                          f"of {len(x)} nodes")
     return field
 
 

@@ -129,10 +129,10 @@ class DoubleExpMinusPoly(GrowthFunction):
 
     def log_value(self, s):
         s = np.asarray(s, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(over="ignore", under="ignore", divide="ignore",
+                         invalid="ignore"):
             e = np.exp(s)
             rel = self._poly(s) * np.exp(-e)   # P(s) / e^(e^s)
-        with np.errstate(divide="ignore", invalid="ignore"):
             corr = np.where(rel < 1.0, np.log1p(-np.minimum(rel, 1.0)), -np.inf)
         return e + corr
 
@@ -191,10 +191,9 @@ class ReactionModel:
 
 
 def _zero_where_zero(base, factor):
-    # base * factor with the convention 0 * inf = 0 (reactant absent).
-    with np.errstate(invalid="ignore"):
-        prod = base * factor
-    return np.where(base == 0.0, 0.0, prod)
+    # base * factor with the convention 0 * inf = 0 (reactant absent);
+    # callers run it under errstate(invalid="ignore")
+    return np.where(base == 0.0, 0.0, base * factor)
 
 
 class Absorption(ReactionModel):
@@ -217,9 +216,9 @@ class Absorption(ReactionModel):
     def rates(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        f = -_zero_where_zero(u, self.F.value(v))
-        g = _zero_where_zero(u, self.G.value(v))
-        return f, g
+        Fv, Gv = self.F.value(v), self.G.value(v)
+        with np.errstate(invalid="ignore"):
+            return -_zero_where_zero(u, Fv), _zero_where_zero(u, Gv)
 
 
 class Combustion(ReactionModel):
@@ -238,7 +237,7 @@ class Combustion(ReactionModel):
     def rates(self, u, v):
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             um = u ** self.m
             g = _zero_where_zero(um, np.exp(v))
         return -g, g

@@ -332,39 +332,38 @@ def diagnostics_block(params: FunctionalParams, grid: Grid, a: float,
         gated = ((hi - lo).max(axis=1) / grid.spacing <= _SAFE_SLOPE)
         gated &= (hi <= (params.u_bar0, params.v_bar0)).all(axis=1)
         gated &= np.isfinite(rates).all(axis=(1, 2)) & math.isfinite(a + b)
-    if gated.all():
-        return out
-    rows = np.flatnonzero(~gated)
-    L, I, J = out
-    u, v = fields[rows, 0], fields[rows, 1]
-    f, g = rates[rows, 0], rates[rows, 1]
-    finite = (np.isfinite(lo[rows]) & np.isfinite(hi[rows])).all(axis=1)
+        if gated.all():
+            return out
+        rows = np.flatnonzero(~gated)
+        L, I, J = out
+        u, v = fields[rows, 0], fields[rows, 1]
+        f, g = rates[rows, 0], rates[rows, 1]
+        finite = (np.isfinite(lo[rows]) & np.isfinite(hi[rows])).all(axis=1)
 
-    p, binomials = params.p, params.binomials
-    U = np.maximum(u - params.u_bar0, 0.0)
-    V = np.maximum(v - params.v_bar0, 0.0)
-    L[rows] = math.inf
-    if finite.any():
-        Uf, Vf = U[finite, None], V[finite, None]
-        i = np.arange(p + 1)[:, None]
-        with np.errstate(over="ignore", invalid="ignore"):
+        p, binomials = params.p, params.binomials
+        U = np.maximum(u - params.u_bar0, 0.0)
+        V = np.maximum(v - params.v_bar0, 0.0)
+        L[rows] = math.inf
+        if finite.any():
+            Uf, Vf = U[finite, None], V[finite, None]
+            i = np.arange(p + 1)[:, None]
             terms = (binomials[p][:, None] * params.weights[:, None]
                      * Uf ** i * Vf ** (p - i))
-        # 0^0 = 1 keeps the pure-U and pure-V monomials alive; 0 * inf
-        # means a zero excursion.  The terms are then >= 0, summed largest
-        # first.
-        terms = np.where(np.isnan(terms), 0.0, terms)
-        ordered = np.sort(terms, axis=1)[:, ::-1]
-        L[rows[finite]] = integrate(_sum_rows(ordered.swapaxes(0, 1)), grid)
+            # 0^0 = 1 keeps the pure-U and pure-V monomials alive; 0 * inf
+            # means a zero excursion.  The terms are then >= 0, summed
+            # largest first.
+            terms = np.where(np.isnan(terms), 0.0, terms)
+            ordered = np.sort(terms, axis=1)[:, ::-1]
+            L[rows[finite]] = integrate(_sum_rows(ordered.swapaxes(0, 1)),
+                                        grid)
 
-    # I and J share the rows U^i, V^i for i < p, each ``U ** i`` with an
-    # int i (an array of exponents, as in L, can differ in the last bit),
-    # and the flags with sgn(0) = 0, the positive-part derivative at the
-    # kink.  Axis 0 of each array is the term: every element goes through
-    # the operations of the term-by-term sum, in order.
-    sU, sV = (U > 0.0).astype(float), (V > 0.0).astype(float)
-    th = params.normalized_weights[:, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):
+        # I and J share the rows U^i, V^i for i < p, each ``U ** i`` with
+        # an int i (an array of exponents, as in L, can differ in the last
+        # bit), and the flags with sgn(0) = 0, the positive-part derivative
+        # at the kink.  Axis 0 of each array is the term: every element
+        # goes through the operations of the term-by-term sum, in order.
+        sU, sV = (U > 0.0).astype(float), (V > 0.0).astype(float)
+        th = params.normalized_weights[:, None, None]
         du, dv = _gradient(u, grid.spacing), _gradient(v, grid.spacing)
         Upow = np.array([U ** k for k in range(p)])
         Vpow = np.array([V ** k for k in range(p)])
@@ -376,7 +375,7 @@ def diagnostics_block(params: FunctionalParams, grid: Grid, a: float,
                           * Upow * Vpow[::-1])
         I[rows] = -p * (p - 1) * integrate(I_sum, grid)
         J[rows] = p * integrate(J_sum, grid)
-    return out
+        return out
 
 
 # The three quantities one at a time.  Nothing in the library calls

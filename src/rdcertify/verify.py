@@ -138,15 +138,15 @@ def _judge(sample: BoxSample, C: float, mus) -> MassControlReport:
     u, v, f, g = sample.u[keep], sample.v[keep], sample.f[keep], sample.g[keep]
     finite_fg = np.isfinite(f) & np.isfinite(g)
     fpm = np.empty(f.shape)    # f + mu*g, one buffer reused for every mu
-    for mu in mus:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mu in mus:
             np.multiply(mu, g, out=fpm)
             fpm += f
-        finite = finite_fg & np.isfinite(fpm)
-        first = f > fpm        # fails f <= f + mu*g, i.e. mu*g < 0
-        bad = finite & (first | (fpm > 0.0))   # or fails f + mu*g <= 0
-        if not bad.any():
-            break
+            finite = finite_fg & np.isfinite(fpm)
+            first = f > fpm        # fails f <= f + mu*g, i.e. mu*g < 0
+            bad = finite & (first | (fpm > 0.0))   # or fails f + mu*g <= 0
+            if not bad.any():
+                break
 
     violations = [MassControlViolation(
         float(u[i]), float(v[i]), float(f[i]), float(fpm[i]),

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +163,58 @@ def test_bool_values_are_strict():
     cfg = parse_config_text(COMBUSTION_ZERO.replace(
         "t_end = 0.5", "t_end = 0.5\nenforce_positivity = true"))
     assert cfg.scheme.enforce_positivity is True
+
+
+@pytest.mark.parametrize("section,field", [
+    *(("grid", f) for f in dataclasses.fields(Grid)),
+    *(("scheme", f) for f in dataclasses.fields(SchemeConfig)),
+], ids=lambda x: getattr(x, "name", x))
+def test_every_field_is_a_config_key(section, field):
+    # a valid value other than the default (or the base config's), chosen
+    # by the field's type; a type with no entry here fails the test
+    base = parse_config_text(COMBUSTION_ZERO)
+    old = getattr(getattr(base, section), field.name)
+    value = {"int": lambda: old + 1, "float": lambda: old / 2,
+             "bool": lambda: not old}[field.type]()
+    text = str(value).lower() if field.type == "bool" else repr(value)
+    config = re.sub(rf"^{field.name} = .*\n", "", COMBUSTION_ZERO, flags=re.M)
+    config = config.replace(f"[{section}]\n",
+                            f"[{section}]\n{field.name} = {text}\n")
+    parsed = getattr(parse_config_text(config), section)
+    assert getattr(parsed, field.name) == value != old
+    assert cli._CONFIG_KEYS[field.name] == f"{section}.{field.name}"
+
+
+NODES_21 = ", ".join(["0.0"] * 21)
+
+
+@pytest.mark.parametrize("needle,old,new", [
+    # a key of another kind
+    ("model.m: unknown key", "kind = combustion\nm = 1",
+     "kind = absorption\nF = exp\nG = exp\nm = 1"),
+    ("model.lam: unknown key", "m = 1", "lam = 0.5"),
+    ("model.F: unknown key", "kind = combustion\nm = 1",
+     "kind = blowup_example\nF = exp"),
+    ("initial_u.value: unknown key", "kind = uniform\nvalue = 0.0",
+     f"kind = nodes\nnodes = {NODES_21}\nvalue = 0.0"),
+    ("initial_u.width: unknown key", "value = 0.0",
+     "value = 0.0\nwidth = 0.1"),
+    # a misspelt key
+    ("functional.thetaa: unknown key", "[initial_u]",
+     "[functional]\nthetaa = 1.5\n\n[initial_u]"),
+    ("output.csvv: unknown key", None, "\n[output]\ncsvv = x.csv\n"),
+    # a required key left out
+    ("initial_u.height: missing required key", "kind = uniform\nvalue = 0.0",
+     "kind = bump\ncenter = 0.5\nwidth = 0.1"),
+    ("model.G: missing required key", "kind = combustion\nm = 1",
+     "kind = absorption\nF = exp"),
+])
+def test_kind_scoped_and_required_keys(needle, old, new):
+    text = (COMBUSTION_ZERO + new if old is None
+            else COMBUSTION_ZERO.replace(old, new, 1))
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value).startswith(f"config error at {needle}")
 
 
 def test_make_model_and_fields():
