@@ -11,7 +11,7 @@ bounds hold or fail.
 """
 
 from .integrator import (SchemeConfig, SimState, TimeSeries, Verdict, run,
-                         solve_diffusion_implicit, step_imex)
+                         step_imex)
 from .kinetics import (Absorption, BlowupExample, Combustion, DoubleExp,
                        DoubleExpMinusPoly, Exp, GrowthFunction, Power,
                        ReactionModel, SubExp, find_threshold_A,
@@ -35,6 +35,5 @@ __all__ = [
     "assemble_claim_report", "build_params", "check_conditions",
     "check_g_nonneg", "check_mass_control", "find_threshold_A",
     "growth_from_spec", "integrate", "monitor_bounds", "quadratic_Ti",
-    "run", "sample_box", "solve_diffusion_implicit", "step_imex",
-    "sup_norm",
+    "run", "sample_box", "step_imex", "sup_norm",
 ]

@@ -70,7 +70,7 @@ import functools
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from inspect import signature
 from pathlib import Path
 
@@ -144,32 +144,27 @@ def _numbers(text: str) -> np.ndarray:
     return np.array([float(tok) for tok in text.split(",")])
 
 
-def _dataclass_keys(cls) -> tuple[dict, list]:
-    """The readers and the required keys of a dataclass's fields: a field
-    is read by its type, and required when it has no default."""
-    readers = {"int": int, "float": float, "bool": _bool}
-    return ({f.name: readers[f.type] for f in fields(cls)},
-            [f.name for f in fields(cls)
-             if f.default is MISSING and f.default_factory is MISSING])
-
-
-def _model(build, readers: dict) -> tuple:
-    """A [model] kind: its constructor, the readers of its keywords, and
-    the required ones, which the constructor gives no default."""
+def _keys(build, readers=None) -> tuple[dict, list]:
+    """The readers of ``build``'s keywords, by default a dataclass's
+    fields read by their types, and the required ones, which
+    ``build`` gives no default."""
+    if readers is None:
+        types = {"int": int, "float": float, "bool": _bool}
+        readers = {f.name: types[f.type] for f in fields(build)}
     params = signature(build).parameters.values()
-    return build, readers, [p.name for p in params if p.default is p.empty]
+    return readers, [p.name for p in params if p.default is p.empty]
 
 
-_GRID_KEYS = _dataclass_keys(Grid)
-_SCHEME_KEYS = _dataclass_keys(SchemeConfig)
-# [model] kind -> _model
-_MODELS = {
-    "combustion": _model(kinetics.Combustion, {"m": int}),
-    "absorption": _model(kinetics.Absorption,
-                         {"F": kinetics.growth_from_spec,
-                          "G": kinetics.growth_from_spec, "lam": float}),
-    "blowup_example": _model(kinetics.BlowupExample, {}),
-}
+_GRID_KEYS = _keys(Grid)
+_SCHEME_KEYS = _keys(SchemeConfig)
+# [model] kind -> (constructor, readers, required keys)
+_MODELS = {kind: (build, *_keys(build, readers)) for kind, build, readers in (
+    ("combustion", kinetics.Combustion, {"m": int}),
+    ("absorption", kinetics.Absorption, {"F": kinetics.growth_from_spec,
+                                         "G": kinetics.growth_from_spec,
+                                         "lam": float}),
+    ("blowup_example", kinetics.BlowupExample, {}),
+)}
 _CLAIMS = {"claimed_C": float, "claimed_mu": float}
 # [initial_u], [initial_v] kind -> the readers of its keys, all required
 # but a bump's baseline
@@ -278,8 +273,10 @@ def _initial_field(cp, name: str, grid: Grid) -> np.ndarray:
         width = values["width"]
         if not width > 0:
             raise ConfigError(f"{name}.width", f"must be > 0, got {width}")
-        return (values.get("baseline", 0.0) + values["height"]
-                * np.exp(-((x - values["center"]) / width) ** 2))
+        # far from the centre the profile underflows to its baseline
+        with np.errstate(over="ignore"):
+            return (values.get("baseline", 0.0) + values["height"]
+                    * np.exp(-((x - values["center"]) / width) ** 2))
     field = values["nodes"]
     if len(field) != len(x):
         raise ConfigError(f"{name}.nodes", f"{len(field)} values for a grid "

@@ -211,8 +211,7 @@ def solve_diffusion_implicit(f, coeff: float, dt: float, grid: Grid) -> np.ndarr
     kernel, so a constant input returns exactly, with no round-off noise
     to re-excite stiff reaction modes on homogeneous states.
     """
-    if not (coeff > 0 and dt > 0):
-        raise ValueError("need coeff > 0 and dt > 0")
+    check_positive(coeff=coeff, dt=dt)
     f = as_field(f, grid)
     r = dt * coeff / grid.spacing ** 2
     return _solve(_band([r], grid.n_nodes), f[None])[0]
@@ -252,17 +251,6 @@ def _solve(band, rhs: np.ndarray) -> np.ndarray:
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _advance(w, dt, rates, band):
-    """One Lie-split substep of the pair stacked as the rows of ``w``,
-    from the rates there (stacked alike); None when the reaction stage
-    leaves the representable range (caller halves dt)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        w1 = w + dt * rates
-    if not np.isfinite(w1).all():
-        return None
-    return _solve(band, w1)
-
-
 def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid):
     """One extrapolated trial of size dt from the pair stacked as the
     rows of ``w``: the accepted ``(w_new, err, scale)``, or None when it
@@ -285,9 +273,12 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid):
         for i in range(k):
             if i:
                 rates = np.array(model.rates(*level))
-            level = _advance(level, h, rates, band)
-            if level is None:
+            # reaction stage (rejected past the double range), diffusion
+            with np.errstate(over="ignore", invalid="ignore"):
+                level = level + h * rates
+            if not np.isfinite(level).all():
                 return None
+            level = _solve(band, level)
         levels.append(level)
 
     T1, T2, T3 = levels

@@ -12,9 +12,9 @@ f <= f + mu*g <= 0 on u + v >= C; those claims are checked elsewhere
 (see ``rdcertify.verify``), never assumed.
 
 Growth laws can vastly exceed double precision (e^(e^s) overflows near
-s = 6.565): a law's ``value`` overflows to inf there, flagged downstream
-rather than raised, and its log-domain evaluation is used wherever only
-ratios matter.
+s = 6.565), so a law is defined by its log, ``log_value``, which stays
+finite there and is used wherever only ratios matter; its ``value``
+overflows to inf, flagged downstream rather than raised.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 # loaded on import, not inside a command's timed path
 from numpy.polynomial.polynomial import polyval
 
-from .mesh import ParamError
+from .mesh import ParamError, check_positive
 
 
 # ---------------------------------------------------------------------------
@@ -33,14 +33,16 @@ from .mesh import ParamError
 # ---------------------------------------------------------------------------
 
 class GrowthFunction:
-    """Scalar growth law s >= 0 -> F(s).
+    """Scalar growth law s >= 0 -> F(s), defined by its log.
 
-    Subclasses implement ``value`` (may overflow to inf) and
-    ``log_value`` (log F(s); -inf where F(s) <= 0).
+    Subclasses implement ``log_value`` (log F(s); -inf where F(s) <= 0).
+    ``value`` is its exponential, overflowing to inf, unless a law
+    computes F directly (``Power``, ``DoubleExpMinusPoly``).
     """
 
     def value(self, s):
-        raise NotImplementedError
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_value(s))
 
     def log_value(self, s):
         raise NotImplementedError
@@ -50,9 +52,8 @@ class Power(GrowthFunction):
     """F(s) = s**beta, 0 < beta < inf."""
 
     def __init__(self, beta: float):
-        if not 0 < beta < math.inf:
-            raise ValueError(f"beta must be finite and > 0, got {beta}")
         self.beta = float(beta)
+        check_positive(beta=self.beta)
 
     def value(self, s):
         with np.errstate(over="ignore"):
@@ -67,10 +68,6 @@ class Power(GrowthFunction):
 class Exp(GrowthFunction):
     """F(s) = e**s."""
 
-    def value(self, s):
-        with np.errstate(over="ignore"):
-            return np.exp(np.asarray(s, dtype=float))
-
     def log_value(self, s):
         return np.asarray(s, dtype=float) + 0.0
 
@@ -79,13 +76,9 @@ class SubExp(GrowthFunction):
     """F(s) = e**(s**gamma), 0 < gamma < 1 (sub-exponential growth)."""
 
     def __init__(self, gamma: float):
-        if not 0.0 < gamma < 1.0:
-            raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
         self.gamma = float(gamma)
-
-    def value(self, s):
-        with np.errstate(over="ignore"):
-            return np.exp(np.asarray(s, dtype=float) ** self.gamma)
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
 
     def log_value(self, s):
         return np.asarray(s, dtype=float) ** self.gamma
@@ -93,10 +86,6 @@ class SubExp(GrowthFunction):
 
 class DoubleExp(GrowthFunction):
     """F(s) = e**(e**s); representable only up to s ~ 6.565."""
-
-    def value(self, s):
-        with np.errstate(over="ignore"):
-            return np.exp(np.exp(np.asarray(s, dtype=float)))
 
     def log_value(self, s):
         with np.errstate(over="ignore"):
@@ -139,12 +128,11 @@ class DoubleExpMinusPoly(GrowthFunction):
 
 # kind -> constructor taking the comma-separated arguments as strings
 _GROWTH_KINDS = {
-    "power": lambda beta: Power(float(beta)),
+    "power": Power,
     "exp": Exp,
-    "subexp": lambda gamma: SubExp(float(gamma)),
+    "subexp": SubExp,
     "doubleexp": DoubleExp,
-    "doubleexp-poly": lambda *coeffs: DoubleExpMinusPoly(
-        [float(c) for c in coeffs]),
+    "doubleexp-poly": lambda *coeffs: DoubleExpMinusPoly(coeffs),
 }
 
 

@@ -10,9 +10,10 @@ f[n-2]), so the endpoints see 2*(f[1] - f[0])/h^2 and
 discrete flux balance exact: the integral of any Laplacian is zero to
 round-off.
 
-``ParamError`` is the ValueError every layer raises for an invalid
-parameter; it names the parameter, so a caller can map it to its own
-key (the CLI maps it to the config key).
+``ParamError`` is the ValueError a parameter out of range raises; it
+names the parameter, so a caller can map it to its own key (the CLI
+maps it to the config key).  Field shapes, ``n_per_axis``, growth specs
+and the SubExp/DoubleExpMinusPoly parameters raise a plain ValueError.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ import numpy as np
 # loaded on import, not inside a command's timed path
 from numpy.random import default_rng
 
-from .mesh import ParamError
+from .mesh import ParamError, check_positive
 
 DEFAULT_SEED = 20240817
 MAX_WITNESSES = 100
@@ -81,8 +81,7 @@ class BoxSample:
 def sample_box(model, edge: float, n_per_axis: int,
                seed: int = DEFAULT_SEED) -> BoxSample:
     """Sample the box and evaluate ``model.rates`` once on every point."""
-    if not edge > 0:
-        raise ValueError(f"the box edge must be > 0, got {edge}")
+    check_positive(edge=edge)
     if not n_per_axis >= 2:
         raise ValueError(f"n_per_axis must be >= 2, got {n_per_axis}")
     n, seed = int(n_per_axis), int(seed)
@@ -132,8 +131,8 @@ def _judge(sample: BoxSample, C: float, mus) -> MassControlReport:
     """The one judging loop: filter the points by u + v >= C once, judge
     each mu by its mask, and report the first that passes (or the last),
     with witnesses for that mu only."""
-    if not C >= 0:
-        raise ValueError(f"C must be >= 0, got {C}")
+    if not 0 <= C < math.inf:
+        raise ParamError("C", f"C must be finite and >= 0, got {C}")
     keep = sample.u + sample.v >= C
     u, v, f, g = sample.u[keep], sample.v[keep], sample.f[keep], sample.g[keep]
     finite_fg = np.isfinite(f) & np.isfinite(g)
@@ -166,8 +165,7 @@ def check_mass_control(sample: BoxSample, C: float,
     ``passed`` is True exactly when no violation was found among the
     finite samples; overflowing samples are reported as indeterminate.
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
+    check_positive(mu=mu)
     return _judge(sample, C, [mu])
 
 

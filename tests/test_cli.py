@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,28 @@ def test_overflowing_reaction_stage_ends_quietly(tmp_path, capsys,
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("old,new,center", [
+    ("center = 0.5", "center = 1e308", 1e308),
+    ("width = 0.12", "width = 1e-320", 0.5),
+])
+def test_overflowing_bump_is_its_baseline(old, new, center, tmp_path, capsys,
+                                          monkeypatch):
+    # exp(-inf) = 0 is the intended value of a Gaussian whose argument
+    # overflows, so the command runs with no RuntimeWarning
+    monkeypatch.chdir(tmp_path)
+    text = (CONFIGS / "combustion_bump.ini").read_text().replace(old, new, 1)
+    path = tmp_path / "bump.ini"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", str(path)]) == 0
+        cfg = parse_config_text(text)
+    assert capsys.readouterr().err == ""
+    x = cfg.grid.nodes()
+    assert np.all(cfg.u0[x != center] == 0.2)
+    assert np.all(cfg.u0[x == center] == 1.2)
+
+
 def test_env_seed_reaches_both_reports(tmp_path, capsys, monkeypatch):
     # the CLI set-up is the one reader of RD_CERTIFY_SEED
     monkeypatch.setenv("RD_CERTIFY_SEED", "123")
@@ -591,8 +614,9 @@ def test_shipped_config_rows_pinned(name, tmp_path, monkeypatch, capsys):
     code = cmd_run(CONFIGS / f"{name}.ini")
     capsys.readouterr()
     (series, _), = runs
+    columns = [getattr(series, key) for key in CSV_HEADER.split(",")]
     rows = "\n".join(",".join(float(x).hex() for x in row)
-                     for row in series.rows)
+                     for row in zip(*columns))
     digests = [hashlib.sha256(data).hexdigest() for data in (
         rows.encode(), (tmp_path / f"{name}.csv").read_bytes(),
         (tmp_path / f"{name}_report.txt").read_bytes())]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from rdcertify.kinetics import (Absorption, BlowupExample, Combustion,
                                 DoubleExp, DoubleExpMinusPoly, Exp,
                                 GrowthFunction, Power, ReactionModel, SubExp,
                                 find_threshold_A, growth_from_spec)
+from rdcertify.mesh import ParamError
 
 
 def evaluate(model, u, v):
@@ -133,10 +135,31 @@ def test_growth_spec_rejects_wrong_arguments(text):
 def test_growth_parameter_validation():
     with pytest.raises(ValueError):
         Power(0.0)
+    with pytest.raises(ParamError, match="beta must be finite and > 0") as err:
+        Power(math.inf)
+    assert err.value.param == "beta"
+    # each law converts its own argument, so numeric text is accepted
+    assert Power("2.5").beta == 2.5
+    assert SubExp("0.5").gamma == 0.5
     with pytest.raises(ValueError):
         SubExp(1.0)
     with pytest.raises(ValueError):
         DoubleExpMinusPoly([])
+
+
+def test_exponential_laws_are_the_exp_of_their_log():
+    # value is exp(log_value): bit for bit the direct formulas, overflowing
+    # to inf without a RuntimeWarning
+    s = np.linspace(0.0, 800.0, 4001)
+    with np.errstate(over="ignore"):
+        direct = [np.exp(s), np.exp(s ** 0.5), np.exp(np.exp(s))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = [Exp().value(s), SubExp(0.5).value(s), DoubleExp().value(s)]
+    for value, expected in zip(values, direct):
+        assert value.dtype == np.float64
+        assert value.tobytes() == expected.tobytes()
+    assert np.isinf(values[0][-1]) and np.isinf(values[2][-1])
 
 
 # ---------------------------------------------------------------------------

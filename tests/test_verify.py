@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,15 @@ def test_mass_control_validates_arguments():
         check_mass_control(sample, -1.0, 0.5)
     with pytest.raises(ValueError):
         sample_box(Combustion(1), 0.0, 11)
+    # an infinite C or mu once left no point to judge: a vacuous pass
+    for call, param in (
+            (lambda: check_mass_control(sample, 0.0, math.inf), "mu"),
+            (lambda: check_mass_control(sample, math.inf, 0.5), "C"),
+            (lambda: search_mu(sample, math.inf), "C"),
+            (lambda: sample_box(Combustion(1), math.inf, 8), "edge")):
+        with pytest.raises(ParamError) as err:
+            call()
+        assert err.value.param == param
 
 
 def test_search_mu_finds_largest_passing():
