@@ -10,30 +10,22 @@ structural conditions by sampling, and reports whether the claimed
 bounds hold or fail.
 """
 
-from .integrator import (SchemeConfig, SimState, TimeSeries, Verdict, run,
-                         step_imex)
+from .integrator import SchemeConfig, run
 from .kinetics import (Absorption, BlowupExample, Combustion, DoubleExp,
                        DoubleExpMinusPoly, Exp, GrowthFunction, Power,
-                       ReactionModel, SubExp, find_threshold_A,
-                       growth_from_spec)
-from .lyapunov import (ConditionReport, FunctionalParams, build_params,
-                       check_conditions, quadratic_Ti)
-from .mesh import Grid, as_field, integrate, sup_norm
-from .verify import (BoundEvent, ClaimReport, GNonNegReport,
-                     MassControlReport, assemble_claim_report,
-                     check_g_nonneg, check_mass_control, monitor_bounds,
-                     sample_box)
+                       ReactionModel, SubExp, find_threshold_A)
+from .lyapunov import build_params, check_conditions, quadratic_Ti
+from .mesh import Grid, integrate
+from .verify import (assemble_claim_report, check_g_nonneg,
+                     check_mass_control, sample_box)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Absorption", "BlowupExample", "BoundEvent", "ClaimReport",
-    "Combustion", "ConditionReport", "DoubleExp", "DoubleExpMinusPoly",
-    "Exp", "FunctionalParams", "GNonNegReport", "Grid", "GrowthFunction",
-    "MassControlReport", "Power", "ReactionModel", "SchemeConfig",
-    "SimState", "SubExp", "TimeSeries", "Verdict", "as_field",
-    "assemble_claim_report", "build_params", "check_conditions",
-    "check_g_nonneg", "check_mass_control", "find_threshold_A",
-    "growth_from_spec", "integrate", "monitor_bounds", "quadratic_Ti",
-    "run", "sample_box", "step_imex", "sup_norm",
+    "Absorption", "BlowupExample", "Combustion", "DoubleExp",
+    "DoubleExpMinusPoly", "Exp", "Grid", "GrowthFunction", "Power",
+    "ReactionModel", "SchemeConfig", "SubExp", "assemble_claim_report",
+    "build_params", "check_conditions", "check_g_nonneg",
+    "check_mass_control", "find_threshold_A", "integrate", "quadratic_Ti",
+    "run", "sample_box",
 ]

@@ -41,20 +41,21 @@ Exit codes of ``rd-certify run``: 0 completed with bounds held,
 grid, scheme, initial fields and functional parameters, and the
 kinetics are sampled once on the sampling box; every sampled check
 judges that sample.  The seed comes from ``RD_CERTIFY_SEED``, which
-nothing else reads.  Any failure there exits
-1 with a message naming the key, before anything runs or is written.
-That covers non-finite numbers, negative initial data while
-``enforce_positivity`` is set, ``claimed_C`` and ``claimed_mu`` that
-are not finite (C >= 0, mu > 0), a ``claimed_C`` or initial data so
+nothing else reads.  Any failure there exits 1 with a message naming
+the key, before anything runs or is written.  That covers non-finite
+numbers (of the ``[scheme]`` settings only ``dt_max`` may be ``inf``),
+negative initial data while ``enforce_positivity`` is set,
+``claimed_C`` and ``claimed_mu`` that are not finite (C >= 0, mu > 0), a ``claimed_C`` or initial data so
 large that the sampling box (twice the larger of C and the data sups)
 overflows, a diffusion pair ``a``, ``b`` whose default theta^2 =
 1.1 (a+b)^2/(4ab) is not finite, a ``length`` whose node spacing
 squared is 0 or overflows, or whose spacing makes the diffusion solve
 singular in double precision, growth-law parameters that are not
-finite, a ``theta`` that is not finite, ``p`` outside [2, 1000],
-``m`` < 1, ``lam`` outside (0, 1), an ``RD_CERTIFY_SEED`` that is not
-an integer >= 0, an ``[output]`` ``csv`` or ``report`` path whose
-directory does not exist, and a ``report`` that is the ``csv`` file.
+finite, a ``theta`` that is not finite or whose square overflows,
+``p`` outside [2, 1000], ``m`` < 1, ``lam`` outside (0, 1), an
+``RD_CERTIFY_SEED`` that is not an integer >= 0, an ``[output]``
+``csv`` or ``report`` path whose directory does not exist, and a
+``report`` that is the ``csv`` file.
 The range rules on values live in the library, which raises
 :class:`rdcertify.mesh.ParamError`; ``main`` maps the parameter it
 names to its config key, and is the one place a refusal is printed

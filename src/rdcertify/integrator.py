@@ -103,20 +103,16 @@ class SchemeConfig:
     enforce_positivity: bool = True
 
     def __post_init__(self):
-        check_positive(a=self.a, b=self.b, t_end=self.t_end)
-        if not self.dt_min > 0:
-            raise ParamError("dt_min", f"dt_min must be > 0, got {self.dt_min}")
+        # dt_max alone may be inf: no cap on the step
+        check_positive(a=self.a, b=self.b, t_end=self.t_end,
+                       dt_min=self.dt_min, dt_init=self.dt_init,
+                       rtol=self.rtol, blowup_threshold=self.blowup_threshold)
         if not self.dt_max >= self.dt_min:
             raise ParamError("dt_max", "dt_max must be >= dt_min, got "
                              f"{self.dt_max}, {self.dt_min}")
         if not self.dt_min <= self.dt_init <= self.dt_max:
             raise ParamError("dt_init", f"need dt_min <= dt_init <= dt_max, got "
                              f"{self.dt_min}, {self.dt_init}, {self.dt_max}")
-        if not self.rtol > 0:
-            raise ParamError("rtol", f"rtol must be > 0, got {self.rtol}")
-        if not self.blowup_threshold > 0:
-            raise ParamError("blowup_threshold", "blowup_threshold must be > 0, "
-                             f"got {self.blowup_threshold}")
 
     def check_grid(self, grid: Grid) -> None:
         """Raise ParamError naming ``length`` when, for a step dt <=

@@ -35,19 +35,19 @@ zero integral, ``-0`` in the CSV) and J = 0.0 without the sums.  The
 other states get the full sums of all three, as one block, which keep
 their inf and NaN results.  Each state's numbers are bit for bit those
 of ``diagnostics``, the same function on a block of one.  The weights
-and binomials are computed once per ``FunctionalParams``.
+and binomials are derived from the fields of ``FunctionalParams`` on
+each access.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .mesh import (Grid, ParamError, as_field, check_finite_data,
-                   check_positive, integrate, sup_norm)
+                   check_nonnegative, check_positive, integrate, sup_norm)
 
 #: tolerance on the log-domain residual of the weight recurrence, relative
 #: to max(1, max |log theta_i|): the rounding of the closed form grows
@@ -68,11 +68,12 @@ class FunctionalParams:
     two weights (as logs), the mass-control constants, and the candidate
     bounds derived from the initial data.
 
-    Every instance has an integer p in [2, 1000] and finite theta and
-    log weights, so the weights and binomials are finite; otherwise
-    construction raises ParamError naming ``p`` or ``theta``.  Those
-    constants are cached properties, computed on first use: derived from
-    the fields, they cannot go stale under ``dataclasses.replace``.
+    Every instance has an integer p in [2, 1000], a theta > 0 whose
+    square is finite, and finite log weights, so the weights and
+    binomials are finite; otherwise construction raises ParamError
+    naming ``p`` or ``theta``.  Those constants are properties, derived
+    from the fields on each access, so they cannot go stale under
+    ``dataclasses.replace``.
     """
 
     p: int
@@ -88,10 +89,11 @@ class FunctionalParams:
         if not (isinstance(self.p, int) and 2 <= self.p <= _SAFE_P):
             raise ParamError("p", f"p must be an integer in [2, {_SAFE_P}], "
                              f"got {self.p}")
-        for value in (self.theta, self.log_theta0, self.log_theta1):
-            if not math.isfinite(value):
-                raise ParamError("theta", "theta and the log weights must be "
-                                 f"finite, got {value}")
+        # theta * theta is inf where theta ** 2 would raise OverflowError
+        for value in (self.theta * self.theta, self.log_theta0, self.log_theta1):
+            if not (self.theta > 0 and math.isfinite(value)):
+                raise ParamError("theta", "need theta > 0, and theta^2 and the "
+                                 f"log weights finite; got {self.theta}, {value}")
 
     @property
     def log_theta(self) -> float:
@@ -106,19 +108,19 @@ class FunctionalParams:
                 + i * (self.log_theta1 - self.log_theta0)
                 + i * (i - 1.0) * self.log_theta)
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
         """theta_0..theta_p; a weight past double precision is inf."""
         with np.errstate(over="ignore"):
-            return _read_only(np.exp(self.log_theta_seq()))
+            return np.exp(self.log_theta_seq())
 
-    @cached_property
+    @property
     def normalized_weights(self) -> np.ndarray:
         """theta_i / max theta: the positive scaling I and J share."""
         logs = self.log_theta_seq()
-        return _read_only(np.exp(logs - logs.max()))
+        return np.exp(logs - logs.max())
 
-    @cached_property
+    @property
     def binomials(self) -> dict:
         """binom(n, i) for i = 0..n, keyed by the degree n in p, p-1, p-2,
         from the recurrence binom(n, i+1) = binom(n, i)*(n-i)/(i+1)."""
@@ -127,13 +129,8 @@ class FunctionalParams:
             c = np.ones(n + 1)
             for i in range(n):
                 c[i + 1] = c[i] * (n - i) / (i + 1)
-            table[n] = _read_only(c)
+            table[n] = c
         return table
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _theta_sq_bound(a: float, b: float) -> float:
@@ -165,33 +162,29 @@ def build_params(a: float, b: float, mu: float, C: float, p: int,
     max(C, sup u0) and max(C, sup v0).
     """
     check_positive(a=a, b=b, mu=mu)
-    if not 0 <= C < math.inf:
-        raise ParamError("C", f"C must be finite and >= 0, got {C}")
+    check_nonnegative(C=C)
     check_finite_data(u0, v0)
     sup_u, sup_v = sup_norm(u0), sup_norm(v0)
 
     bound = _theta_sq_bound(a, b)
     if theta is None:
         theta = math.sqrt(1.1 * max(bound, 1.0))
-    else:
-        theta = float(theta)
-        if not theta > 1.0:
-            raise ParamError("theta", f"theta must be > 1, got {theta}")
-        if not theta ** 2 > bound:
-            raise ParamError(
-                "theta", f"theta^2 = {theta ** 2} violates the condition "
-                f"theta^2 > (a+b)^2/(4ab) = {bound}"
-            )
+    elif not theta > 1.0:
+        raise ParamError("theta", f"theta must be > 1, got {theta}")
 
     theta0 = mu / 2.0
     if not theta0 > 0:
         raise ParamError("mu", f"mu = {mu} is too small: the first weight "
                          "theta0 = mu/2 underflows to 0")
 
-    return FunctionalParams(p=p, theta=theta, log_theta0=math.log(theta0),
-                            log_theta1=0.0, mu=mu, C=float(C),
-                            u_bar0=max(float(C), sup_u),
-                            v_bar0=max(float(C), sup_v))
+    params = FunctionalParams(p=p, theta=float(theta),
+                              log_theta0=math.log(theta0), log_theta1=0.0,
+                              mu=mu, C=float(C), u_bar0=max(float(C), sup_u),
+                              v_bar0=max(float(C), sup_v))
+    if not params.theta ** 2 > bound:     # a finite square, as constructed
+        raise ParamError("theta", f"theta^2 = {params.theta ** 2} violates "
+                         f"the condition theta^2 > (a+b)^2/(4ab) = {bound}")
+    return params
 
 
 @dataclass(frozen=True)
@@ -261,16 +254,6 @@ def quadratic_Ti(params: FunctionalParams, i: int, a: float, b: float,
                      sgnU, sgnV, np.asarray(xi, dtype=float),
                      np.asarray(eta, dtype=float))
     return float(out) if out.ndim == 0 else out
-
-
-def _gradient(f: np.ndarray, h: float) -> np.ndarray:
-    # the differences np.gradient(f, h, axis=-1) takes, without its
-    # per-call set-up: central inside, one-sided at the two boundary nodes
-    out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
-    out[..., 0] = (f[..., 1] - f[..., 0]) / h
-    out[..., -1] = (f[..., -1] - f[..., -2]) / h
-    return out
 
 
 def _sum_rows(terms: np.ndarray) -> np.ndarray:
@@ -364,7 +347,7 @@ def diagnostics_block(params: FunctionalParams, grid: Grid, a: float,
         # goes through the operations of the term-by-term sum, in order.
         sU, sV = (U > 0.0).astype(float), (V > 0.0).astype(float)
         th = params.normalized_weights[:, None, None]
-        du, dv = _gradient(u, grid.spacing), _gradient(v, grid.spacing)
+        du, dv = np.gradient(fields[rows], grid.spacing, axis=2).swapaxes(0, 1)
         Upow = np.array([U ** k for k in range(p)])
         Vpow = np.array([V ** k for k in range(p)])
         T = _quadratic(a, b, th[:-2], th[1:-1], th[2:], sU, sV, du, dv)

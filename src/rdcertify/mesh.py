@@ -12,8 +12,10 @@ round-off.
 
 ``ParamError`` is the ValueError a parameter out of range raises; it
 names the parameter, so a caller can map it to its own key (the CLI
-maps it to the config key).  Field shapes, ``n_per_axis``, growth specs
-and the SubExp/DoubleExpMinusPoly parameters raise a plain ValueError.
+maps it to the config key); ``check_positive`` and ``check_nonnegative``
+are the one sites of "finite and > 0" and "finite and >= 0".  Field
+shapes, ``n_per_axis``, growth specs and the SubExp/DoubleExpMinusPoly
+parameters raise a plain ValueError.
 """
 
 from __future__ import annotations
@@ -37,6 +39,13 @@ def check_positive(**values) -> None:
     for name, value in values.items():
         if not 0 < value < math.inf:
             raise ParamError(name, f"{name} must be finite and > 0, got {value}")
+
+
+def check_nonnegative(**values) -> None:
+    """Raise ParamError naming the first value that is not finite and >= 0."""
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ParamError(name, f"{name} must be finite and >= 0, got {value}")
 
 
 def check_finite_data(u0, v0) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 # loaded on import, not inside a command's timed path
 from numpy.random import default_rng
 
-from .mesh import ParamError, check_positive
+from .mesh import ParamError, check_nonnegative, check_positive
 
 DEFAULT_SEED = 20240817
 MAX_WITNESSES = 100
@@ -131,8 +131,7 @@ def _judge(sample: BoxSample, C: float, mus) -> MassControlReport:
     """The one judging loop: filter the points by u + v >= C once, judge
     each mu by its mask, and report the first that passes (or the last),
     with witnesses for that mu only."""
-    if not 0 <= C < math.inf:
-        raise ParamError("C", f"C must be finite and >= 0, got {C}")
+    check_nonnegative(C=C)
     keep = sample.u + sample.v >= C
     u, v, f, g = sample.u[keep], sample.v[keep], sample.f[keep], sample.g[keep]
     finite_fg = np.isfinite(f) & np.isfinite(g)
@@ -295,14 +294,12 @@ def assemble_claim_report(series) -> ClaimReport:
     bounds stored on the series, the rule of its flag column; the first
     violation is the one the series recorded.
     """
-    with np.errstate(invalid="ignore"):
-        bound_u_held = not bool(np.any(series.sup_u > series.u_bar0))
-        bound_v_held = not bool(np.any(series.sup_v > series.v_bar0))
-        signs = np.sign(series.J)
+    bound_u_held = not bool(np.any(series.sup_u > series.u_bar0))
+    bound_v_held = not bool(np.any(series.sup_v > series.v_bar0))
     return ClaimReport(
         bound_u_held=bound_u_held,
         bound_v_held=bound_v_held,
         first_violation=series.first_violation,
-        J_sign_history=signs,
+        J_sign_history=np.sign(series.J),
         L_max=float(np.max(series.L)) if len(series) else 0.0,
     )

@@ -284,11 +284,15 @@ def test_cmd_theta_rejects_bad_theta(capsys):
 
 
 def test_cmd_theta_rejects_pair_without_finite_bound(capsys):
-    # (a+b)^2 overflows: a refusal naming the key, not an OverflowError
-    assert main(["theta", "--a", "1e300", "--b", "1", "--mu", "0.5"]) == 1
-    captured = capsys.readouterr()
-    assert "config error at scheme.a" in captured.err
-    assert captured.out == ""
+    # (a+b)^2 or theta^2 overflows: a refusal naming the key, not an
+    # OverflowError
+    for args, key in ((["--a", "1e300", "--b", "1"], "scheme.a"),
+                      (["--a", "1", "--b", "4", "--theta", "1e200"],
+                       "functional.theta")):
+        assert main(["theta", *args, "--mu", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert f"config error at {key}" in captured.err
+        assert captured.out == ""
 
 
 def test_cmd_theta_recurrence_holds_at_large_p(capsys):
@@ -441,6 +445,14 @@ def test_cmd_run_config_error_exit_one(tmp_path, capsys):
     ("scheme.rtol", "t_end = 0.5", "t_end = 0.5\nrtol = 0"),
     ("scheme.blowup_threshold", "t_end = 0.5",
      "t_end = 0.5\nblowup_threshold = -1"),
+    # every scheme setting but dt_max (no cap) must be finite
+    ("scheme.rtol", "t_end = 0.5", "t_end = 0.5\nrtol = inf"),
+    ("scheme.blowup_threshold", "t_end = 0.5",
+     "t_end = 0.5\nblowup_threshold = inf"),
+    ("scheme.dt_init", "t_end = 0.5",
+     "t_end = 0.5\ndt_init = inf\ndt_max = inf"),
+    ("scheme.dt_min", "t_end = 0.5",
+     "t_end = 0.5\ndt_min = inf\ndt_init = inf\ndt_max = inf"),
     ("model.m", "m = 1", "m = 0"),
     ("model.lam", "kind = combustion\nm = 1",
      "kind = absorption\nF = exp\nG = exp\nlam = 1.5"),
@@ -449,6 +461,8 @@ def test_cmd_run_config_error_exit_one(tmp_path, capsys):
     # mu / 2 underflows: the weight theta0 = mu / 2 is refused
     ("model.claimed_mu", "m = 1", "m = 1\nclaimed_mu = 5e-324"),
     ("functional.theta", "[initial_u]", "[functional]\ntheta = inf\n\n[initial_u]"),
+    # theta ** 2 overflows
+    ("functional.theta", "[initial_u]", "[functional]\ntheta = 1e200\n\n[initial_u]"),
     ("functional.p", "[initial_u]", "[functional]\np = 1100\n\n[initial_u]"),
     ("initial_v", "[initial_v]\nkind = uniform\nvalue = 0.0",
      "[initial_v]\nkind = uniform\nvalue = inf"),

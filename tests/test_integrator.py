@@ -525,6 +525,16 @@ def test_scheme_config_validation():
         SchemeConfig(a=1.0, b=1.0, t_end=1.0, dt_init=1.0, dt_max=0.1)
     with pytest.raises(ValueError):
         SchemeConfig(a=1.0, b=1.0, t_end=1.0, rtol=0.0)
+    # every setting but dt_max must be finite
+    inf = np.inf
+    for settings, param in (
+            ({"rtol": inf}, "rtol"),
+            ({"blowup_threshold": inf}, "blowup_threshold"),
+            ({"dt_init": inf, "dt_max": inf}, "dt_init"),
+            ({"dt_min": inf, "dt_init": inf, "dt_max": inf}, "dt_min")):
+        with pytest.raises(ParamError) as err:
+            SchemeConfig(a=1.0, b=1.0, t_end=1.0, **settings)
+        assert err.value.param == param
     SchemeConfig(a=1.0, b=1.0, t_end=1.0, dt_max=np.inf)
 
 

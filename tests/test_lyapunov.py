@@ -71,11 +71,10 @@ def test_parameter_validation():
         build_params(0.0, 1.0, 1.0, 0.0, 4, ZEROS, ZEROS)
     with pytest.raises(ValueError):
         build_params(1.0, 1.0, -0.5, 0.0, 4, ZEROS, ZEROS)
-    with pytest.raises(ValueError):
-        build_params(1.0, 1.0, 1.0, -1.0, 4, ZEROS, ZEROS)
-    with pytest.raises(ParamError, match="finite") as err:
-        build_params(1.0, 1.0, 1.0, math.inf, 4, ZEROS, ZEROS)
-    assert err.value.param == "C"
+    for C in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParamError, match="finite and >= 0") as err:
+            build_params(1.0, 1.0, 1.0, C, 4, ZEROS, ZEROS)
+        assert err.value.param == "C"
     with pytest.raises(ParamError, match="finite") as err:
         build_params(1.0, 1.0, 1.0, 0.0, 4, ZEROS, np.full(3, np.nan))
     assert err.value.param == "v0"
@@ -507,10 +506,11 @@ def test_gradient_overflow_below_bounds_gives_nan_I():
     assert_zero_with_sign(reaction_J(params, state, grid, Combustion(1)), 1.0)
 
 
-@pytest.mark.parametrize("theta, p", [(math.inf, 4), (None, 1100)])
+@pytest.mark.parametrize("theta, p", [(math.inf, 4), (1e200, 4), (None, 1100)])
 def test_build_params_refuses_nonfinite_theta_and_large_p(theta, p):
-    # theta = inf would make the log weights NaN and p = 1100 overflows
-    # the binomials; both are refused, so I and J never see them
+    # theta = inf would make the log weights NaN, theta = 1e200 has a
+    # square past double precision and p = 1100 overflows the binomials;
+    # all are refused, so check_conditions, I and J never see them
     with pytest.raises(ParamError) as err:
         build_params(1.0, 2.0, 0.5, 0.0, p, ZEROS, ZEROS, theta=theta)
     assert err.value.param == ("p" if theta is None else "theta")
@@ -518,7 +518,8 @@ def test_build_params_refuses_nonfinite_theta_and_large_p(theta, p):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("theta", math.inf), ("theta", math.nan), ("log_theta0", math.inf),
+    ("theta", math.inf), ("theta", math.nan), ("theta", 1e200),
+    ("theta", 0.0), ("log_theta0", math.inf),
     ("log_theta1", -math.inf), ("p", 1), ("p", 1001), ("p", 4.0),
 ])
 def test_every_params_instance_has_finite_weights(field, value):
@@ -528,9 +529,9 @@ def test_every_params_instance_has_finite_weights(field, value):
     assert err.value.param == ("p" if field == "p" else "theta")
 
 
-def test_cached_constants_follow_replace_and_are_read_only():
-    # cached on first use; an instance from dataclasses.replace builds its
-    # own, so a replaced p or weight never meets the old constants
+def test_derived_constants_follow_replace():
+    # derived from the fields on each access, so an instance from
+    # dataclasses.replace never meets the old constants
     params = build_params(1.0, 2.0, 0.5, 0.0, 4, ZEROS, ZEROS)
     assert list(params.binomials[4]) == [1, 4, 6, 4, 1]
     other = dataclasses.replace(params, p=6, log_theta0=-3.0)
@@ -539,8 +540,6 @@ def test_cached_constants_follow_replace_and_are_read_only():
     logs = other.log_theta_seq()
     assert np.array_equal(other.weights, np.exp(logs))
     assert np.array_equal(other.normalized_weights, np.exp(logs - logs.max()))
-    with pytest.raises(ValueError, match="read-only"):
-        params.weights[0] = 2.0
 
 
 def test_overflowing_diffusion_pair_below_bounds_gives_nan_I():

@@ -110,13 +110,14 @@ def test_mass_control_validates_arguments():
     with pytest.raises(ValueError):
         sample_box(Combustion(1), 10.0, 1)
     with pytest.raises(ValueError):
-        check_mass_control(sample, -1.0, 0.5)
-    with pytest.raises(ValueError):
         sample_box(Combustion(1), 0.0, 11)
-    # an infinite C or mu once left no point to judge: a vacuous pass
+    # C outside [0, inf) or an infinite mu is refused by name (an
+    # infinite C or mu once left no point to judge: a vacuous pass)
     for call, param in (
             (lambda: check_mass_control(sample, 0.0, math.inf), "mu"),
+            (lambda: check_mass_control(sample, -1.0, 0.5), "C"),
             (lambda: check_mass_control(sample, math.inf, 0.5), "C"),
+            (lambda: check_mass_control(sample, math.nan, 0.5), "C"),
             (lambda: search_mu(sample, math.inf), "C"),
             (lambda: sample_box(Combustion(1), math.inf, 8), "edge")):
         with pytest.raises(ParamError) as err:
