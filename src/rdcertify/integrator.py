@@ -2,15 +2,24 @@
 
 The base substep of size h advances (u, v) by Lie splitting: a forward
 Euler reaction update followed by a backward Euler diffusion solve
-(unconditionally stable, tridiagonal).  The pair is carried as one
-(2, n) array, and both species are solved in one ``?gtsv`` call on a
-block-diagonal band whose coupling entries between the blocks are zero,
-so each species gets the bits of its own solve.  A trial step of size dt
+(unconditionally stable, tridiagonal).  A trial step of size dt
 extrapolates that first-order substep over the harmonic sequence 1, 2,
-3 (the linearly implicit Euler extrapolation of SEULEX/LIMEX; Hairer &
-Wanner, *Solving ODEs II*, IV.9): level k takes k substeps of size dt/k
-from (u, v), giving T1, T2, T3.  With d1 = T2 - T1 and d2 = T3 - T2 the
-Aitken-Neville tableau is
+3, as SEULEX/LIMEX do (Hairer & Wanner, *Solving ODEs II*, IV.9), but
+their base step is linearly implicit Euler, while here the reaction is
+explicit and only the diffusion implicit: level k takes k substeps of
+size dt/k from (u, v), giving T1, T2, T3.
+
+The levels do not depend on each other until the tableau, so a trial
+advances them side by side in three rounds: the first substep of levels
+1-3, the second of levels 2-3, the third of level 3.  Their six fields
+[L1u, L1v, L2u, L2v, L3u, L3v] sit in one row of a workspace that
+``run`` allocates once, so that no trial allocates its band, the copies
+``?gtsv`` overwrites or the levels' fields.  Each round solves the
+suffix of the fields still stepping (6, 4, then 2) in one ``?gtsv``
+call on the trial's one 6-block band, with r = (dt/k) * {a, b} / h^2.
+The entries that would couple neighbouring blocks are zero, so each
+field gets the bits of its own solve.  With d1 = T2 - T1 and
+d2 = T3 - T2 the Aitken-Neville tableau is
 
     T22 = T2 + d1,   T32 = T3 + 2 d2,   T33 = T3 + (3.5 d2 - 0.5 d1),
 
@@ -208,74 +217,105 @@ def solve_diffusion_implicit(f, coeff: float, dt: float, grid: Grid) -> np.ndarr
     to re-excite stiff reaction modes on homogeneous states.
     """
     check_positive(coeff=coeff, dt=dt)
-    f = as_field(f, grid)
+    w = as_field(f, grid).copy()
     r = dt * coeff / grid.spacing ** 2
-    return _solve(_band([r], grid.n_nodes), f[None])[0]
+    _solve(_band([r], grid.n_nodes), w[None])
+    return w
 
 
-def _band(rs, n: int):
-    """The diagonals (lower, diag, upper) of the block-diagonal matrix
-    with one block I - dt*coeff*Lap of n rows per r = dt*coeff/h^2 in
-    ``rs``.  The two entries that would couple neighbouring blocks are
-    zero, so ``?gtsv``'s elimination passes each block's rows through
-    the arithmetic of that block solved alone."""
+def _band(rs, n: int, out=None) -> np.ndarray:
+    """The (3, len(rs) * n) rows lower, diag, upper of the block-diagonal
+    matrix with one block I - dt*coeff*Lap of n rows per r =
+    dt*coeff/h^2 in ``rs``, written into ``out`` when given.  The last
+    entry of the lower and upper rows pads them to full length, and the
+    entries that would couple neighbouring blocks are zero, so
+    ``?gtsv``'s elimination passes each block's rows through the
+    arithmetic of that block solved alone, and any suffix of whole
+    blocks is the band of those blocks."""
     r = np.array(rs, dtype=float)[:, None]
-    lower, diag = np.empty((2, len(rs), n))
+    shape = (3, len(rs), n)
+    band = np.empty(shape) if out is None else out.reshape(shape)
+    lower, diag, upper = band
     lower[:] = -r
-    upper = lower.copy()
+    upper[:] = lower
     # row 0 couples twice to node 1, and the last row to node n-2
     lower[:, -2] = upper[:, 0] = -2.0 * r[:, 0]
     lower[:, -1] = upper[:, -1] = 0.0  # no coupling between blocks
     diag[:] = 1.0 + 2.0 * r
-    return lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1]
+    return band.reshape(3, -1)
 
 
-def _solve(band, rhs: np.ndarray) -> np.ndarray:
-    """Solve the ``_band`` system for one right-hand side per row of
-    ``rhs``, each on its deviation from its first value; ``band`` is
-    left intact for the next solve."""
-    shift = rhs[:, :1]
-    *_, w, info = _gtsv(*band, (rhs - shift).ravel(), overwrite_b=True)
+def _solve(band, x: np.ndarray, copies=None) -> None:
+    """Overwrite the rows of ``x``, a C-contiguous (k, n) array that
+    ``?gtsv`` solves in place, with the solution of the last k blocks of
+    ``band`` for those right-hand sides, each taken on its deviation
+    from its first value.  ``?gtsv`` overwrites the
+    diagonals it is handed, so it gets a copy of the band's suffix in
+    ``copies`` (a (3, >= x.size) buffer, allocated when None); ``band``
+    is left intact for the next solve."""
+    m = x.size
+    copies = np.empty((3, m)) if copies is None else copies[:, :m]
+    np.copyto(copies, band[:, -m:])
+    shift = x[:, :1].copy()
+    x -= shift
+    *_, info = _gtsv(copies[0, :-1], copies[1], copies[2, :-1], x.reshape(-1),
+                     overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+                     overwrite_b=True)
     if info != 0:
         raise np.linalg.LinAlgError(f"?gtsv failed with info = {info}")
-    w = w.reshape(rhs.shape)
-    w += shift
-    return w
+    x += shift
 
 
 # ---------------------------------------------------------------------------
 # Stepping
 # ---------------------------------------------------------------------------
 
-def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid):
+def _workspace(n: int) -> np.ndarray:
+    """The buffers of one trial at n nodes, reused from trial to trial:
+    rows 0-2 the 6-block band, rows 3-5 ``?gtsv``'s copies of it, row 6
+    the six fields of the three levels."""
+    return np.empty((7, 6 * n))
+
+
+def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     """One extrapolated trial of size dt from the pair stacked as the
     rows of ``w``: the accepted ``(w_new, err, scale)``, or None when it
-    is rejected (a NaN err or minimum rejects).
+    is rejected (a non-finite reaction stage, or a NaN err or minimum).
 
-    Level k in 1, 2, 3 takes k substeps of size dt/k from w; each
-    level's first substep uses ``rates0`` and every later one calls
-    ``model.rates``, so a full trial costs 6 two-field solves (12 fields)
-    and 3 calls.  Each level builds its two-block band once.  The kept
-    state is T33 and err is sup|T32 - T22|, the tableau and error test
-    of the module docstring.
+    Level k in 1, 2, 3 takes k substeps of size dt/k from w.  The levels
+    do not depend on each other until the tableau, so they advance side
+    by side in three rounds: the first substep of levels 1-3, from
+    ``rates0``; the second of levels 2-3 and the third of level 3, each
+    after one ``model.rates`` call per level, so a full trial makes 3
+    calls.  Row 6 of the workspace ``work`` (``_workspace``) holds the
+    levels' fields [L1u, L1v, L2u, L2v, L3u, L3v]; each round writes
+    its reaction stages into the suffix of the levels it steps, rejects
+    the trial if any is not finite, and solves that suffix in place in
+    one ``?gtsv`` call on the trial's one 6-block band: 6, 4, then 2
+    fields.  The row then holds T1, T2 and T3.  The kept state is T33
+    and err is sup|T32 - T22|, the tableau and error test of the module
+    docstring; ``w_new`` is a new array, not a view of ``work``.
     """
+    n = grid.n_nodes
     spacing_sq = grid.spacing ** 2
-    levels = []
-    for k in (1, 2, 3):
-        h = dt / k
-        band = _band([h * cfg.a / spacing_sq, h * cfg.b / spacing_sq],
-                     grid.n_nodes)
-        level, rates = w, rates0
-        for i in range(k):
-            if i:
-                rates = np.array(model.rates(*level))
-            # reaction stage (rejected past the double range), diffusion
-            with np.errstate(over="ignore", invalid="ignore"):
-                level = level + h * rates
-            if not np.isfinite(level).all():
-                return None
-            level = _solve(band, level)
-        levels.append(level)
+    hs = [dt / k for k in (1, 2, 3)]
+    band = _band([h * c / spacing_sq for h in hs for c in (cfg.a, cfg.b)],
+                 n, work[:3])
+    levels = work[6].reshape(3, 2, n)
+    steps = np.array(hs)[:, None, None]
+    for j in range(3):
+        stages = levels[j:]
+        if j == 0:
+            base, rates = w, rates0
+        else:
+            base = stages
+            rates = np.array([model.rates(*level) for level in stages])
+        # reaction stage (rejected past the double range), diffusion
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add(base, steps[j:] * rates, out=stages)
+        if not np.isfinite(stages).all():
+            return None
+        _solve(band, stages.reshape(-1, n), work[3:6])
 
     T1, T2, T3 = levels
     d1 = T2 - T1
@@ -283,7 +323,7 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid):
     T22 = T2 + d1
     T32 = T3 + 2.0 * d2
     kept = T3 + (3.5 * d2 - 0.5 * d1)               # T33
-    err = float(np.max(np.abs(T32 - T22)))          # NaN-propagating
+    err = float(np.abs(T32 - T22).max())            # NaN-propagating
     sup_u, sup_v = np.abs(kept).max(axis=1)
     scale = max(1.0, float(sup_u), float(sup_v))
     if not err <= cfg.rtol * scale:
@@ -291,7 +331,7 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid):
     if cfg.enforce_positivity:
         if not kept.min() >= -NEGATIVITY_TOL:
             return None
-        np.clip(kept, 0.0, None, out=kept)
+        np.maximum(kept, 0.0, out=kept)
     return kept, err, scale
 
 
@@ -301,16 +341,20 @@ class StepResult(NamedTuple):
 
 
 def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
-              rates0) -> StepResult:
+              rates0, work=None) -> StepResult:
     """Advance one accepted step starting from ``state.dt``.
 
-    ``rates0`` is ``model.rates`` at the state.  A rejected trial halves
-    dt; the state is None when halving would drop below dt_min.  ``run``
-    judges the outcome.
+    ``rates0`` is ``model.rates`` at the state, and ``work`` the trials'
+    ``_workspace`` for the grid (allocated here when None; ``run`` passes
+    one for the whole run).  A rejected trial halves dt; the state is
+    None when halving would drop below dt_min.  ``run`` judges the
+    outcome.
     """
     w, dt = np.array((state.u, state.v)), state.dt
     rates0 = np.asarray(rates0, dtype=float)
-    while (accepted := _trial(w, dt, rates0, model, cfg, grid)) is None:
+    if work is None:
+        work = _workspace(grid.n_nodes)
+    while (accepted := _trial(w, dt, rates0, model, cfg, grid, work)) is None:
         if 0.5 * dt < cfg.dt_min:
             return StepResult(None, 0.0)
         dt *= 0.5
@@ -353,6 +397,7 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     row_size = (functional.p + 1) * grid.n_nodes
     t_stop = cfg.t_end * (1.0 - 1e-12)
     state, dt_used = SimState(0.0, u, v, cfg.dt_init), cfg.dt_init
+    work = _workspace(grid.n_nodes)
     ts, sups, dts, queue, diagnostics = [], [], [], [], []
     first_violation = verdict = None
     while verdict is None:
@@ -377,7 +422,7 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
         else:
             trial = SimState(state.t, state.u, state.v,
                              min(state.dt, cfg.t_end - state.t))
-            result = step_imex(trial, model, cfg, grid, rates)
+            result = step_imex(trial, model, cfg, grid, rates, work)
             if result.state is None:
                 verdict = Verdict("dt_underflow", state.t)
             else:
