@@ -31,7 +31,7 @@ The CSV time series has the fixed header
 ``t,sup_u,sup_v,L,I,J,dt,bound_violation`` with numbers written at 17
 significant digits (bit-faithful for cross-run comparison), one row per
 ``log_every`` accepted steps plus the final state.  Reports are plain
-text, one ``key: value`` per line.
+text, one ``key: value`` per line (:func:`rdcertify.verify.report_lines`).
 
 Exit codes of ``rd-certify run``: 0 completed with bounds held,
 2 blow-up, 3 completed with a bound violation, 4 step-size underflow,
@@ -361,8 +361,7 @@ def cmd_run(config_path) -> int:
                     + mass.to_lines())
     Path(cfg.report).write_text("\n".join(report_lines) + "\n")
 
-    for line in _verdict_lines(verdict):
-        print(line)
+    print("\n".join(_verdict_lines(verdict)))
     print(f"csv: {cfg.csv}")
     print(f"report: {cfg.report}")
 
@@ -383,8 +382,7 @@ def cmd_check(config_path) -> int:
         mass = verify.search_mu(sample, params.C)
     gn = verify.check_g_nonneg(sample)
 
-    for line in mass.to_lines() + gn.to_lines():
-        print(line)
+    print("\n".join(mass.to_lines() + gn.to_lines()))
     return 0 if (mass.passed and gn.passed) else 3
 
 

@@ -324,8 +324,7 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     T32 = T3 + 2.0 * d2
     kept = T3 + (3.5 * d2 - 0.5 * d1)               # T33
     err = float(np.abs(T32 - T22).max())            # NaN-propagating
-    sup_u, sup_v = np.abs(kept).max(axis=1)
-    scale = max(1.0, float(sup_u), float(sup_v))
+    scale = max(1.0, sup_norm(kept))
     if not err <= cfg.rtol * scale:
         return None
     if cfg.enforce_positivity:

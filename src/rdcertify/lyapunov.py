@@ -23,8 +23,9 @@ weight sequence in the log domain (theta_i grows like theta^(i*(i-1)),
 far past double precision for large p), checks the structural
 conditions, and evaluates L, I, J as discrete diagnostics: I and J are
 reported divided by kappa (the weights are rescaled by their maximum),
-so their signs and zero sets are exact while their raw magnitudes,
-which carry no decision content, stay representable.
+so they stay representable, with exact signs and zero sets unless a
+large theta or p log theta underflows a rescaled weight to 0 (theta =
+1e100 at p = 4 zeroes I and J above the bounds).
 
 ``diagnostics_block`` gives L, I and J of a block of states in one
 pass, with one gate per state: while the fields are finite, no node
@@ -276,8 +277,9 @@ def diagnostics(params: FunctionalParams, state, grid: Grid, a: float,
             (theta_{i+1}*sgnU*f + theta_i*sgnV*g) * U^i * V^(p-1-i)
 
     with the weights divided by their maximum (one shared positive
-    constant per parameter set, so the signs are exact); I is
-    nonpositive for every state whenever the weight conditions hold.
+    constant per parameter set, so the signs are exact while no divided
+    weight underflows to 0); I is nonpositive for every state whenever
+    the weight conditions hold.
     This is ``diagnostics_block`` on a block of one state.
     """
     fields = np.array([(as_field(state.u, grid), as_field(state.v, grid))])

@@ -37,6 +37,18 @@ DEFAULT_SEED = 20240817
 MAX_WITNESSES = 100
 
 
+def report_lines(prefix: str, items: dict, witnesses=()) -> list[str]:
+    """The one writer of report lines: ``prefix.key: value`` per entry of
+    ``items``, in order, then ``prefix.witness_k: text`` per witness, k
+    from 1.  A bool prints as true/false, a str as is, a number by repr."""
+    def text(value):
+        return (str(value).lower() if isinstance(value, bool) else
+                value if isinstance(value, str) else repr(value))
+    lines = [f"{prefix}.{key}: {text(value)}" for key, value in items.items()]
+    return lines + [f"{prefix}.witness_{k}: {w}"
+                    for k, w in enumerate(witnesses, start=1)]
+
+
 def sampling_seed() -> int:
     """Seed for the random half of the sampling, as the CLI chooses it:
     the integer >= 0 in RD_CERTIFY_SEED when it is set (anything else
@@ -107,24 +119,15 @@ class MassControlReport:
     violations: list = field(default_factory=list)
 
     def to_lines(self) -> list[str]:
-        prefix = "mass_control"
-        lines = [
-            f"{prefix}.passed: {str(self.passed).lower()}",
-            f"{prefix}.mu: {self.mu!r}",
-            f"{prefix}.C: {self.C!r}",
-            f"{prefix}.box: [0,{self.edge!r}]x[0,{self.edge!r}]",
-            f"{prefix}.n_per_axis: {self.n_per_axis}",
-            f"{prefix}.seed: {self.seed}",
-            f"{prefix}.samples_tested: {self.samples_tested}",
-            f"{prefix}.samples_indeterminate: {self.samples_indeterminate}",
-            f"{prefix}.violations: {len(self.violations)}",
-        ]
-        for k, w in enumerate(self.violations, start=1):
-            lines.append(
-                f"{prefix}.witness_{k}: u={w.u!r} v={w.v!r} f={w.f!r} "
-                f"f_plus_mu_g={w.f_plus_mu_g!r} inequality={w.which}"
-            )
-        return lines
+        return report_lines("mass_control", {
+            "passed": self.passed, "mu": self.mu, "C": self.C,
+            "box": f"[0,{self.edge!r}]x[0,{self.edge!r}]",
+            "n_per_axis": self.n_per_axis, "seed": self.seed,
+            "samples_tested": self.samples_tested,
+            "samples_indeterminate": self.samples_indeterminate,
+            "violations": len(self.violations)},
+            (f"u={w.u!r} v={w.v!r} f={w.f!r} f_plus_mu_g={w.f_plus_mu_g!r} "
+             f"inequality={w.which}" for w in self.violations))
 
 
 def _judge(sample: BoxSample, C: float, mus) -> MassControlReport:
@@ -184,17 +187,13 @@ class GNonNegReport:
     violations: list = field(default_factory=list)   # (u, v, g) triples
 
     def to_lines(self) -> list[str]:
-        prefix = "g_nonneg"
-        lines = [
-            f"{prefix}.passed: {str(self.passed).lower()}",
-            f"{prefix}.box: [0,{self.edge!r}]x[0,{self.edge!r}]",
-            f"{prefix}.samples_tested: {self.samples_tested}",
-            f"{prefix}.samples_indeterminate: {self.samples_indeterminate}",
-            f"{prefix}.violations: {len(self.violations)}",
-        ]
-        for k, (u, v, g) in enumerate(self.violations, start=1):
-            lines.append(f"{prefix}.witness_{k}: u={u!r} v={v!r} g={g!r}")
-        return lines
+        return report_lines("g_nonneg", {
+            "passed": self.passed,
+            "box": f"[0,{self.edge!r}]x[0,{self.edge!r}]",
+            "samples_tested": self.samples_tested,
+            "samples_indeterminate": self.samples_indeterminate,
+            "violations": len(self.violations)},
+            (f"u={u!r} v={v!r} g={g!r}" for u, v, g in self.violations))
 
 
 def check_g_nonneg(sample: BoxSample) -> GNonNegReport:
@@ -266,25 +265,15 @@ class ClaimReport:
     L_max: float
 
     def to_lines(self) -> list[str]:
-        prefix = "claim"
-        signs = self.J_sign_history
-        lines = [
-            f"{prefix}.bound_u_held: {str(self.bound_u_held).lower()}",
-            f"{prefix}.bound_v_held: {str(self.bound_v_held).lower()}",
-            f"{prefix}.L_max: {self.L_max!r}",
-            f"{prefix}.J_sign_counts: neg={int((signs < 0).sum())}"
-            f" zero={int((signs == 0).sum())} pos={int((signs > 0).sum())}",
-        ]
-        if self.first_violation is None:
-            lines.append(f"{prefix}.first_violation: none")
-        else:
-            w = self.first_violation
-            lines.append(
-                f"{prefix}.first_violation: t={w.t!r} node={w.node} "
-                f"field={w.field} value={w.value!r} bound={w.bound!r} "
-                f"exceedance={w.exceedance!r}"
-            )
-        return lines
+        signs, w = self.J_sign_history, self.first_violation
+        return report_lines("claim", {
+            "bound_u_held": self.bound_u_held,
+            "bound_v_held": self.bound_v_held, "L_max": self.L_max,
+            "J_sign_counts": f"neg={(signs < 0).sum()} zero="
+                             f"{(signs == 0).sum()} pos={(signs > 0).sum()}",
+            "first_violation": "none" if w is None else
+                f"t={w.t!r} node={w.node} field={w.field} value={w.value!r} "
+                f"bound={w.bound!r} exceedance={w.exceedance!r}"})
 
 
 def assemble_claim_report(series) -> ClaimReport:

@@ -48,6 +48,10 @@ POWER_SEARCH = (COMBUSTION_ZERO
                 .replace("kind = combustion\nm = 1", "kind = absorption\n"
                          "F = power:0.5\nG = power:2.0\nlam = 0.5")
                 .replace("value = 0.0", "value = 1.0"))
+# absorption_decay with G(0) = e - 10 < 0: g changes sign on the box, so
+# both checks fail with MAX_WITNESSES witnesses each
+NEGATIVE_G = (CONFIGS / "absorption_decay.ini").read_text().replace(
+    "\nG = exp\n", "\nG = doubleexp-poly:10\n")
 
 
 def blowup_config(tmp_path, rtol="1e-4", log_every=1):
@@ -671,7 +675,9 @@ def test_cmd_check_config_error(tmp_path, capsys):
     ("absorption_decay.ini", 0, "422bde10"),
     ("blowup.ini", 3, "d3aefa5e"),
     (None, 0, "bd85fc9f"),
-], ids=["combustion_bump", "absorption_decay", "blowup", "power_search"])
+    (NEGATIVE_G, 3, "70db03fd"),
+], ids=["combustion_bump", "absorption_decay", "blowup", "power_search",
+        "negative_g"])
 def test_cmd_check_output_bytes(config, code, digest, tmp_path, capsys,
                                 monkeypatch):
     # the stdout of check is pinned byte for byte at the default seed
@@ -680,12 +686,23 @@ def test_cmd_check_output_bytes(config, code, digest, tmp_path, capsys,
     if config is None:
         path = tmp_path / "power.ini"
         path.write_text(POWER_SEARCH)
+    elif config == NEGATIVE_G:
+        path = tmp_path / "negative_g.ini"
+        path.write_text(NEGATIVE_G)
     else:
         path = CONFIGS / config
     assert cmd_check(path) == code
     out = capsys.readouterr().out
     if config is None:
         assert "mass_control.mu: 0.03125" in out.splitlines()
+    if config == NEGATIVE_G:
+        lines = out.splitlines()
+        for prefix in ("mass_control", "g_nonneg"):
+            assert f"{prefix}.violations: {verify.MAX_WITNESSES}" in lines
+            assert [line.split(":")[0] for line in lines
+                    if line.startswith(f"{prefix}.witness_")] == [
+                f"{prefix}.witness_{k}"
+                for k in range(1, verify.MAX_WITNESSES + 1)]
     assert hashlib.sha256(out.encode()).hexdigest()[:8] == digest
 
 

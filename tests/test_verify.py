@@ -11,8 +11,8 @@ from rdcertify.mesh import Grid, ParamError
 from rdcertify.verify import (DEFAULT_SEED, BoundEvent,
                               assemble_claim_report, check_g_nonneg,
                               check_mass_control, default_box,
-                              monitor_bounds, sample_box, sampling_seed,
-                              search_mu)
+                              monitor_bounds, report_lines, sample_box,
+                              sampling_seed, search_mu)
 
 
 class SignFlip(ReactionModel):
@@ -257,6 +257,19 @@ def test_claim_report_flag_consistency():
                                bound=1.0)))
     assert not dirty.bound_u_held
     assert dirty.first_violation is not None
+
+
+def test_report_lines_format():
+    # the one writer of the reports: bools lowercased (not read as the
+    # ints they are), strings as they are, numbers by repr, then the
+    # witnesses numbered from 1
+    items = {"passed": True, "held": False, "box": "[0,1.0]x[0,1.0]",
+             "mu": 0.1, "tiny": 5e-324, "inf": math.inf, "count": 1}
+    assert report_lines("x", items, iter(["u=1", "u=2"])) == [
+        "x.passed: true", "x.held: false", "x.box: [0,1.0]x[0,1.0]",
+        "x.mu: 0.1", "x.tiny: 5e-324", "x.inf: inf", "x.count: 1",
+        "x.witness_1: u=1", "x.witness_2: u=2"]
+    assert report_lines("x", {}) == []
 
 
 @pytest.mark.parametrize("enforce_positivity", [True, False])
