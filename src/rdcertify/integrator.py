@@ -11,15 +11,18 @@ size dt/k from (u, v), giving T1, T2, T3.
 
 The levels do not depend on each other until the tableau, so a trial
 advances them side by side in three rounds: the first substep of levels
-1-3, the second of levels 2-3, the third of level 3.  Their six fields
-[L1u, L1v, L2u, L2v, L3u, L3v] sit in one row of a workspace that
-``run`` allocates once, so that no trial allocates its band, the copies
-``?gtsv`` overwrites or the levels' fields.  Each round solves the
-suffix of the fields still stepping (6, 4, then 2) in one ``?gtsv``
-call on the trial's one 6-block band, with r = (dt/k) * {a, b} / h^2.
-The entries that would couple neighbouring blocks are zero, so each
-field gets the bits of its own solve.  With d1 = T2 - T1 and
-d2 = T3 - T2 the Aitken-Neville tableau is
+1-3, the second of levels 2-3, the third of level 3.  The second and
+third rounds each evaluate the kinetics once, on the stacked fields of
+the levels they step, so a full trial makes 2 ``rates`` calls beyond
+the one at the state.  The six fields [L1u, L1v, L2u, L2v, L3u, L3v]
+sit in one row of a workspace that ``run`` allocates once, so that no
+trial allocates its band, the copies ``?gtsv`` overwrites or the
+levels' fields.  Each round solves the suffix of the fields still
+stepping (6, 4, then 2) in one ``?gtsv`` call on the trial's one
+6-block band, with r = (dt/k) * {a, b} / h^2.  The entries that would
+couple neighbouring blocks are zero, so each field gets the bits of its
+own solve.  With d1 = T2 - T1 and d2 = T3 - T2 the Aitken-Neville
+tableau is
 
     T22 = T2 + d1,   T32 = T3 + 2 d2,   T33 = T3 + (3.5 d2 - 0.5 d1),
 
@@ -286,15 +289,16 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     do not depend on each other until the tableau, so they advance side
     by side in three rounds: the first substep of levels 1-3, from
     ``rates0``; the second of levels 2-3 and the third of level 3, each
-    after one ``model.rates`` call per level, so a full trial makes 3
-    calls.  Row 6 of the workspace ``work`` (``_workspace``) holds the
-    levels' fields [L1u, L1v, L2u, L2v, L3u, L3v]; each round writes
-    its reaction stages into the suffix of the levels it steps, rejects
-    the trial if any is not finite, and solves that suffix in place in
-    one ``?gtsv`` call on the trial's one 6-block band: 6, 4, then 2
-    fields.  The row then holds T1, T2 and T3.  The kept state is T33
-    and err is sup|T32 - T22|, the tableau and error test of the module
-    docstring; ``w_new`` is a new array, not a view of ``work``.
+    after one ``model.rates`` call on the stacked (k, n) fields of the
+    levels it steps, so a full trial makes 2 calls.  Row 6 of the
+    workspace ``work`` (``_workspace``) holds the levels' fields [L1u,
+    L1v, L2u, L2v, L3u, L3v]; each round writes its reaction stages into
+    the suffix of the levels it steps, rejects the trial if any is not
+    finite, and solves that suffix in place in one ``?gtsv`` call on the
+    trial's one 6-block band: 6, 4, then 2 fields.  The row then holds
+    T1, T2 and T3.  The kept state is T33 and err is sup|T32 - T22|, the
+    tableau and error test of the module docstring; ``w_new`` is a new
+    array, not a view of ``work``.
     """
     n = grid.n_nodes
     spacing_sq = grid.spacing ** 2
@@ -309,7 +313,9 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
             base, rates = w, rates0
         else:
             base = stages
-            rates = np.array([model.rates(*level) for level in stages])
+            # (f, g) of the stacked levels, back in (level, field, node)
+            rates = np.array(model.rates(stages[:, 0], stages[:, 1]))
+            rates = rates.swapaxes(0, 1)
         # reaction stage (rejected past the double range), diffusion
         with np.errstate(over="ignore", invalid="ignore"):
             np.add(base, steps[j:] * rates, out=stages)
@@ -317,9 +323,8 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
             return None
         _solve(band, stages.reshape(-1, n), work[3:6])
 
-    T1, T2, T3 = levels
-    d1 = T2 - T1
-    d2 = T3 - T2
+    T2, T3 = levels[1:]
+    d1, d2 = levels[1:] - levels[:-1]
     T22 = T2 + d1
     T32 = T3 + 2.0 * d2
     kept = T3 + (3.5 * d2 - 0.5 * d1)               # T33

@@ -174,14 +174,25 @@ class ReactionModel:
     claimed_mu: float | None = None
 
     def rates(self, u, v):
-        """Vectorized (f, g) without domain checks; may overflow to inf."""
+        """Vectorized (f, g) without domain checks; may overflow to inf.
+
+        Must be pointwise: f and g at a node depend on u and v at that
+        node alone, on arrays of any shape, so that a stack of fields
+        (k, n) gets each row's own (f, g), bit for bit.  The integrator
+        calls it on such stacks; a model that reads ``len(u)``, ``u[0]``
+        or ``u.mean()`` gets other numbers there.  It must not write
+        into u or v, which may be views of the integrator's workspace."""
         raise NotImplementedError
 
 
-def _zero_where_zero(base, factor):
-    # base * factor with the convention 0 * inf = 0 (reactant absent);
-    # callers run it under errstate(invalid="ignore")
-    return np.where(base == 0.0, 0.0, base * factor)
+def _fields(u, v):
+    # u and v as float arrays of one shape, so that the pair (u F, u G)
+    # or (u - u^2, u) can be stacked on a new first axis
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.shape != v.shape:
+        u, v = np.broadcast_arrays(u, v)
+    return u, v
 
 
 class Absorption(ReactionModel):
@@ -202,11 +213,12 @@ class Absorption(ReactionModel):
             self.claimed_C, self.claimed_mu = A, self.lam
 
     def rates(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        u, v = _fields(u, v)
         Fv, Gv = self.F.value(v), self.G.value(v)
+        # u F(v) and u G(v) in one pass, 0 where u is (0 * inf = 0)
         with np.errstate(invalid="ignore"):
-            return -_zero_where_zero(u, Fv), _zero_where_zero(u, Gv)
+            uF, uG = np.where(u == 0.0, 0.0, u * np.array((Fv, Gv)))
+        return -uF, uG
 
 
 class Combustion(ReactionModel):
@@ -223,11 +235,10 @@ class Combustion(ReactionModel):
         self.m = m
 
     def rates(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        u, v = _fields(u, v)
         with np.errstate(over="ignore", invalid="ignore"):
             um = u ** self.m
-            g = _zero_where_zero(um, np.exp(v))
+            g = np.where(um == 0.0, 0.0, um * np.exp(v))   # 0 * inf = 0
         return -g, g
 
 
@@ -240,13 +251,15 @@ class BlowupExample(ReactionModel):
     """
 
     def rates(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        u, v = _fields(u, v)
+        # f and g in one pass, each 0 where its factor of v^2 is, at
+        # u = 1 as at u = 0 (0 * inf = 0); base has at least one axis,
+        # so the product is an array to zero in place
         with np.errstate(over="ignore", invalid="ignore"):
-            v2 = v * v
-            f = _zero_where_zero(u - u * u, v2)
-            g = _zero_where_zero(u, v2)
-        return f, g
+            base = np.array((u - u * u, u))
+            fg = base * (v * v)
+        fg[base == 0.0] = 0.0
+        return fg
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -80,6 +81,66 @@ def test_blowup_example_positive_f_region():
     f, g = BlowupExample().rates(u, v)
     assert np.all(f > 0.0)
     assert np.all(g >= 0.0)
+
+
+def zero_where_zero(base, factor):
+    # base * factor with the convention 0 * inf = 0 (reactant absent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(base == 0, 0, base * factor)
+
+
+def two_pass_rates(model, u, v):
+    """(f, g) by the formulas written out factor by factor, one product
+    and one zeroing per rate."""
+    with np.errstate(over="ignore"):
+        if isinstance(model, BlowupExample):
+            v2 = v * v
+            return zero_where_zero(u - u * u, v2), zero_where_zero(u, v2)
+        if isinstance(model, Combustion):
+            g = zero_where_zero(u ** model.m, np.exp(v))
+            return -g, g
+    return (-zero_where_zero(u, model.F.value(v)),
+            zero_where_zero(u, model.G.value(v)))
+
+
+@pytest.mark.parametrize("model", [
+    BlowupExample(), Combustion(1), Combustion(2), Combustion(3),
+    Absorption(Exp(), Exp()), Absorption(DoubleExp(), Exp()),
+])
+def test_one_pass_rates_match_the_formulas_bit_for_bit(model):
+    # every (u, v) of the grid below, where v^2, e^v or F(v) overflows
+    # and u, or 1 - u, is 0: f = 0 at u = 1, v = inf for BlowupExample,
+    # and f = -0.0 where u = 0 for Absorption and Combustion
+    u, v = (np.array(axis) for axis in zip(*itertools.product(
+        [0.0, 1e-300, 0.5, 1.0], [0.0, 2.0, 1e200, 800.0, np.inf])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        f, g = model.rates(u, v)
+        stacked = np.array(model.rates(u.reshape(4, 5), v.reshape(4, 5)))
+        rows = [model.rates(*pair) for pair in zip(u.reshape(4, 5),
+                                                   v.reshape(4, 5))]
+    want_f, want_g = two_pass_rates(model, u, v)
+    assert np.asarray(f).tobytes() == want_f.tobytes()
+    assert np.asarray(g).tobytes() == want_g.tobytes()
+    assert stacked.tobytes() == np.array(rows).swapaxes(0, 1).tobytes()
+    assert stacked.reshape(2, -1).tobytes() == np.array((f, g)).tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    BlowupExample(), Combustion(2), Absorption(Exp(), Exp()),
+])
+@pytest.mark.parametrize("shapes", [((5,), ()), ((2,), ()), ((), (5,)),
+                                    ((2, 5), (5,)), ((2, 1), (2, 5))])
+def test_rates_broadcast_u_against_v(model, shapes):
+    # u and v of different shapes get the rates of the broadcast pair;
+    # a u of length 2 must not pair the stacking axis with the data
+    rng = np.random.default_rng(5)
+    u, v = (rng.uniform(0.0, 2.0, size=shape) for shape in shapes)
+    f, g = model.rates(u, v)
+    want_f, want_g = two_pass_rates(model, *np.broadcast_arrays(u, v))
+    assert np.shape(f) == np.shape(g) == np.broadcast_shapes(*shapes)
+    assert np.asarray(f).tobytes() == want_f.tobytes()
+    assert np.asarray(g).tobytes() == want_g.tobytes()
 
 
 # ---------------------------------------------------------------------------
