@@ -71,8 +71,7 @@ import functools
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from inspect import signature
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -145,27 +144,26 @@ def _numbers(text: str) -> np.ndarray:
     return np.array([float(tok) for tok in text.split(",")])
 
 
-def _keys(build, readers=None) -> tuple[dict, list]:
-    """The readers of ``build``'s keywords, by default a dataclass's
-    fields read by their types, and the required ones, which
-    ``build`` gives no default."""
-    if readers is None:
-        types = {"int": int, "float": float, "bool": _bool}
-        readers = {f.name: types[f.type] for f in fields(build)}
-    params = signature(build).parameters.values()
-    return readers, [p.name for p in params if p.default is p.empty]
+def _keys(cls) -> tuple[dict, list]:
+    """The readers of a dataclass's fields, each read by its type, and
+    the required ones, which have no default."""
+    types = {"int": int, "float": float, "bool": _bool}
+    return ({f.name: types[f.type] for f in fields(cls)},
+            [f.name for f in fields(cls)
+             if f.default is MISSING and f.default_factory is MISSING])
 
 
 _GRID_KEYS = _keys(Grid)
 _SCHEME_KEYS = _keys(SchemeConfig)
-# [model] kind -> (constructor, readers, required keys)
-_MODELS = {kind: (build, *_keys(build, readers)) for kind, build, readers in (
-    ("combustion", kinetics.Combustion, {"m": int}),
-    ("absorption", kinetics.Absorption, {"F": kinetics.growth_from_spec,
+# [model] kind -> (constructor, readers, required keys: the parameters
+# the constructor gives no default)
+_MODELS = {
+    "combustion": (kinetics.Combustion, {"m": int}, ()),
+    "absorption": (kinetics.Absorption, {"F": kinetics.growth_from_spec,
                                          "G": kinetics.growth_from_spec,
-                                         "lam": float}),
-    ("blowup_example", kinetics.BlowupExample, {}),
-)}
+                                         "lam": float}, ("F", "G")),
+    "blowup_example": (kinetics.BlowupExample, {}, ()),
+}
 _CLAIMS = {"claimed_C": float, "claimed_mu": float}
 # [initial_u], [initial_v] kind -> the readers of its keys, all required
 # but a bump's baseline

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-# loaded on import, not inside a command's timed path
-from numpy.polynomial.polynomial import polyval
 
 from .mesh import ParamError, check_positive
 
@@ -109,7 +107,12 @@ class DoubleExpMinusPoly(GrowthFunction):
             raise ValueError(f"coeffs must be finite, got {self.coeffs}")
 
     def _poly(self, s):
-        return polyval(s, self.coeffs)
+        # Horner's rule, the operations of numpy.polynomial's polyval
+        c = self.coeffs
+        p = c[-1] + s * 0
+        for ck in reversed(c[:-1]):
+            p = ck + p * s
+        return p
 
     def value(self, s):
         s = np.asarray(s, dtype=float)

@@ -92,8 +92,11 @@ def as_field(values, grid: Grid) -> np.ndarray:
 
 
 def sup_norm(f) -> float:
-    """Maximum absolute nodal value (discrete L-infinity norm)."""
-    return float(np.max(np.abs(np.asarray(f, dtype=float))))
+    """Maximum absolute nodal value (discrete L-infinity norm); nan when
+    a value is nan."""
+    # the ufunc's own reduction: np.max's dispatch costs as much again
+    return float(np.maximum.reduce(np.abs(np.asarray(f, dtype=float)),
+                                   axis=None))
 
 
 def integrate(f, grid: Grid):

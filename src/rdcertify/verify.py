@@ -6,12 +6,23 @@ The control-of-mass condition
 
 is checked on a bounded box [0, edge]^2, sampled once by ``sample_box``:
 the kinetics at a deterministic lattice plus an equal number of seeded
-uniform points.  ``check_mass_control`` (one mu) and ``search_mu`` (mu =
-1, 1/2, ..., 2**-20) share one judging loop and build one report, for
+uniform points.  The points depend on (edge, n_per_axis, seed) alone,
+so consecutive samples of the same box share one read-only pair of
+point arrays; only the kinetics are evaluated afresh.
+``check_mass_control`` (one mu) and ``search_mu`` (mu = 1, 1/2, ...,
+2**-20) share one judging loop, which judges the sample's own arrays
+under a mask of the points with u + v >= C, and build one report, for
 the mu returned; ``check_g_nonneg`` judges g >= 0 on the lattice.  A
 report records the box, the seed, and up to 100 violation witnesses, so
 every certificate is explicit about its scope.  Samples where the
 kinetics overflow are counted as indeterminate, never as passes.
+
+Once mu = 1 has failed, ``search_mu`` looks for a sure failure.  Where
+g >= 0, mu -> fl(f + fl(mu g)) is non-decreasing, since rounding is
+monotone.  So a kept point with g >= 0, fl(f + g) finite and
+fl(f + 2**-20 g) > 0 has a finite f + mu g > 0 at every mu of the
+ladder: no mu passes, and only the last is judged.  The report is the
+one the full ladder ends on.
 
 The candidate bounds (u_bar0, v_bar0) are sup-norm bounds:
 ||u(t)||_inf <= u_bar0 and ||v(t)||_inf <= v_bar0.  A run flags each
@@ -23,6 +34,7 @@ verdict on whether the bounds held.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -80,7 +92,8 @@ class MassControlViolation:
 class BoxSample:
     """``model.rates`` at the n_per_axis^2 lattice of [0, edge]^2 (u
     running fastest), then at as many seeded uniform points; f and g
-    may hold inf or nan where the kinetics overflow."""
+    may hold inf or nan where the kinetics overflow.  u and v are
+    read-only: samples of the same box share them."""
     edge: float
     n_per_axis: int
     seed: int
@@ -90,20 +103,28 @@ class BoxSample:
     g: np.ndarray
 
 
+@functools.lru_cache(maxsize=1)
+def _points(edge: float, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    # the box's points, kept for the next sample of the same box
+    axis = np.linspace(0.0, edge, n)
+    rand = default_rng(seed).uniform(0.0, edge, size=(n * n, 2))
+    u = np.concatenate([np.tile(axis, n), rand[:, 0]])
+    v = np.concatenate([np.repeat(axis, n), rand[:, 1]])
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
+
+
 def sample_box(model, edge: float, n_per_axis: int,
                seed: int = DEFAULT_SEED) -> BoxSample:
     """Sample the box and evaluate ``model.rates`` once on every point."""
     check_positive(edge=edge)
     if not n_per_axis >= 2:
         raise ValueError(f"n_per_axis must be >= 2, got {n_per_axis}")
-    n, seed = int(n_per_axis), int(seed)
-    axis = np.linspace(0.0, edge, n)
-    rand = default_rng(seed).uniform(0.0, edge, size=(n * n, 2))
-    u = np.concatenate([np.tile(axis, n), rand[:, 0]])
-    v = np.concatenate([np.repeat(axis, n), rand[:, 1]])
+    edge, n, seed = float(edge), int(n_per_axis), int(seed)
+    u, v = _points(edge, n, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         f, g = model.rates(u, v)
-    return BoxSample(float(edge), n, seed, u, v, f, g)
+    return BoxSample(edge, n, seed, u, v, f, g)
 
 
 @dataclass
@@ -131,33 +152,42 @@ class MassControlReport:
 
 
 def _judge(sample: BoxSample, C: float, mus) -> MassControlReport:
-    """The one judging loop: filter the points by u + v >= C once, judge
-    each mu by its mask, and report the first that passes (or the last),
-    with witnesses for that mu only."""
+    """The one judging loop: judge each mu on the points with u + v >= C
+    (a mask on the sample's own arrays), and report the first mu that
+    passes (or the last), with witnesses for that mu only.  ``mus``
+    descends; after a failed first mu, a sure failure (module
+    docstring) skips to the last."""
     check_nonnegative(C=C)
+    f, g = sample.f, sample.g
     keep = sample.u + sample.v >= C
-    u, v, f, g = sample.u[keep], sample.v[keep], sample.f[keep], sample.g[keep]
-    finite_fg = np.isfinite(f) & np.isfinite(g)
     fpm = np.empty(f.shape)    # f + mu*g, one buffer reused for every mu
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for mu in mus:
-            np.multiply(mu, g, out=fpm)
+        while True:
+            np.multiply(mus[k], g, out=fpm)
             fpm += f
-            finite = finite_fg & np.isfinite(fpm)
+            # a finite f + mu*g (mu > 0) also says f and g are finite
+            finite = np.isfinite(fpm) & keep
             first = f > fpm        # fails f <= f + mu*g, i.e. mu*g < 0
             bad = finite & (first | (fpm > 0.0))   # or fails f + mu*g <= 0
-            if not bad.any():
+            if k == len(mus) - 1 or not bad.any():
                 break
+            sure = k == 0 and (finite & (g >= 0.0)
+                               & (f + mus[-1] * g > 0.0)).any()
+            k = len(mus) - 1 if sure else k + 1
 
     violations = [MassControlViolation(
-        float(u[i]), float(v[i]), float(f[i]), float(fpm[i]),
+        float(sample.u[i]), float(sample.v[i]), float(f[i]), float(fpm[i]),
         "f_le_f_plus_mu_g" if first[i] else "f_plus_mu_g_le_0")
         for i in np.flatnonzero(bad)[:MAX_WITNESSES]]
+    tested = int(np.count_nonzero(finite))
     return MassControlReport(
-        passed=not violations, mu=float(mu), C=float(C), edge=sample.edge,
-        n_per_axis=sample.n_per_axis, seed=sample.seed,
-        samples_tested=int(finite.sum()),
-        samples_indeterminate=int((~finite).sum()), violations=violations)
+        passed=not violations, mu=float(mus[k]), C=float(C),
+        edge=sample.edge, n_per_axis=sample.n_per_axis, seed=sample.seed,
+        samples_tested=tested,
+        # keep & ~finite, as finite lies inside keep
+        samples_indeterminate=int(np.count_nonzero(keep)) - tested,
+        violations=violations)
 
 
 def check_mass_control(sample: BoxSample, C: float,

@@ -222,6 +222,26 @@ def test_kind_scoped_and_required_keys(needle, old, new):
     assert str(err.value).startswith(f"config error at {needle}")
 
 
+def test_model_required_keys_are_the_constructors():
+    # each kind's required keys are the parameters its constructor gives
+    # no default; the table states them so no signature is parsed at import
+    from inspect import signature
+    for kind, (build, readers, required) in cli._MODELS.items():
+        params = signature(build).parameters.values()
+        assert list(required) == [p.name for p in params
+                                  if p.default is p.empty], kind
+        assert set(required) <= set(readers)
+
+
+def test_blowup_example_refuses_m(tmp_path, capsys):
+    path, _, _ = blowup_config(tmp_path)
+    path.write_text(path.read_text().replace(
+        "kind = blowup_example", "kind = blowup_example\nm = 1"))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error at model.m: unknown key")
+
+
 def test_make_model_and_fields():
     cfg = parse_config_text(COMBUSTION_ZERO)
     assert isinstance(cfg.model, Combustion)
@@ -704,6 +724,24 @@ def test_cmd_check_output_bytes(config, code, digest, tmp_path, capsys,
                 f"{prefix}.witness_{k}"
                 for k in range(1, verify.MAX_WITNESSES + 1)]
     assert hashlib.sha256(out.encode()).hexdigest()[:8] == digest
+
+
+def test_cmd_check_bytes_survive_another_box(tmp_path, capsys, monkeypatch):
+    # the box's points are kept between samples of one box: checking A,
+    # then B on a larger box, then A again prints each one's pinned bytes
+    monkeypatch.delenv("RD_CERTIFY_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    other = tmp_path / "other.ini"
+    other.write_text((CONFIGS / "combustion_bump.ini").read_text().replace(
+        "m = 1", "m = 1\nclaimed_C = 12.0"))
+    outs = []
+    for path in (CONFIGS / "combustion_bump.ini", other,
+                 CONFIGS / "combustion_bump.ini"):
+        assert cmd_check(path) == 0
+        outs.append(capsys.readouterr().out)
+    assert "mass_control.box: [0,24.0]x[0,24.0]" in outs[1].splitlines()
+    assert [hashlib.sha256(out.encode()).hexdigest()[:8] for out in outs] == [
+        "422bde10", "ee970647", "422bde10"]
 
 
 def test_cmd_check_evaluates_the_kinetics_once(tmp_path, capsys, monkeypatch):

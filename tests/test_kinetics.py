@@ -174,6 +174,28 @@ def test_double_exp_minus_poly_nonpositive_region():
     assert np.isfinite(float(growth.log_value(2.0)))
 
 
+def test_poly_is_polyval_bit_for_bit():
+    # the Horner loop written out does polyval's operations in its order
+    from numpy.polynomial.polynomial import polyval
+    rng = np.random.default_rng(11)
+    special = np.array([0.0, -0.0, 1e-300, 3.0, 700.0, 1e300, np.inf,
+                        -np.inf, np.nan])
+    s = np.concatenate([special, rng.uniform(-50.0, 50.0, 40),
+                        rng.standard_normal(20) * 1e200])
+    for count in range(1, 6):
+        for _ in range(10):
+            coeffs = rng.standard_normal(count) * 10.0 ** rng.integers(
+                -300, 300, count)
+            law = DoubleExpMinusPoly(coeffs)
+            with np.errstate(all="ignore"):
+                got, want = law._poly(s), polyval(s, law.coeffs)
+                scalars = [(law._poly(x), polyval(x, law.coeffs))
+                           for x in special]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for one, other in scalars:
+                assert np.float64(one).tobytes() == np.float64(other).tobytes()
+
+
 def test_growth_spec_round_trip():
     for text, g in (("power:2.0", Power(2.0)), ("exp", Exp()),
                     ("subexp:0.5", SubExp(0.5)), ("doubleexp", DoubleExp()),

@@ -64,6 +64,21 @@ def test_sup_norm():
     assert sup_norm(np.array([0.5, 0.5])) == 0.5
 
 
+@pytest.mark.parametrize("values", [
+    [np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0], [1.0, np.nan, np.inf],
+    [-0.0], [-0.0, 0.0], [0.0, -0.0], [[1.0, -5.0], [2.0, np.nan]],
+    [5e-324, -1e308], 2.5])
+def test_sup_norm_matches_np_max(values):
+    # the ufunc reduction gives the bits of np.max(np.abs(.)): max is
+    # exact, nan propagates and -0.0 comes back as 0.0
+    want = float(np.max(np.abs(np.asarray(values, dtype=float))))
+    got = sup_norm(values)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    with pytest.raises(ValueError):
+        sup_norm(np.array([]))
+
+
 def test_integrate_constant_and_linear():
     g = Grid(17, 1.0)
     assert integrate(np.ones(17), g) == pytest.approx(1.0, abs=1e-15)

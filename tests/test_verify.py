@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from rdcertify.integrator import SchemeConfig, SimState, TimeSeries, run
 from rdcertify.kinetics import (Absorption, BlowupExample, Combustion, Exp,
-                                ReactionModel)
+                                Power, ReactionModel)
 from rdcertify.lyapunov import build_params
 from rdcertify.mesh import Grid, ParamError
-from rdcertify.verify import (DEFAULT_SEED, BoundEvent,
+from rdcertify.verify import (DEFAULT_SEED, BoundEvent, BoxSample,
                               assemble_claim_report, check_g_nonneg,
                               check_mass_control, default_box,
                               monitor_bounds, report_lines, sample_box,
@@ -133,6 +134,106 @@ def test_search_mu_finds_largest_passing():
     failed = search_mu(sample_box(BlowupExample(), 10.0, 21), 0.0)
     assert not failed.passed
     assert failed.mu == 2.0 ** -20
+
+
+def test_sample_box_points_are_the_lattice_then_seeded_points():
+    n, edge, seed = 9, 4.0, 123
+    sample = sample_box(BlowupExample(), edge, n, seed=seed)
+    axis = np.linspace(0.0, edge, n)
+    rand = np.random.default_rng(seed).uniform(0.0, edge, size=(n * n, 2))
+    u = np.concatenate([np.tile(axis, n), rand[:, 0]])
+    v = np.concatenate([np.repeat(axis, n), rand[:, 1]])
+    assert sample.u.tobytes() == u.tobytes()
+    assert sample.v.tobytes() == v.tobytes()
+    f, g = BlowupExample().rates(u, v)
+    assert sample.f.tobytes() == f.tobytes()
+    assert sample.g.tobytes() == g.tobytes()
+    # the points are shared by the samples of one box, so read-only
+    again = sample_box(Combustion(1), edge, n, seed=seed)
+    assert again.u is sample.u and again.v is sample.v
+    for points in (sample.u, sample.v):
+        assert not points.flags.writeable
+        with pytest.raises(ValueError):
+            points[0] = 1.0
+    other = sample_box(Combustion(1), 2.0 * edge, n, seed=seed)
+    assert other.u.tobytes() == (2.0 * u).tobytes()
+
+
+def reference_check(sample, C, mu):
+    """One mu judged as it was before the masks: copy the points with
+    u + v >= C out of the sample, then judge the copies."""
+    keep = sample.u + sample.v >= C
+    u, v, f, g = (x[keep] for x in (sample.u, sample.v, sample.f, sample.g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fpm = f + mu * g
+        finite = np.isfinite(f) & np.isfinite(g) & np.isfinite(fpm)
+        first = f > fpm
+        bad = finite & (first | (fpm > 0.0))
+    violations = [(u[i], v[i], f[i], fpm[i], bool(first[i]))
+                  for i in np.flatnonzero(bad)[:100]]
+    return violations, int(finite.sum()), int((~finite).sum())
+
+
+def ladder(sample, C):
+    """search_mu written out: check mu = 1, 1/2, ..., 2**-20 in turn and
+    return the first passing report, or the last."""
+    for k in range(21):
+        report = check_mass_control(sample, C, 2.0 ** -k)
+        if report.passed:
+            break
+    return report
+
+
+def hand_made(f, g):
+    n = len(f)
+    return BoxSample(1.0, 2, 0, np.ones(n), np.ones(n), np.array(f),
+                     np.array(g))
+
+
+SEARCHED = {
+    "blowup": (sample_box(BlowupExample(), 10.0, 21), 0.0),
+    "absorption_fails": (sample_box(Absorption(Power(0.5), Exp()), 10.0, 21),
+                         0.0),
+    "absorption_passes": (sample_box(Absorption(Exp(), Exp()), 10.0, 21),
+                          0.0),
+    "sign_flip": (sample_box(SignFlip(), 2.0, 21), 0.0),
+    "blowup_dropped": (sample_box(BlowupExample(), 4.0, 9), 5.0),
+    "absorption_dropped": (sample_box(Absorption(Power(0.5), Exp()), 10.0,
+                                      21), 3.0),
+    "overflow": (sample_box(Combustion(1), 800.0, 31), 100.0),
+    # f + g overflows at mu = 1 (indeterminate) and fails at mu = 1/2: no
+    # sure failure, and mu = 1 passes on the other point
+    "overflow_then_fails": (hand_made([1e308, -1.0], [1e308, 1.0]), 0.0),
+    # the first point fails at mu = 1 and passes at 1/2; f + mu*g of the
+    # second is > 0 at every mu and overflows at 1 and 1/2, so a sure
+    # failure needs a finite f + g: the ladder passes at 1/2
+    "overflow_at_two_mus": (hand_made([-1.0, 1e308], [1.5, 1.7e308]), 0.0),
+    # fails until mu = 2**-5 = 1/32 <= 1/20
+    "passes_late": (hand_made([-1.0, -2.0], [20.0, 1.0]), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHED))
+def test_search_mu_is_the_plain_ladder(name):
+    sample, C = SEARCHED[name]
+    got, want = search_mu(sample, C), ladder(sample, C)
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+    assert got.to_lines() == want.to_lines()
+    violations, tested, indeterminate = reference_check(sample, C, got.mu)
+    assert (got.samples_tested, got.samples_indeterminate) == (
+        tested, indeterminate)
+    assert [(w.u, w.v, w.f, w.f_plus_mu_g, w.which == "f_le_f_plus_mu_g")
+            for w in got.violations] == violations
+    expected = {"blowup": (False, 2.0 ** -20),
+                "absorption_fails": (False, 2.0 ** -20),
+                "absorption_passes": (True, 1.0),
+                "overflow_then_fails": (True, 1.0),
+                "overflow_at_two_mus": (True, 0.5),
+                "passes_late": (True, 2.0 ** -5)}
+    if name in expected:
+        assert (got.passed, got.mu) == expected[name]
+    if name.startswith("overflow_"):
+        assert (got.samples_tested, got.samples_indeterminate) == (1, 1)
 
 
 def test_default_box():
