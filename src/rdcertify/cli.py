@@ -149,8 +149,7 @@ def _keys(cls) -> tuple[dict, list]:
     the required ones, which have no default."""
     types = {"int": int, "float": float, "bool": _bool}
     return ({f.name: types[f.type] for f in fields(cls)},
-            [f.name for f in fields(cls)
-             if f.default is MISSING and f.default_factory is MISSING])
+            [f.name for f in fields(cls) if f.default is MISSING])
 
 
 _GRID_KEYS = _keys(Grid)

@@ -93,7 +93,8 @@ class BoxSample:
     """``model.rates`` at the n_per_axis^2 lattice of [0, edge]^2 (u
     running fastest), then at as many seeded uniform points; f and g
     may hold inf or nan where the kinetics overflow.  u and v are
-    read-only: samples of the same box share them."""
+    read-only: samples of the same box share them, so a caller that
+    edits points edits a copy."""
     edge: float
     n_per_axis: int
     seed: int
@@ -105,7 +106,8 @@ class BoxSample:
 
 @functools.lru_cache(maxsize=1)
 def _points(edge: float, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    # the box's points, kept for the next sample of the same box
+    # the box's points, kept for the next sample of the same box; only
+    # the last box's pair stays alive
     axis = np.linspace(0.0, edge, n)
     rand = default_rng(seed).uniform(0.0, edge, size=(n * n, 2))
     u = np.concatenate([np.tile(axis, n), rand[:, 0]])
