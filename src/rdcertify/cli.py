@@ -53,8 +53,10 @@ squared is 0 or overflows, or whose spacing makes the diffusion solve
 singular in double precision, growth-law parameters that are not
 finite, a ``theta`` that is not finite or whose square overflows,
 ``p`` outside [2, 1000], ``m`` < 1, ``lam`` outside (0, 1), an
-``RD_CERTIFY_SEED`` that is not an integer >= 0, an ``[output]``
-``csv`` or ``report`` path whose directory does not exist, and a
+``RD_CERTIFY_SEED`` that is not an integer >= 0, a config file that
+cannot be read or is not UTF-8, an ``[output]`` ``csv`` or ``report``
+path that is a directory, loops through symlinks, runs through a file
+or lies in a directory that does not exist or cannot be written, and a
 ``report`` that is the ``csv`` file.
 The range rules on values live in the library, which raises
 :class:`rdcertify.mesh.ParamError`; ``main`` maps the parameter it
@@ -69,6 +71,7 @@ import argparse
 import configparser
 import functools
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
@@ -181,12 +184,18 @@ def _read(cp, name: str, readers: dict, required=()) -> dict:
     unset key is left out, so the library's default applies.  A missing
     required key, a key with no reader and a text its reader refuses
     raise ConfigError naming ``name.key``."""
-    section = cp[name] if cp.has_section(name) else {}
+    if not cp.has_section(name):
+        texts, order = {}, ()
+    else:
+        # the texts in one raw read, in SectionProxy's key order: the
+        # section's own keys, then [DEFAULT]'s
+        texts, order = dict(cp.items(name, raw=True)), cp.options(name)
     for key in required:
-        if key not in section:
+        if key not in texts:
             raise ConfigError(f"{name}.{key}", "missing required key")
     values = {}
-    for key, text in section.items():
+    for key in order:
+        text = texts[key]
         if key not in readers:
             raise ConfigError(f"{name}.{key}", "unknown key")
         try:
@@ -264,10 +273,10 @@ def _initial_field(cp, name: str, grid: Grid) -> np.ndarray:
     readers = _FIELDS[kind]
     values = _read(cp, name, {"kind": str, **readers},
                    [key for key in readers if key != "baseline"])
-    x = grid.nodes()
     if kind == "uniform":
-        return np.full_like(x, values["value"])
+        return np.full(grid.n_nodes, values["value"])
     if kind == "bump":
+        x = grid.nodes()
         width = values["width"]
         if not width > 0:
             raise ConfigError(f"{name}.width", f"must be > 0, got {width}")
@@ -276,18 +285,33 @@ def _initial_field(cp, name: str, grid: Grid) -> np.ndarray:
             return (values.get("baseline", 0.0) + values["height"]
                     * np.exp(-((x - values["center"]) / width) ** 2))
     field = values["nodes"]
-    if len(field) != len(x):
+    if len(field) != grid.n_nodes:
         raise ConfigError(f"{name}.nodes", f"{len(field)} values for a grid "
-                          f"of {len(x)} nodes")
+                          f"of {grid.n_nodes} nodes")
     return field
 
 
 def parse_config(path) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}")
     return parse_config_text(text)
+
+
+def _writable(path: str) -> bool:
+    """Whether a file can be written at ``path``: it is not a directory
+    (the empty path being ".", as for ``Path``), its lookup fails at most
+    because it does not exist (not in a symlink loop, nor through a
+    file), and its directory, ``dirname`` or ".", is writable."""
+    try:
+        if stat.S_ISDIR(os.stat(path or ".").st_mode):
+            return False
+    except FileNotFoundError:
+        pass
+    except OSError:         # ELOOP, ENOTDIR, ENAMETOOLONG, ...
+        return False
+    return os.access(os.path.dirname(path) or ".", os.W_OK)
 
 
 def _setup(config_path) -> tuple[RunConfig, verify.BoxSample]:
@@ -298,10 +322,9 @@ def _setup(config_path) -> tuple[RunConfig, verify.BoxSample]:
     an output path that cannot be written."""
     cfg = parse_config(config_path)
     for key, path in (("output.csv", cfg.csv), ("output.report", cfg.report)):
-        target = Path(path)
-        if target.is_dir() or not os.access(target.parent, os.W_OK):
+        if not _writable(path):
             raise ConfigError(key, f"cannot write {path}")
-    if Path(cfg.report).resolve() == Path(cfg.csv).resolve():
+    if os.path.realpath(cfg.report) == os.path.realpath(cfg.csv):
         raise ConfigError("output.report", f"{cfg.report} is the csv file")
     params = cfg.params
     seed = verify.sampling_seed()

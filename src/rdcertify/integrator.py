@@ -261,9 +261,9 @@ def _solve(band, x: np.ndarray, copies=None) -> None:
     np.copyto(copies, band[:, -m:])
     shift = x[:, :1].copy()
     x -= shift
+    # overwrite_dl, _d, _du and _b, passed positionally
     *_, info = _gtsv(copies[0, :-1], copies[1], copies[2, :-1], x.reshape(-1),
-                     overwrite_dl=True, overwrite_d=True, overwrite_du=True,
-                     overwrite_b=True)
+                     True, True, True, True)
     if info != 0:
         raise np.linalg.LinAlgError(f"?gtsv failed with info = {info}")
     x += shift
@@ -309,16 +309,17 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     steps = np.array(hs)[:, None, None]
     for j in range(3):
         stages = levels[j:]
-        if j == 0:
-            base, rates = w, rates0
-        else:
-            base = stages
+        if j > 0:
             # (f, g) of the stacked levels, back in (level, field, node)
-            rates = np.array(model.rates(stages[:, 0], stages[:, 1]))
-            rates = rates.swapaxes(0, 1)
+            rates = np.asarray(model.rates(stages[:, 0], stages[:, 1]),
+                               dtype=float).swapaxes(0, 1)
         # reaction stage (rejected past the double range), diffusion
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add(base, steps[j:] * rates, out=stages)
+            if j == 0:
+                np.multiply(steps, rates0, out=levels)
+                levels += w
+            else:
+                stages += steps[j:] * rates
         if not np.isfinite(stages).all():
             return None
         _solve(band, stages.reshape(-1, n), work[3:6])

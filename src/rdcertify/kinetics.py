@@ -269,6 +269,11 @@ class BlowupExample(ReactionModel):
 # Threshold search for the ratio F/G
 # ---------------------------------------------------------------------------
 
+# the samples find_threshold_A tests, built once and read-only
+_THRESHOLD_GRID = np.linspace(0.0, 10.0, 2001)
+_THRESHOLD_GRID.flags.writeable = False
+
+
 def find_threshold_A(F: GrowthFunction, G: GrowthFunction, lam: float):
     """Smallest sampled A with F(s)/G(s) > lam for every sample in (A, 10],
     on the fixed grid of 2,001 points of [0, 10].
@@ -281,7 +286,7 @@ def find_threshold_A(F: GrowthFunction, G: GrowthFunction, lam: float):
     """
     if not 0.0 < lam < 1.0:
         raise ParamError("lam", f"lam must lie in (0, 1), got {lam}")
-    s = np.linspace(0.0, 10.0, 2001)
+    s = _THRESHOLD_GRID
     with np.errstate(invalid="ignore"):
         log_ratio = F.log_value(s) - G.log_value(s)
         ok = log_ratio > math.log(lam)        # NaN compares False

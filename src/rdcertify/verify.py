@@ -178,10 +178,12 @@ def _judge(sample: BoxSample, C: float, mus) -> MassControlReport:
                                & (f + mus[-1] * g > 0.0)).any()
             k = len(mus) - 1 if sure else k + 1
 
+    idx = np.flatnonzero(bad)[:MAX_WITNESSES]
+    # the witnesses' u, v, f, f + mu*g and test, read out per array
+    columns = (a[idx].tolist() for a in (sample.u, sample.v, f, fpm, first))
     violations = [MassControlViolation(
-        float(sample.u[i]), float(sample.v[i]), float(f[i]), float(fpm[i]),
-        "f_le_f_plus_mu_g" if first[i] else "f_plus_mu_g_le_0")
-        for i in np.flatnonzero(bad)[:MAX_WITNESSES]]
+        *floats, "f_le_f_plus_mu_g" if fails_first else "f_plus_mu_g_le_0")
+        for *floats, fails_first in zip(*columns)]
     tested = int(np.count_nonzero(finite))
     return MassControlReport(
         passed=not violations, mu=float(mus[k]), C=float(C),

@@ -257,6 +257,32 @@ def test_make_model_and_fields():
     assert np.array_equal(cfg.v0, np.full(21, 0.3))
 
 
+@pytest.mark.parametrize("value", ["0.0", "-0.0", "0.3", "5e-324", "1e300"])
+def test_uniform_field_is_full_like_the_nodes(value):
+    # a uniform field is filled without the node grid, byte for byte the
+    # field np.full_like(grid.nodes(), value) (-0.0 and dtype included)
+    cfg = parse_config_text(COMBUSTION_ZERO.replace(
+        "[initial_v]\nkind = uniform\nvalue = 0.0",
+        f"[initial_v]\nkind = uniform\nvalue = {value}"))
+    expected = np.full_like(cfg.grid.nodes(), float(value))
+    assert cfg.v0.dtype == expected.dtype
+    assert cfg.v0.tobytes() == expected.tobytes()
+
+
+def test_default_keys_come_after_the_sections_own():
+    # [DEFAULT]'s keys are read after each section's own, so the first
+    # refused key is the one the section lists, not the inherited one
+    text = "[DEFAULT]\nzzz = 1\n" + COMBUSTION_ZERO.replace(
+        "m = 1", "m = 1\nbad = 2")
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text)
+    assert str(err.value) == "config error at model.bad: unknown key"
+    # with the section's own keys all known, the inherited one is refused
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("[DEFAULT]\nzzz = 1\n" + COMBUSTION_ZERO)
+    assert str(err.value) == "config error at model.zzz: unknown key"
+
+
 def test_claim_overrides_applied():
     cfg = parse_config_text(COMBUSTION_ZERO.replace(
         "m = 1", "m = 1\nclaimed_C = 2.0\nclaimed_mu = 0.125"))
@@ -541,6 +567,42 @@ def test_cmd_run_invalid_number_exit_one(tmp_path, capsys, monkeypatch,
         assert not csv.exists()
 
 
+@pytest.mark.parametrize("key", ["output.csv", "output.report"])
+def test_unopenable_output_path_exit_one(tmp_path, capsys, key):
+    # a path in a symlink loop, under a file, or naming a directory that
+    # does not exist (a trailing slash) is refused by run and check alike
+    # before anything runs; the csv is checked first
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
+    (tmp_path / "file").write_text("")
+    for bad in (tmp_path / "loop", tmp_path / "file" / "x.csv",
+                f"{tmp_path}/newdir/"):
+        csv, report = tmp_path / "ok.csv", tmp_path / "ok.txt"
+        if key == "output.csv":
+            csv = report = bad
+        else:
+            report = bad
+        path = tmp_path / "bad.ini"
+        path.write_text(COMBUSTION_ZERO
+                        + f"\n[output]\ncsv = {csv}\nreport = {report}\n")
+        for command in ("run", "check"):
+            assert main([command, str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"config error at {key}: cannot write {bad}\n"
+            assert captured.out == ""
+            assert not (tmp_path / "ok.csv").exists()
+
+
+def test_undecodable_config_exit_one(tmp_path, capsys):
+    # a config that is not UTF-8 is refused, not a traceback
+    path = tmp_path / "latin.ini"
+    path.write_bytes(b"# caf\xe9 \xff\n" + COMBUSTION_ZERO.encode())
+    for command in ("run", "check"):
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error at config: cannot read {path}: ")
+        assert "can't decode byte 0xe9" in err
+
+
 def test_overflowing_reaction_stage_ends_quietly(tmp_path, capsys,
                                                  monkeypatch):
     # every trial's reaction stage overflows: dt underflows at t = 0 with
@@ -700,7 +762,9 @@ def test_cmd_check_config_error(tmp_path, capsys):
         "negative_g"])
 def test_cmd_check_output_bytes(config, code, digest, tmp_path, capsys,
                                 monkeypatch):
-    # the stdout of check is pinned byte for byte at the default seed
+    # the stdout of check is pinned byte for byte at the default seed;
+    # this pins the witness texts too (the floats verify._judge reads out
+    # per array), with MAX_WITNESSES of each kind in negative_g
     monkeypatch.delenv("RD_CERTIFY_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
     if config is None:

@@ -9,6 +9,7 @@ from rdcertify.kinetics import (Absorption, BlowupExample, Combustion,
                                 DoubleExp, DoubleExpMinusPoly, Exp,
                                 GrowthFunction, Power, ReactionModel, SubExp,
                                 find_threshold_A, growth_from_spec)
+from rdcertify import kinetics
 from rdcertify.mesh import ParamError
 
 
@@ -267,6 +268,15 @@ def test_threshold_matches_dense_sampling_oracle():
         assert find_threshold_A(F, G, lam) == pytest.approx(expected)
     # the ratio dips to ~0.9027, so 0.91 needs a strictly positive threshold
     assert find_threshold_A(F, G, 0.91) > 0.5
+
+
+def test_threshold_grid_is_built_once_and_read_only():
+    # every search reads the one module grid: 2,001 points of [0, 10]
+    grid = kinetics._THRESHOLD_GRID
+    assert grid.tobytes() == np.linspace(0.0, 10.0, 2001).tobytes()
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
 
 
 def test_threshold_not_found_for_vanishing_ratio():
