@@ -21,7 +21,12 @@ levels' fields.  Each round solves the suffix of the fields still
 stepping (6, 4, then 2) in one ``?gtsv`` call on the trial's one
 6-block band, with r = (dt/k) * {a, b} / h^2.  The entries that would
 couple neighbouring blocks are zero, so each field gets the bits of its
-own solve.  With d1 = T2 - T1 and d2 = T3 - T2 the Aitken-Neville
+own solve.  A round whose fields are all constant in space, and none of
+them zero, is its own solution (a constant lies in the Neumann kernel):
+it calls no ``?gtsv``, and the band is built on first need, by the
+first round that does.  Uniform data stays uniform bit for bit, so a
+run from it, like the paper's blow-up example, builds no band and makes
+no ``?gtsv`` call.  With d1 = T2 - T1 and d2 = T3 - T2 the Aitken-Neville
 tableau is
 
     T22 = T2 + d1,   T32 = T3 + 2 d2,   T33 = T3 + (3.5 d2 - 0.5 d1),
@@ -252,15 +257,30 @@ def _solve(band, x: np.ndarray, copies=None) -> None:
     """Overwrite the rows of ``x``, a C-contiguous (k, n) array that
     ``?gtsv`` solves in place, with the solution of the last k blocks of
     ``band`` for those right-hand sides, each taken on its deviation
-    from its first value.  ``?gtsv`` overwrites the
-    diagonals it is handed, so it gets a copy of the band's suffix in
-    ``copies`` (a (3, >= x.size) buffer, allocated when None); ``band``
-    is left intact for the next solve."""
+    from its first value.  ``band`` is the band, or a function returning
+    it, called only when ``?gtsv`` is.
+
+    A call whose rows are all constant and none of them zero is its own
+    solution, bit for bit: its deviations are all +0 or -0, which
+    ``?gtsv`` turns into zeros, and a zero plus a nonzero shift is the
+    shift.  So ``x`` is restored, and neither the band nor ``?gtsv`` is
+    touched.  A row of zeros still goes to ``?gtsv``: where its
+    elimination swaps rows (r above about 2) it returns -0 for a +0
+    right-hand side, and adding a shift of -0 keeps that -0.
+
+    ``?gtsv`` overwrites the diagonals it is handed, so it gets a copy
+    of the band's suffix in ``copies`` (a (3, >= x.size) buffer,
+    allocated when None); ``band`` is left intact for the next solve."""
+    shift = x[:, :1].copy()
+    x -= shift
+    if not x.any() and 0.0 not in shift.ravel().tolist():
+        x += shift
+        return
+    if callable(band):
+        band = band()
     m = x.size
     copies = np.empty((3, m)) if copies is None else copies[:, :m]
     np.copyto(copies, band[:, -m:])
-    shift = x[:, :1].copy()
-    x -= shift
     # overwrite_dl, _d, _du and _b, passed positionally
     *_, info = _gtsv(copies[0, :-1], copies[1], copies[2, :-1], x.reshape(-1),
                      True, True, True, True)
@@ -294,8 +314,11 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     workspace ``work`` (``_workspace``) holds the levels' fields [L1u,
     L1v, L2u, L2v, L3u, L3v]; each round writes its reaction stages into
     the suffix of the levels it steps, rejects the trial if any is not
-    finite, and solves that suffix in place in one ``?gtsv`` call on the
-    trial's one 6-block band: 6, 4, then 2 fields.  The row then holds
+    finite, and solves that suffix in place in one ``_solve`` call on the
+    trial's one 6-block band: 6, 4, then 2 fields.  The band is built in
+    ``work`` on first need, by the first round whose fields are not all
+    constant in space (``_solve``): a trial from uniform data builds
+    none.  The row then holds
     T1, T2 and T3.  The kept state is T33 and err is sup|T32 - T22|, the
     tableau and error test of the module docstring; ``w_new`` is a new
     array, not a view of ``work``.
@@ -303,8 +326,15 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     n = grid.n_nodes
     spacing_sq = grid.spacing ** 2
     hs = [dt / k for k in (1, 2, 3)]
-    band = _band([h * c / spacing_sq for h in hs for c in (cfg.a, cfg.b)],
-                 n, work[:3])
+    built = None
+
+    def band():
+        nonlocal built
+        if built is None:
+            built = _band([h * c / spacing_sq for h in hs
+                           for c in (cfg.a, cfg.b)], n, work[:3])
+        return built
+
     levels = work[6].reshape(3, 2, n)
     steps = np.array(hs)[:, None, None]
     for j in range(3):

@@ -236,7 +236,8 @@ def check_g_nonneg(sample: BoxSample) -> GNonNegReport:
     u, v, g = sample.u[:n], sample.v[:n], sample.g[:n]
     finite = np.isfinite(g)
     bad = np.flatnonzero(finite & (g < 0.0))[:MAX_WITNESSES]
-    violations = [(float(u[i]), float(v[i]), float(g[i])) for i in bad]
+    # the witnesses' (u, v, g), read out per array
+    violations = list(zip(*(a[bad].tolist() for a in (u, v, g))))
     return GNonNegReport(
         passed=not violations, edge=sample.edge,
         samples_tested=int(finite.sum()),

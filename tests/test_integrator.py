@@ -116,6 +116,123 @@ def test_diffusion_solve_is_scipys_gtsv_wrapper():
     assert integrator._gtsv is gtsv
 
 
+def gtsv_reference(band, x):
+    """``_solve`` without its skip: ``?gtsv`` on a copy of the band's
+    suffix for the rows' deviations from their first values, plus those
+    values."""
+    copies = band[:, -x.size:].copy()
+    shift = x[:, :1].copy()
+    *_, solution, info = integrator._gtsv(copies[0, :-1], copies[1],
+                                          copies[2, :-1],
+                                          (x - shift).reshape(-1))
+    assert info == 0
+    return solution.reshape(x.shape) + shift
+
+
+def test_diffusion_solve_skips_constant_rows_exactly(monkeypatch):
+    # A call whose rows are all constant and nonzero calls neither
+    # ?gtsv nor the band function, and every call keeps the bits of the
+    # plain solve: rows of signed zeros (the last blocks' r > 2 makes
+    # ?gtsv swap rows, and return -0 at node n - 2 for +0 deviations),
+    # constants at the ends of the double range, and one row that is not
+    # constant among constant ones.
+    n = 7
+    band = integrator._band([1e-3, 0.5, 3.0, 40.0, 1e4, 2.5], n)
+    kept = band.copy()
+    rows = {"+0": np.zeros(n), "-0": np.full(n, -0.0),
+            "+0 mixed": np.where(np.arange(n) % 3, -0.0, 0.0),
+            "-0 mixed": np.where(np.arange(n) % 2, 0.0, -0.0),
+            "tiny": np.full(n, 1e-300), "huge": np.full(n, 1e300),
+            "negative": np.full(n, -1.5), "bump": 1.0 + np.cos(np.arange(n))}
+    constant = {"tiny", "huge", "negative"}     # and nonzero
+    rng = np.random.default_rng(7)
+    cases = [[name] for name in rows]
+    cases += [list(pair) for pair in zip(rows, reversed(rows))]
+    for k in (4, 6):
+        cases += [rng.choice(list(rows), k).tolist() for _ in range(40)]
+        for at in range(k):     # one bump among nonzero constants
+            names = rng.choice(sorted(constant), k).tolist()
+            names[at] = "bump"
+            cases.append(names)
+        cases.append(rng.choice(sorted(constant), k).tolist())
+    gtsv, calls = integrator._gtsv, []
+
+    def counted_gtsv(*args):
+        calls.append("gtsv")
+        return gtsv(*args)
+
+    def counted_band():
+        calls.append("band")
+        return band
+
+    monkeypatch.setattr(integrator, "_gtsv", counted_gtsv)
+    copies = np.empty((3, 6 * n))
+    for names in cases:
+        x = np.array([rows[name] for name in names])
+        expect = gtsv_reference(band, x)
+        calls.clear()
+        integrator._solve(counted_band, x, copies)
+        assert np.array_equal(x.view(np.int64), expect.view(np.int64)), names
+        skipped = constant.issuperset(names)
+        assert calls == ([] if skipped else ["band", "gtsv"]), names
+        if skipped:
+            assert np.array_equal(x, [rows[name] for name in names])
+    assert np.array_equal(band, kept)
+    assert {len(names) for names in cases} == {1, 2, 4, 6}
+
+
+def test_uniform_data_makes_no_band_and_no_gtsv_call(monkeypatch):
+    # Uniform data stays uniform, so a run from it builds no band and
+    # makes no ?gtsv call, while each of its trials still calls _solve
+    # for 6, 4 and 2 fields; a run from a bump builds one band per trial
+    # and makes one ?gtsv call per round.
+    calls, fields = {"_band": 0, "_gtsv": 0, "_trial": 0}, []
+
+    def counting(name):
+        f = getattr(integrator, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(integrator, name, counting(name))
+    solve = integrator._solve
+
+    def counting_solve(band, rhs, copies=None):
+        fields.append(len(rhs))
+        return solve(band, rhs, copies)
+
+    monkeypatch.setattr(integrator, "_solve", counting_solve)
+    grid = Grid(15, 1.0)
+    u0, v0 = np.full(15, 0.75), np.ones(15)
+    cfg = SchemeConfig(a=1.0, b=1.0, t_end=3.0, rtol=1e-4, dt_init=1e-3,
+                       dt_max=0.05)
+    series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
+                          heat_params(u0, v0))
+    assert verdict.kind == "blowup"
+    trials = calls["_trial"]
+    assert trials >= len(series) - 1 > 10
+    assert fields == [6, 4, 2] * trials
+    assert calls["_band"] == calls["_gtsv"] == 0
+    assert np.ptp(series.final_state.u) == np.ptp(series.final_state.v) == 0
+
+    calls.update(dict.fromkeys(calls, 0))
+    fields.clear()
+    grid = Grid(21, 1.0)
+    u0, v0 = np.ones(21), 0.5 + 0.1 * np.cos(np.pi * grid.nodes())
+    cfg = SchemeConfig(a=1.0, b=2.0, t_end=0.3, rtol=1e-5)
+    series, verdict = run(Combustion(1), cfg, grid, u0, v0,
+                          heat_params(u0, v0))
+    assert verdict.kind == "completed"
+    trials = calls["_trial"]
+    assert trials >= len(series) - 1 > 10
+    assert fields == [6, 4, 2] * trials
+    assert calls["_band"] == trials
+    assert calls["_gtsv"] == 3 * trials
+
+
 def test_diffusion_solve_validates_arguments():
     grid = Grid(11, 1.0)
     with pytest.raises(ValueError):

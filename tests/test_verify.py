@@ -264,10 +264,18 @@ def test_g_nonneg_catalog_models():
 
 
 def test_g_nonneg_catches_sign_flip():
-    report = check_g_nonneg(sample_box(SignFlip(), 2.0, 21))
+    sample = sample_box(SignFlip(), 2.0, 21)
+    report = check_g_nonneg(sample)
     assert not report.passed
     u, v, g = report.violations[0]
     assert g < 0.0 and u < 0.5
+    # the witnesses are the lattice points with g < 0, read one scalar
+    # at a time, in order, as Python floats
+    bad = np.flatnonzero(sample.g[:21 ** 2] < 0.0)[:100]
+    assert report.violations == [
+        (float(sample.u[i]), float(sample.v[i]), float(sample.g[i]))
+        for i in bad]
+    assert {type(x) for w in report.violations for x in w} == {float}
     assert "passed: false" in "\n".join(report.to_lines())
 
 
