@@ -16,18 +16,17 @@ third rounds each evaluate the kinetics once, on the stacked fields of
 the levels they step, so a full trial makes 2 ``rates`` calls beyond
 the one at the state.  The six fields [L1u, L1v, L2u, L2v, L3u, L3v]
 sit in one row of a workspace that ``run`` allocates once, so that no
-trial allocates its band, the copies ``?gtsv`` overwrites or the
-levels' fields.  Each round solves the suffix of the fields still
-stepping (6, 4, then 2) in one ``?gtsv`` call on the trial's one
-6-block band, with r = (dt/k) * {a, b} / h^2.  The entries that would
-couple neighbouring blocks are zero, so each field gets the bits of its
-own solve.  A round whose fields are all constant in space, and none of
-them zero, is its own solution (a constant lies in the Neumann kernel):
-it calls no ``?gtsv``, and the band is built on first need, by the
-first round that does.  Uniform data stays uniform bit for bit, so a
-run from it, like the paper's blow-up example, builds no band and makes
-no ``?gtsv`` call.  With d1 = T2 - T1 and d2 = T3 - T2 the Aitken-Neville
-tableau is
+trial allocates the levels' fields or the band ``?gtsv`` overwrites.
+Each round solves the suffix of the fields still stepping (6, 4, then
+2) in one ``?gtsv`` call on the band of those fields' blocks, with
+r = (dt/k) * {a, b} / h^2, written for that call.  The entries that
+would couple neighbouring blocks are zero, so each field gets the bits
+of its own solve.  A round whose fields are all constant in space, and
+none of them zero, is its own solution (a constant lies in the Neumann
+kernel): it writes no band and calls no ``?gtsv``.  Uniform data stays
+uniform bit for bit, so a run from it, like the paper's blow-up
+example, writes no band and makes no ``?gtsv`` call.  With d1 = T2 - T1
+and d2 = T3 - T2 the Aitken-Neville tableau is
 
     T22 = T2 + d1,   T32 = T3 + 2 d2,   T33 = T3 + (3.5 d2 - 0.5 d1),
 
@@ -226,63 +225,60 @@ def solve_diffusion_implicit(f, coeff: float, dt: float, grid: Grid) -> np.ndarr
     """
     check_positive(coeff=coeff, dt=dt)
     w = as_field(f, grid).copy()
-    r = dt * coeff / grid.spacing ** 2
-    _solve(_band([r], grid.n_nodes), w[None])
+    _solve(([dt], [coeff], grid.spacing ** 2), w[None])
     return w
 
 
 def _band(rs, n: int, out=None) -> np.ndarray:
     """The (3, len(rs) * n) rows lower, diag, upper of the block-diagonal
     matrix with one block I - dt*coeff*Lap of n rows per r =
-    dt*coeff/h^2 in ``rs``, written into ``out`` when given.  The last
-    entry of the lower and upper rows pads them to full length, and the
-    entries that would couple neighbouring blocks are zero, so
-    ``?gtsv``'s elimination passes each block's rows through the
-    arithmetic of that block solved alone, and any suffix of whole
-    blocks is the band of those blocks."""
-    r = np.array(rs, dtype=float)[:, None]
-    shape = (3, len(rs), n)
-    band = np.empty(shape) if out is None else out.reshape(shape)
-    lower, diag, upper = band
-    lower[:] = -r
-    upper[:] = lower
-    # row 0 couples twice to node 1, and the last row to node n-2
-    lower[:, -2] = upper[:, 0] = -2.0 * r[:, 0]
-    lower[:, -1] = upper[:, -1] = 0.0  # no coupling between blocks
-    diag[:] = 1.0 + 2.0 * r
+    dt*coeff/h^2 in ``rs``, written into the first columns of ``out``, a
+    (3, >= len(rs) * n) buffer, when given.  The last entry of the lower
+    and upper rows pads them to full length, and the entries that would
+    couple neighbouring blocks are zero, so ``?gtsv``'s elimination
+    passes each block's rows through the arithmetic of that block
+    solved alone."""
+    k = len(rs)
+    band = (np.empty((3, k, n)) if out is None
+            else out[:, :k * n].reshape(3, k, n))
+    # per block the lower, diag and upper entries -r, 1 + 2r and -r, and
+    # -2r where row 0 couples twice to node 1 and the last row to node n-2
+    stencil = np.array([(-r, 1.0 + 2.0 * r, -r, -2.0 * r) for r in rs]).T
+    band[:] = stencil[:3, :, None]
+    band[0, :, -2] = band[2, :, 0] = stencil[3]
+    band[::2, :, -1] = 0.0  # no coupling between blocks
     return band.reshape(3, -1)
 
 
-def _solve(band, x: np.ndarray, copies=None) -> None:
+def _solve(blocks, x: np.ndarray, out=None) -> None:
     """Overwrite the rows of ``x``, a C-contiguous (k, n) array that
-    ``?gtsv`` solves in place, with the solution of the last k blocks of
-    ``band`` for those right-hand sides, each taken on its deviation
-    from its first value.  ``band`` is the band, or a function returning
-    it, called only when ``?gtsv`` is.
+    ``?gtsv`` solves in place, with the solution of the last k blocks
+    named by ``blocks`` = (hs, coeffs, spacing_sq) for those right-hand
+    sides, each taken on its deviation from its first value.  The
+    blocks are I - h*c*Lap, r = h * c / spacing_sq, for h in hs and c in
+    coeffs, in that order.
 
     A call whose rows are all constant and none of them zero is its own
     solution, bit for bit: its deviations are all +0 or -0, which
     ``?gtsv`` turns into zeros, and a zero plus a nonzero shift is the
-    shift.  So ``x`` is restored, and neither the band nor ``?gtsv`` is
-    touched.  A row of zeros still goes to ``?gtsv``: where its
+    shift.  So ``x`` is restored, and no band is written and no
+    ``?gtsv`` called.  A row of zeros still goes to ``?gtsv``: where its
     elimination swaps rows (r above about 2) it returns -0 for a +0
     right-hand side, and adding a shift of -0 keeps that -0.
 
-    ``?gtsv`` overwrites the diagonals it is handed, so it gets a copy
-    of the band's suffix in ``copies`` (a (3, >= x.size) buffer,
-    allocated when None); ``band`` is left intact for the next solve."""
+    Otherwise the k blocks' band is written into ``out`` (``_band``; a
+    (3, >= x.size) buffer, allocated when None), which ``?gtsv`` then
+    overwrites."""
     shift = x[:, :1].copy()
     x -= shift
     if not x.any() and 0.0 not in shift.ravel().tolist():
         x += shift
         return
-    if callable(band):
-        band = band()
-    m = x.size
-    copies = np.empty((3, m)) if copies is None else copies[:, :m]
-    np.copyto(copies, band[:, -m:])
+    hs, coeffs, spacing_sq = blocks
+    rs = [h * c / spacing_sq for h in hs for c in coeffs][-len(x):]
+    lower, diag, upper = _band(rs, x.shape[1], out)
     # overwrite_dl, _d, _du and _b, passed positionally
-    *_, info = _gtsv(copies[0, :-1], copies[1], copies[2, :-1], x.reshape(-1),
+    *_, info = _gtsv(lower[:-1], diag, upper[:-1], x.reshape(-1),
                      True, True, True, True)
     if info != 0:
         raise np.linalg.LinAlgError(f"?gtsv failed with info = {info}")
@@ -295,9 +291,9 @@ def _solve(band, x: np.ndarray, copies=None) -> None:
 
 def _workspace(n: int) -> np.ndarray:
     """The buffers of one trial at n nodes, reused from trial to trial:
-    rows 0-2 the 6-block band, rows 3-5 ``?gtsv``'s copies of it, row 6
-    the six fields of the three levels."""
-    return np.empty((7, 6 * n))
+    rows 0-2 the band that each ``?gtsv`` call is handed and overwrites,
+    row 3 the six fields of the three levels."""
+    return np.empty((4, 6 * n))
 
 
 def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
@@ -310,32 +306,21 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     by side in three rounds: the first substep of levels 1-3, from
     ``rates0``; the second of levels 2-3 and the third of level 3, each
     after one ``model.rates`` call on the stacked (k, n) fields of the
-    levels it steps, so a full trial makes 2 calls.  Row 6 of the
+    levels it steps, so a full trial makes 2 calls.  Row 3 of the
     workspace ``work`` (``_workspace``) holds the levels' fields [L1u,
     L1v, L2u, L2v, L3u, L3v]; each round writes its reaction stages into
     the suffix of the levels it steps, rejects the trial if any is not
-    finite, and solves that suffix in place in one ``_solve`` call on the
-    trial's one 6-block band: 6, 4, then 2 fields.  The band is built in
-    ``work`` on first need, by the first round whose fields are not all
-    constant in space (``_solve``): a trial from uniform data builds
-    none.  The row then holds
-    T1, T2 and T3.  The kept state is T33 and err is sup|T32 - T22|, the
-    tableau and error test of the module docstring; ``w_new`` is a new
-    array, not a view of ``work``.
+    finite, and solves that suffix in place in one ``_solve`` call: 6,
+    4, then 2 fields, whose blocks' band ``_solve`` writes into rows 0-2
+    of ``work`` unless the fields are all constant in space and nonzero.
+    The row then holds T1, T2 and T3.  The kept state is T33 and err is
+    sup|T32 - T22|, the tableau and error test of the module docstring;
+    ``w_new`` is a new array, not a view of ``work``.
     """
     n = grid.n_nodes
-    spacing_sq = grid.spacing ** 2
     hs = [dt / k for k in (1, 2, 3)]
-    built = None
-
-    def band():
-        nonlocal built
-        if built is None:
-            built = _band([h * c / spacing_sq for h in hs
-                           for c in (cfg.a, cfg.b)], n, work[:3])
-        return built
-
-    levels = work[6].reshape(3, 2, n)
+    blocks = (hs, (cfg.a, cfg.b), grid.spacing ** 2)
+    levels = work[3].reshape(3, 2, n)
     steps = np.array(hs)[:, None, None]
     for j in range(3):
         stages = levels[j:]
@@ -352,7 +337,7 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
                 stages += steps[j:] * rates
         if not np.isfinite(stages).all():
             return None
-        _solve(band, stages.reshape(-1, n), work[3:6])
+        _solve(blocks, stages.reshape(-1, n), work[:3])
 
     T2, T3 = levels[1:]
     d1, d2 = levels[1:] - levels[:-1]

@@ -79,7 +79,7 @@ def sampling_seed() -> int:
 # Control-of-mass checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass
 class MassControlViolation:
     u: float
     v: float

@@ -92,22 +92,21 @@ def test_diffusion_solve_bit_identical_to_solve_banded(n):
         expect = banded_reference(f, dt * coeff / h2)
         assert np.array_equal(solve_diffusion_implicit(f, coeff, dt, grid),
                               expect)
-    # a trial's 6-block band with a different r per block, and the
-    # suffixes of 4 and 2 blocks that its later rounds solve through the
-    # same copy buffer: every block keeps the bits of its own solve, and
-    # the band is left intact
-    copies = np.empty((3, 6 * n))
+    # a trial's 6 blocks with a different r per block (given as h = r
+    # with c = h^2 = 1), and the suffixes of 4 and 2 blocks that its
+    # later rounds solve, all through one shared out buffer, NaN-filled
+    # so that a read of anything a call did not write shows: every block
+    # keeps the bits of its own solve
+    out = np.empty((3, 6 * n))
     for _ in range(4):
         rs = rng.permutation(ratios)[:6]
-        band = integrator._band(rs, n)
-        kept = band.copy()
         rhs = rng.normal(size=(6, n))
+        out.fill(np.nan)
         for blocks in (6, 4, 2):
             x = rhs[-blocks:].copy()
-            integrator._solve(band, x, copies)
+            integrator._solve((rs, (1.0,), 1.0), x, out)
             for row, f, r in zip(x, rhs[-blocks:], rs[-blocks:]):
                 assert np.array_equal(row, banded_reference(f, r))
-            assert np.array_equal(band, kept)
 
 
 def test_diffusion_solve_is_scipys_gtsv_wrapper():
@@ -130,15 +129,15 @@ def gtsv_reference(band, x):
 
 
 def test_diffusion_solve_skips_constant_rows_exactly(monkeypatch):
-    # A call whose rows are all constant and nonzero calls neither
-    # ?gtsv nor the band function, and every call keeps the bits of the
-    # plain solve: rows of signed zeros (the last blocks' r > 2 makes
-    # ?gtsv swap rows, and return -0 at node n - 2 for +0 deviations),
-    # constants at the ends of the double range, and one row that is not
-    # constant among constant ones.
+    # A call whose rows are all constant and nonzero writes no band and
+    # calls no ?gtsv, and every call keeps the bits of the plain solve:
+    # rows of signed zeros (the last blocks' r > 2 makes ?gtsv swap
+    # rows, and return -0 at node n - 2 for +0 deviations), constants at
+    # the ends of the double range, and one row that is not constant
+    # among constant ones.
     n = 7
-    band = integrator._band([1e-3, 0.5, 3.0, 40.0, 1e4, 2.5], n)
-    kept = band.copy()
+    rs = [1e-3, 0.5, 3.0, 40.0, 1e4, 2.5]
+    band = integrator._band(rs, n)
     rows = {"+0": np.zeros(n), "-0": np.full(n, -0.0),
             "+0 mixed": np.where(np.arange(n) % 3, -0.0, 0.0),
             "-0 mixed": np.where(np.arange(n) % 2, 0.0, -0.0),
@@ -155,37 +154,39 @@ def test_diffusion_solve_skips_constant_rows_exactly(monkeypatch):
             names[at] = "bump"
             cases.append(names)
         cases.append(rng.choice(sorted(constant), k).tolist())
-    gtsv, calls = integrator._gtsv, []
+    gtsv, band_of, calls = integrator._gtsv, integrator._band, []
 
     def counted_gtsv(*args):
         calls.append("gtsv")
         return gtsv(*args)
 
-    def counted_band():
+    def counted_band(*args):
         calls.append("band")
-        return band
+        return band_of(*args)
 
     monkeypatch.setattr(integrator, "_gtsv", counted_gtsv)
-    copies = np.empty((3, 6 * n))
+    monkeypatch.setattr(integrator, "_band", counted_band)
+    out = np.empty((3, 6 * n))
     for names in cases:
         x = np.array([rows[name] for name in names])
         expect = gtsv_reference(band, x)
         calls.clear()
-        integrator._solve(counted_band, x, copies)
+        out.fill(np.nan)
+        integrator._solve((rs, (1.0,), 1.0), x, out)
         assert np.array_equal(x.view(np.int64), expect.view(np.int64)), names
         skipped = constant.issuperset(names)
         assert calls == ([] if skipped else ["band", "gtsv"]), names
         if skipped:
             assert np.array_equal(x, [rows[name] for name in names])
-    assert np.array_equal(band, kept)
+            assert np.isnan(out).all(), names
     assert {len(names) for names in cases} == {1, 2, 4, 6}
 
 
 def test_uniform_data_makes_no_band_and_no_gtsv_call(monkeypatch):
-    # Uniform data stays uniform, so a run from it builds no band and
+    # Uniform data stays uniform, so a run from it writes no band and
     # makes no ?gtsv call, while each of its trials still calls _solve
-    # for 6, 4 and 2 fields; a run from a bump builds one band per trial
-    # and makes one ?gtsv call per round.
+    # for 6, 4 and 2 fields; a run from a bump writes one band for each
+    # ?gtsv call, one per round.
     calls, fields = {"_band": 0, "_gtsv": 0, "_trial": 0}, []
 
     def counting(name):
@@ -200,9 +201,9 @@ def test_uniform_data_makes_no_band_and_no_gtsv_call(monkeypatch):
         monkeypatch.setattr(integrator, name, counting(name))
     solve = integrator._solve
 
-    def counting_solve(band, rhs, copies=None):
+    def counting_solve(blocks, rhs, out=None):
         fields.append(len(rhs))
-        return solve(band, rhs, copies)
+        return solve(blocks, rhs, out)
 
     monkeypatch.setattr(integrator, "_solve", counting_solve)
     grid = Grid(15, 1.0)
@@ -229,8 +230,7 @@ def test_uniform_data_makes_no_band_and_no_gtsv_call(monkeypatch):
     trials = calls["_trial"]
     assert trials >= len(series) - 1 > 10
     assert fields == [6, 4, 2] * trials
-    assert calls["_band"] == trials
-    assert calls["_gtsv"] == 3 * trials
+    assert calls["_band"] == calls["_gtsv"] == 3 * trials
 
 
 def test_diffusion_solve_validates_arguments():
