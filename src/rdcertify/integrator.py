@@ -49,12 +49,20 @@ three verdicts, all decided by ``run``:
                      divergence threshold M, or not finite;
 * ``dt_underflow``-- halving would push dt below dt_min.
 
-Each accepted state is looked at once, by ``run``: its sup norms and
-the first bound violation at once, since the verdicts read them; L, I
-and J, which no verdict reads, from one ``lyapunov.diagnostics_block``
-call per block of queued states.  ``run`` returns the columns as one
-``TimeSeries``, built when the run ends; the claim report is read from
-those columns.
+A trial runs in one ``np.errstate`` that ignores overflow and invalid
+values, its ``rates`` calls included: a value that overflows in it is
+not finite and rejects it quietly (or, in T33 alone, lands a state
+that ends the run in ``blowup``).  It takes the kept state's per-field
+sup norms once, after the positivity clip, and its error scale from
+them; ``step_imex`` returns them with the state.  Each accepted state
+is looked at once, by ``run``: its sup norms, which the step handed
+over (``sup_norm`` is taken of the initial state alone), and the first
+bound violation at once, since the verdicts read them; its ``rates``,
+outside any errstate, so a custom model that overflows there warns;
+L, I and J, which no verdict reads, from one
+``lyapunov.diagnostics_block`` call per block of queued states.
+``run`` returns the columns as one ``TimeSeries``, built when the run
+ends; the claim report is read from those columns.
 
 Accepted states are kept nonnegative: values in (-1e-12, 0) are clamped
 to zero and anything below -1e-12 rejects the step.  This guard can be
@@ -64,6 +72,7 @@ runs with signed data, e.g. pure-diffusion convergence studies.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import KW_ONLY, dataclass, fields
 from importlib.machinery import PathFinder
@@ -298,8 +307,9 @@ def _workspace(n: int) -> np.ndarray:
 
 def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     """One extrapolated trial of size dt from the pair stacked as the
-    rows of ``w``: the accepted ``(w_new, err, scale)``, or None when it
-    is rejected (a non-finite reaction stage, or a NaN err or minimum).
+    rows of ``w``: the accepted ``(w_new, err, scale, sups)``, or None
+    when it is rejected (a non-finite reaction stage, or a NaN err or
+    minimum).
 
     Level k in 1, 2, 3 takes k substeps of size dt/k from w.  The levels
     do not depend on each other until the tableau, so they advance side
@@ -316,48 +326,61 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     The row then holds T1, T2 and T3.  The kept state is T33 and err is
     sup|T32 - T22|, the tableau and error test of the module docstring;
     ``w_new`` is a new array, not a view of ``work``.
+
+    The whole trial, its two ``model.rates`` calls included, runs in one
+    ``np.errstate`` that ignores overflow and invalid values, so a trial
+    that overflows raises no warning.  ``sups`` are the per-field sup
+    norms of ``w_new``, taken once, after the positivity clip; the error
+    scale is max(1, sup_u, sup_v).
     """
     n = grid.n_nodes
     hs = [dt / k for k in (1, 2, 3)]
     blocks = (hs, (cfg.a, cfg.b), grid.spacing ** 2)
     levels = work[3].reshape(3, 2, n)
     steps = np.array(hs)[:, None, None]
-    for j in range(3):
-        stages = levels[j:]
-        if j > 0:
-            # (f, g) of the stacked levels, back in (level, field, node)
-            rates = np.asarray(model.rates(stages[:, 0], stages[:, 1]),
-                               dtype=float).swapaxes(0, 1)
-        # reaction stage (rejected past the double range), diffusion
-        with np.errstate(over="ignore", invalid="ignore"):
+    # the reductions call the ufuncs' own: ndarray.all/max/min go through
+    # numpy's Python wrappers first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(3):
+            stages = levels[j:]
             if j == 0:
                 np.multiply(steps, rates0, out=levels)
                 levels += w
             else:
+                # (f, g) of the stacked levels, back in (level, field, node)
+                rates = np.asarray(model.rates(stages[:, 0], stages[:, 1]),
+                                   dtype=float).swapaxes(0, 1)
                 stages += steps[j:] * rates
-        if not np.isfinite(stages).all():
-            return None
-        _solve(blocks, stages.reshape(-1, n), work[:3])
+            if not np.logical_and.reduce(np.isfinite(stages), axis=None):
+                return None
+            _solve(blocks, stages.reshape(-1, n), work[:3])
 
-    T2, T3 = levels[1:]
-    d1, d2 = levels[1:] - levels[:-1]
-    T22 = T2 + d1
-    T32 = T3 + 2.0 * d2
-    kept = T3 + (3.5 * d2 - 0.5 * d1)               # T33
-    err = float(np.abs(T32 - T22).max())            # NaN-propagating
-    scale = max(1.0, sup_norm(kept))
-    if not err <= cfg.rtol * scale:
-        return None
+        T2, T3 = levels[1:]
+        d1, d2 = levels[1:] - levels[:-1]
+        T22 = T2 + d1
+        T32 = T3 + 2.0 * d2
+        kept = T3 + (3.5 * d2 - 0.5 * d1)               # T33
+        # a NaN anywhere makes err NaN, which fails the error test
+        err = float(np.maximum.reduce(np.abs(T32 - T22), axis=None))
     if cfg.enforce_positivity:
-        if not kept.min() >= -NEGATIVITY_TOL:
+        if not np.minimum.reduce(kept, axis=None) >= -NEGATIVITY_TOL:
             return None
         np.maximum(kept, 0.0, out=kept)
-    return kept, err, scale
+    # the scale is max(1, sup|T33|) before the clip, bit for bit: the clip
+    # only moves values in (-1e-12, 0), and where it moves a sup the scale
+    # is 1 either way.  A NaN in T33 comes with an err of inf or NaN, and
+    # its sup, which max() would pass by, fails the test as it always did.
+    sup_u, sup_v = np.maximum.reduce(np.abs(kept), axis=1).tolist()
+    scale = max(1.0, sup_u, sup_v) if sup_u + sup_v >= 0.0 else math.nan
+    if not err <= cfg.rtol * scale:
+        return None
+    return kept, err, scale, (sup_u, sup_v)
 
 
 class StepResult(NamedTuple):
     state: SimState | None      # advanced state (None on dt underflow)
     dt_used: float              # step size actually taken (after halvings)
+    sups: tuple | None = None   # (sup_u, sup_v) of the state
 
 
 def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
@@ -368,7 +391,7 @@ def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
     ``_workspace`` for the grid (allocated here when None; ``run`` passes
     one for the whole run).  A rejected trial halves dt; the state is
     None when halving would drop below dt_min.  ``run`` judges the
-    outcome.
+    outcome, from the sup norms the result carries.
     """
     w, dt = np.array((state.u, state.v)), state.dt
     rates0 = np.asarray(rates0, dtype=float)
@@ -379,13 +402,14 @@ def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
             return StepResult(None, 0.0)
         dt *= 0.5
 
-    w_new, err, scale = accepted
+    w_new, err, scale, sups = accepted
     if err == 0.0:
         factor = 2.0
     else:
         factor = min(2.0, max(0.2, 0.9 * (cfg.rtol * scale / err) ** (1 / 3)))
     dt_next = min(cfg.dt_max, max(cfg.dt_min, dt * factor))
-    return StepResult(SimState(state.t + dt, w_new[0], w_new[1], dt_next), dt)
+    return StepResult(SimState(state.t + dt, w_new[0], w_new[1], dt_next), dt,
+                      sups)
 
 
 def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
@@ -394,7 +418,8 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     return the ``TimeSeries`` of every accepted state with the verdict.
 
     Each accepted state is looked at once: its rates (which J and the
-    next step both use), its sup norms and, until the first bound
+    next step both use), its sup norms (the step's ``StepResult.sups``;
+    ``sup_norm`` of the initial state) and, until the first bound
     violation is found, whether it is one.  L, I and J, which no verdict
     reads, come a block of states at a time (``DIAGNOSTICS_BLOCK``).
     The series is built once, when the run ends; its flag column is the
@@ -417,12 +442,12 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     row_size = (functional.p + 1) * grid.n_nodes
     t_stop = cfg.t_end * (1.0 - 1e-12)
     state, dt_used = SimState(0.0, u, v, cfg.dt_init), cfg.dt_init
+    sup_u, sup_v = sup_norm(u), sup_norm(v)
     work = _workspace(grid.n_nodes)
     ts, sups, dts, queue, diagnostics = [], [], [], [], []
     first_violation = verdict = None
     while verdict is None:
         rates = np.array(model.rates(state.u, state.v))
-        sup_u, sup_v = sup_norm(state.u), sup_norm(state.v)
         ts.append(state.t)
         sups.append((sup_u, sup_v))
         dts.append(dt_used)
@@ -437,7 +462,7 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
             verdict = Verdict("blowup", state.t)
         elif not state.t < t_stop:
             verdict = Verdict("completed")
-        elif not np.isfinite(rates).all():
+        elif not np.logical_and.reduce(np.isfinite(rates), axis=None):
             verdict = Verdict("blowup", state.t)
         else:
             trial = SimState(state.t, state.u, state.v,
@@ -446,7 +471,7 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
             if result.state is None:
                 verdict = Verdict("dt_underflow", state.t)
             else:
-                state, dt_used = result.state, result.dt_used
+                state, dt_used, (sup_u, sup_v) = result
 
     if queue:
         diagnostics.append(_diagnostics(queue, cfg, grid, functional))

@@ -700,10 +700,12 @@ PINNED_SHIPPED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_SHIPPED_RUNS))
-def test_shipped_config_rows_pinned(name, tmp_path, monkeypatch, capsys):
+def _pinned_run(path, monkeypatch, capsys):
+    """The exit code of ``cmd_run`` on ``path``, run in its directory,
+    and the sha256 prefixes of the float.hex series rows, the CSV and
+    the report."""
     monkeypatch.delenv("RD_CERTIFY_SEED", raising=False)
-    monkeypatch.chdir(tmp_path)
+    monkeypatch.chdir(path.parent)
     runs = []
 
     def recording_run(*args):
@@ -711,17 +713,33 @@ def test_shipped_config_rows_pinned(name, tmp_path, monkeypatch, capsys):
         return runs[-1]
 
     monkeypatch.setattr(cli, "run", recording_run)
-    code = cmd_run(CONFIGS / f"{name}.ini")
+    code = cmd_run(path)
     capsys.readouterr()
     (series, _), = runs
     columns = [getattr(series, key) for key in CSV_HEADER.split(",")]
     rows = "\n".join(",".join(float(x).hex() for x in row)
                      for row in zip(*columns))
     digests = [hashlib.sha256(data).hexdigest() for data in (
-        rows.encode(), (tmp_path / f"{name}.csv").read_bytes(),
-        (tmp_path / f"{name}_report.txt").read_bytes())]
-    assert (code, digests[0][:16], digests[1][:8], digests[2][:8]) == \
-        PINNED_SHIPPED_RUNS[name]
+        rows.encode(), (path.parent / f"{path.stem}.csv").read_bytes(),
+        (path.parent / f"{path.stem}_report.txt").read_bytes())]
+    return code, digests[0][:16], digests[1][:8], digests[2][:8]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SHIPPED_RUNS))
+def test_shipped_config_rows_pinned(name, tmp_path, monkeypatch, capsys):
+    path = tmp_path / f"{name}.ini"
+    path.write_text((CONFIGS / f"{name}.ini").read_text())
+    assert _pinned_run(path, monkeypatch, capsys) == PINNED_SHIPPED_RUNS[name]
+
+
+def test_fine_combustion_rows_pinned(tmp_path, monkeypatch, capsys):
+    # the bumps at 2001 nodes, the benchmark's combustion-fine input at
+    # seed 0: a grid whose every round goes to ?gtsv
+    path = tmp_path / "combustion_bump.ini"
+    path.write_text((CONFIGS / "combustion_bump.ini").read_text()
+                    .replace("n_nodes = 101", "n_nodes = 2001"))
+    assert _pinned_run(path, monkeypatch, capsys) == \
+        (0, "39f49274c7e92bed", "387ce280", "4b2c7cab")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import get_lapack_funcs, solve_banded
 
 import rdcertify.integrator as integrator
+from rdcertify.cli import parse_config_text
 from rdcertify.integrator import (SchemeConfig, SimState, TimeSeries, Verdict,
                                   run, solve_diffusion_implicit, step_imex)
 from rdcertify.kinetics import Absorption, BlowupExample, Combustion, Exp
@@ -411,7 +413,8 @@ def test_run_ends_on_non_finite_accepted_state(bad, monkeypatch):
         u = state.u.copy()
         u[3] = bad
         return integrator.StepResult(
-            SimState(state.t + state.dt, u, state.v, state.dt), state.dt)
+            SimState(state.t + state.dt, u, state.v, state.dt), state.dt,
+            (sup_norm(u), sup_norm(state.v)))
 
     monkeypatch.setattr(integrator, "step_imex", step_to_bad_state)
     grid = Grid(11, 1.0)
@@ -733,6 +736,122 @@ def test_rates_calls_per_row_and_trial(case, monkeypatch):
     assert fields == [6, 4, 2] * trials
     assert trials >= len(series) - 1
     assert model.calls == len(series) + 2 * trials
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+def _config_run(name):
+    cfg = parse_config_text((CONFIGS / f"{name}.ini").read_text())
+    return cfg.model, cfg.scheme, cfg.grid, cfg.u0, cfg.v0, cfg.params
+
+
+def _signed_heat_run():
+    grid = Grid(41, 1.0)
+    u0 = np.cos(np.pi * grid.nodes())
+    v0 = -0.5 * u0
+    cfg = SchemeConfig(a=1.0, b=2.0, t_end=0.05, rtol=1e-6, dt_init=1e-4,
+                       enforce_positivity=False)
+    return BlowupExample(), cfg, grid, u0, v0, heat_params(u0, v0, b=2.0)
+
+
+def _clipped_run():
+    # u burns out to within round-off of 0 while v > 5: some accepted
+    # states are clipped from (-1e-12, 0) up to 0
+    grid = Grid(21, 1.0)
+    x = grid.nodes()
+    u0 = 1e-3 * (1.0 + np.cos(np.pi * x))
+    v0 = 5.0 + 0.5 * np.cos(np.pi * x)
+    cfg = SchemeConfig(a=1.0, b=2.0, t_end=1.0, rtol=1e-6, dt_init=1e-3)
+    return Combustion(1), cfg, grid, u0, v0, heat_params(u0, v0, b=2.0)
+
+
+@pytest.mark.parametrize("case", ["blowup", "combustion_bump", "signed_heat",
+                                  "clipped"])
+def test_sup_columns_are_the_accepted_states_own(case, monkeypatch):
+    # each step hands run the sup norms of the state it lands, taken
+    # after the positivity clip; the columns hold those, bit for bit
+    args = {"signed_heat": _signed_heat_run, "clipped": _clipped_run}.get(
+        case, lambda: _config_run(case))()
+    states, clipped = [args[3:5]], 0
+    trial = integrator._trial
+
+    def recording_step(*step_args):
+        result = step_imex(*step_args)
+        if result.state is not None:
+            states.append((result.state.u, result.state.v))
+        return result
+
+    def unclipped_twin_trial(w, dt, rates0, model, cfg, grid, work):
+        nonlocal clipped
+        accepted = trial(w, dt, rates0, model, cfg, grid, work)
+        if accepted is not None and cfg.enforce_positivity:
+            free = dataclasses.replace(cfg, enforce_positivity=False)
+            kept = trial(w, dt, rates0, model, free, grid, work)[0]
+            if kept.min() < 0.0:
+                assert np.array_equal(accepted[0], np.maximum(kept, 0.0))
+                clipped += 1
+        return accepted
+
+    monkeypatch.setattr(integrator, "step_imex", recording_step)
+    monkeypatch.setattr(integrator, "_trial", unclipped_twin_trial)
+    series, verdict = run(*args)
+    assert len(series) == len(states) > 10
+    for k, (u, v) in enumerate(states):
+        assert series.sup_u[k].tobytes() == np.float64(sup_norm(u)).tobytes()
+        assert series.sup_v[k].tobytes() == np.float64(sup_norm(v)).tobytes()
+    if case == "signed_heat":
+        assert min(u.min() for u, _ in states) < 0.0
+    assert (clipped > 0) == (case == "clipped")
+
+
+class ExpHeat:
+    # u' = 1e-300 e^v, v' = 1, with no errstate of its own: e^v overflows,
+    # with a RuntimeWarning, once v passes log(DBL_MAX) = 709.78...
+    def __init__(self):
+        self.v_max = -np.inf
+
+    def rates(self, u, v):
+        self.v_max = max(self.v_max, np.max(v))
+        return 1e-300 * np.exp(v), np.ones_like(v)
+
+
+V_OVERFLOW = np.log(np.finfo(float).max)
+
+
+def test_trial_overflow_is_quiet_and_rejects():
+    # the first trial's round 2 and 3 rates overflow; the trial is rejected
+    # with no RuntimeWarning, and a smaller dt lands a finite state
+    grid = Grid(5, 1.0)
+    u0, v0 = np.ones(5), np.full(5, 709.5)
+    model = ExpHeat()
+    rates0 = model.rates(u0, v0)
+    cfg = SchemeConfig(a=1.0, b=1.0, t_end=10.0, dt_init=0.5, dt_max=0.5,
+                       rtol=1e-3, blowup_threshold=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = step_imex(SimState(0.0, u0, v0, cfg.dt_init), model, cfg,
+                           grid, rates0)
+    assert model.v_max > V_OVERFLOW
+    assert result.dt_used < cfg.dt_init
+    assert np.isfinite(result.state.u).all()
+    assert result.state.v.max() < V_OVERFLOW
+
+
+def test_overflow_at_an_accepted_state_still_warns():
+    # a step lands past log(DBL_MAX) with every stage of its trial below:
+    # the rates call run makes at that state, outside any errstate, warns
+    grid = Grid(5, 1.0)
+    u0, v0 = np.ones(5), np.full(5, 709.5)
+    model = ExpHeat()
+    cfg = SchemeConfig(a=1.0, b=1.0, t_end=10.0, dt_init=0.5, dt_max=0.5,
+                       rtol=1e-3, blowup_threshold=1e300)
+    with pytest.warns(RuntimeWarning, match="overflow") as record:
+        series, verdict = run(model, cfg, grid, u0, v0, heat_params(u0, v0))
+    assert len(record) == 1
+    assert verdict == Verdict("blowup", series.t[-1])
+    assert len(series) > 2
+    assert series.sup_v[-1] > V_OVERFLOW > series.sup_v[-2]
 
 
 def test_scheme_config_validation():
