@@ -217,9 +217,10 @@ class Absorption(ReactionModel):
 
     def rates(self, u, v):
         u, v = _fields(u, v)
-        Fv, Gv = self.F.value(v), self.G.value(v)
-        # u F(v) and u G(v) in one pass, 0 where u is (0 * inf = 0)
-        with np.errstate(invalid="ignore"):
+        # u F(v) and u G(v) in one pass, 0 where u is (0 * inf = 0); a
+        # product, or F(v) - P(v), may overflow to inf or inf - inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            Fv, Gv = self.F.value(v), self.G.value(v)
             uF, uG = np.where(u == 0.0, 0.0, u * np.array((Fv, Gv)))
         return -uF, uG
 

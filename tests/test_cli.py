@@ -1,9 +1,7 @@
 import dataclasses
-import hashlib
 import math
 import re
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +10,13 @@ import rdcertify.cli as cli
 from rdcertify import verify
 from rdcertify.cli import (CSV_HEADER, ConfigError, cmd_check, cmd_run,
                            cmd_theta, main, parse_config_text)
-from rdcertify.integrator import SchemeConfig, run
+from rdcertify.integrator import SchemeConfig
 from rdcertify.kinetics import (BlowupExample, Combustion, Power,
                                 find_threshold_A)
 from rdcertify.lyapunov import build_params
 from rdcertify.mesh import Grid
+
+from test_pinned import CONFIGS, RECORD, sha8
 
 COMBUSTION_ZERO = """
 [model]
@@ -40,8 +40,6 @@ value = 0.0
 kind = uniform
 value = 0.0
 """
-
-CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 # absorption whose F/G threshold search fails, so no mu is claimed
 POWER_SEARCH = (COMBUSTION_ZERO
@@ -333,18 +331,6 @@ def test_cmd_theta_rejects_bad_theta(capsys):
     assert "(a+b)^2/(4ab)" in capsys.readouterr().err
 
 
-def test_cmd_theta_rejects_pair_without_finite_bound(capsys):
-    # (a+b)^2 or theta^2 overflows: a refusal naming the key, not an
-    # OverflowError
-    for args, key in ((["--a", "1e300", "--b", "1"], "scheme.a"),
-                      (["--a", "1", "--b", "4", "--theta", "1e200"],
-                       "functional.theta")):
-        assert main(["theta", *args, "--mu", "0.5"]) == 1
-        captured = capsys.readouterr()
-        assert f"config error at {key}" in captured.err
-        assert captured.out == ""
-
-
 def test_cmd_theta_recurrence_holds_at_large_p(capsys):
     # the log weights reach about 6e6: the recurrence residual of their
     # rounding is judged relative to them
@@ -353,11 +339,6 @@ def test_cmd_theta_recurrence_holds_at_large_p(capsys):
     out = capsys.readouterr().out
     lines = dict(line.split(": ", 1) for line in out.strip().splitlines())
     assert lines["condition_recurrence"].startswith("pass")
-
-
-def test_main_dispatch(capsys):
-    assert main(["theta", "--a", "1", "--b", "1", "--mu", "1", "--p", "4"]) == 0
-    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +602,20 @@ def test_overflowing_reaction_stage_ends_quietly(tmp_path, capsys,
     assert captured.err == ""
 
 
+def test_overflowing_absorption_ends_in_blowup_quietly(tmp_path, capsys,
+                                                       monkeypatch):
+    # u F(v) = 2 e^709.5 overflows at the initial state: blowup at t = 0,
+    # with no RuntimeWarning (an error under pytest's filter) on stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "over.ini").write_text(COMBUSTION_ZERO.replace(
+        "kind = combustion\nm = 1", "kind = absorption\nF = exp\nG = exp")
+        .replace("value = 0.0", "value = 2.0", 1)
+        .replace("value = 0.0", "value = 709.5"))
+    assert main(["run", "over.ini"]) == 2
+    out, err = capsys.readouterr()
+    assert (out.splitlines()[0], err) == ("verdict: blowup", "")
+
+
 @pytest.mark.parametrize("old,new,center", [
     ("center = 0.5", "center = 1e308", 1e308),
     ("width = 0.12", "width = 1e-320", 0.5),
@@ -689,59 +684,6 @@ def test_cmd_run_is_byte_deterministic(tmp_path):
     assert csv1.read_bytes() == csv2.read_bytes()
 
 
-# sha256 prefixes recorded before L, I and J were filled in by blocks of
-# rows and both fields were solved in one call: the float.hex of every
-# series row (all eight columns, also the rows the CSV leaves out), then
-# the CSV and the report bytes, with the exit code
-PINNED_SHIPPED_RUNS = {
-    "absorption_decay": (3, "4463ef77554bc1d2", "cedef440", "8f9c7495"),
-    "combustion_bump": (0, "5fc83878f96d3ea1", "a3c025b8", "30a7b415"),
-    "blowup": (2, "874df256f649470d", "8e7f9915", "a2f2a189"),
-}
-
-
-def _pinned_run(path, monkeypatch, capsys):
-    """The exit code of ``cmd_run`` on ``path``, run in its directory,
-    and the sha256 prefixes of the float.hex series rows, the CSV and
-    the report."""
-    monkeypatch.delenv("RD_CERTIFY_SEED", raising=False)
-    monkeypatch.chdir(path.parent)
-    runs = []
-
-    def recording_run(*args):
-        runs.append(run(*args))
-        return runs[-1]
-
-    monkeypatch.setattr(cli, "run", recording_run)
-    code = cmd_run(path)
-    capsys.readouterr()
-    (series, _), = runs
-    columns = [getattr(series, key) for key in CSV_HEADER.split(",")]
-    rows = "\n".join(",".join(float(x).hex() for x in row)
-                     for row in zip(*columns))
-    digests = [hashlib.sha256(data).hexdigest() for data in (
-        rows.encode(), (path.parent / f"{path.stem}.csv").read_bytes(),
-        (path.parent / f"{path.stem}_report.txt").read_bytes())]
-    return code, digests[0][:16], digests[1][:8], digests[2][:8]
-
-
-@pytest.mark.parametrize("name", sorted(PINNED_SHIPPED_RUNS))
-def test_shipped_config_rows_pinned(name, tmp_path, monkeypatch, capsys):
-    path = tmp_path / f"{name}.ini"
-    path.write_text((CONFIGS / f"{name}.ini").read_text())
-    assert _pinned_run(path, monkeypatch, capsys) == PINNED_SHIPPED_RUNS[name]
-
-
-def test_fine_combustion_rows_pinned(tmp_path, monkeypatch, capsys):
-    # the bumps at 2001 nodes, the benchmark's combustion-fine input at
-    # seed 0: a grid whose every round goes to ?gtsv
-    path = tmp_path / "combustion_bump.ini"
-    path.write_text((CONFIGS / "combustion_bump.ini").read_text()
-                    .replace("n_nodes = 101", "n_nodes = 2001"))
-    assert _pinned_run(path, monkeypatch, capsys) == \
-        (0, "39f49274c7e92bed", "387ce280", "4b2c7cab")
-
-
 # ---------------------------------------------------------------------------
 # check subcommand
 # ---------------------------------------------------------------------------
@@ -771,33 +713,24 @@ def test_cmd_check_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config,code,digest", [
-    ("combustion_bump.ini", 0, "422bde10"),
-    ("absorption_decay.ini", 0, "422bde10"),
-    ("blowup.ini", 3, "d3aefa5e"),
-    (None, 0, "bd85fc9f"),
+    (POWER_SEARCH, 0, "bd85fc9f"),
     (NEGATIVE_G, 3, "70db03fd"),
-], ids=["combustion_bump", "absorption_decay", "blowup", "power_search",
-        "negative_g"])
+], ids=["power_search", "negative_g"])
 def test_cmd_check_output_bytes(config, code, digest, tmp_path, capsys,
                                 monkeypatch):
-    # the stdout of check is pinned byte for byte at the default seed;
+    # the stdout of check on a config that is not shipped (pinned.json
+    # pins the shipped ones) is pinned byte for byte at the default seed;
     # this pins the witness texts too (the floats verify._judge reads out
     # per array), with MAX_WITNESSES of each kind in negative_g
     monkeypatch.delenv("RD_CERTIFY_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
-    if config is None:
-        path = tmp_path / "power.ini"
-        path.write_text(POWER_SEARCH)
-    elif config == NEGATIVE_G:
-        path = tmp_path / "negative_g.ini"
-        path.write_text(NEGATIVE_G)
-    else:
-        path = CONFIGS / config
+    path = tmp_path / "check.ini"
+    path.write_text(config)
     assert cmd_check(path) == code
     out = capsys.readouterr().out
-    if config is None:
+    if config == POWER_SEARCH:
         assert "mass_control.mu: 0.03125" in out.splitlines()
-    if config == NEGATIVE_G:
+    else:
         lines = out.splitlines()
         for prefix in ("mass_control", "g_nonneg"):
             assert f"{prefix}.violations: {verify.MAX_WITNESSES}" in lines
@@ -805,7 +738,7 @@ def test_cmd_check_output_bytes(config, code, digest, tmp_path, capsys,
                     if line.startswith(f"{prefix}.witness_")] == [
                 f"{prefix}.witness_{k}"
                 for k in range(1, verify.MAX_WITNESSES + 1)]
-    assert hashlib.sha256(out.encode()).hexdigest()[:8] == digest
+    assert sha8(out.encode()) == digest
 
 
 def test_cmd_check_bytes_survive_another_box(tmp_path, capsys, monkeypatch):
@@ -822,8 +755,8 @@ def test_cmd_check_bytes_survive_another_box(tmp_path, capsys, monkeypatch):
         assert cmd_check(path) == 0
         outs.append(capsys.readouterr().out)
     assert "mass_control.box: [0,24.0]x[0,24.0]" in outs[1].splitlines()
-    assert [hashlib.sha256(out.encode()).hexdigest()[:8] for out in outs] == [
-        "422bde10", "ee970647", "422bde10"]
+    pin = RECORD["check-combustion_bump"]["stdout"]
+    assert [sha8(out.encode()) for out in outs] == [pin, "ee970647", pin]
 
 
 def test_cmd_check_evaluates_the_kinetics_once(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,5 @@
 import dataclasses
-import hashlib
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +13,8 @@ from rdcertify.integrator import (SchemeConfig, SimState, TimeSeries, Verdict,
 from rdcertify.kinetics import Absorption, BlowupExample, Combustion, Exp
 from rdcertify.lyapunov import build_params
 from rdcertify.mesh import Grid, ParamError, integrate, sup_norm
+
+from test_pinned import CONFIGS, row_digest
 
 
 def heat_params(u0, v0, a=1.0, b=1.0, mu=0.5, C=0.0, p=4):
@@ -544,8 +544,7 @@ def test_run_is_deterministic():
 def test_nonuniform_blowup_rows_pinned():
     # Every shipped blow-up run starts from uniform data, on which the
     # diffusion solve returns its shift exactly; here the band and the
-    # stacked rates calls of the later rounds reach every row.  The
-    # digest is of the float.hex rows, as for the shipped configs.
+    # stacked rates calls of the later rounds reach every row
     grid = Grid(31, 1.0)
     x = grid.nodes()
     u0 = 0.7 + 0.2 * np.exp(-((x - 0.4) / 0.2) ** 2)
@@ -553,13 +552,9 @@ def test_nonuniform_blowup_rows_pinned():
     cfg = SchemeConfig(a=1.0, b=1.0, t_end=0.5, rtol=1e-6)
     series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
                           heat_params(u0, v0))
-    columns = [getattr(series, f.name) for f in dataclasses.fields(TimeSeries)
-               if not f.kw_only]
-    rows = "\n".join(",".join(float(value).hex() for value in row)
-                     for row in zip(*columns))
     assert verdict == Verdict("completed")
     assert len(series) == 130
-    assert hashlib.sha256(rows.encode()).hexdigest()[:16] == "24f3fa0b88893a44"
+    assert row_digest(series) == "24f3fa0b88893a44"
 
 
 def test_dt_underflow_verdict():
@@ -736,9 +731,6 @@ def test_rates_calls_per_row_and_trial(case, monkeypatch):
     assert fields == [6, 4, 2] * trials
     assert trials >= len(series) - 1
     assert model.calls == len(series) + 2 * trials
-
-
-CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def _config_run(name):

@@ -93,20 +93,21 @@ def zero_where_zero(base, factor):
 def two_pass_rates(model, u, v):
     """(f, g) by the formulas written out factor by factor, one product
     and one zeroing per rate."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(model, BlowupExample):
             v2 = v * v
             return zero_where_zero(u - u * u, v2), zero_where_zero(u, v2)
         if isinstance(model, Combustion):
             g = zero_where_zero(u ** model.m, np.exp(v))
             return -g, g
-    return (-zero_where_zero(u, model.F.value(v)),
-            zero_where_zero(u, model.G.value(v)))
+        return (-zero_where_zero(u, model.F.value(v)),
+                zero_where_zero(u, model.G.value(v)))
 
 
 @pytest.mark.parametrize("model", [
     BlowupExample(), Combustion(1), Combustion(2), Combustion(3),
     Absorption(Exp(), Exp()), Absorption(DoubleExp(), Exp()),
+    Absorption(DoubleExpMinusPoly((1e308, 1e308)), Exp()),
 ])
 def test_one_pass_rates_match_the_formulas_bit_for_bit(model):
     # every (u, v) of the grid below, where v^2, e^v or F(v) overflows
