@@ -70,6 +70,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+# argparse's gettext imports locale when the first parser is built
+import locale  # noqa: F401
 import os
 import stat
 import sys

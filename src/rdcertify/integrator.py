@@ -25,7 +25,9 @@ of its own solve.  A round whose fields are all constant in space, and
 none of them zero, is its own solution (a constant lies in the Neumann
 kernel): it writes no band and calls no ``?gtsv``.  Uniform data stays
 uniform bit for bit, so a run from it, like the paper's blow-up
-example, writes no band and makes no ``?gtsv`` call.  With d1 = T2 - T1
+example, writes no band and makes no ``?gtsv`` call.  ``?gtsv`` is
+LAPACK's ``dgtsv`` from scipy, which the first call loads
+(``_load_gtsv``), so such a run never loads scipy.  With d1 = T2 - T1
 and d2 = T3 - T2 the Aitken-Neville tableau is
 
     T22 = T2 + d1,   T32 = T3 + 2 d2,   T33 = T3 + (3.5 d2 - 0.5 d1),
@@ -72,6 +74,7 @@ runs with signed data, e.g. pure-diffusion convergence studies.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import KW_ONLY, dataclass, fields
@@ -80,7 +83,6 @@ from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import lyapunov, verify
 from .mesh import (Grid, ParamError, as_field, check_finite_data,
@@ -94,13 +96,21 @@ NEGATIVITY_TOL = 1e-12
 DIAGNOSTICS_BLOCK = 4096
 
 
+@functools.cache
 def _load_gtsv():
     """LAPACK ``dgtsv`` from scipy's f2py extension ``_flapack``: the
     wrapper ``scipy.linalg.get_lapack_funcs(("gtsv",), np.float64)``
-    returns, loaded without running ``scipy.linalg``'s package
-    ``__init__``.  That import pulls in numpy.f2py, numpy.testing and
-    numpy.ma through scipy's array-API layer, none of which is used
-    here, and costs about half of every command's start-up."""
+    returns, loaded once per process, by the first ``?gtsv`` call.
+    Importing the library loads neither scipy nor ``_flapack``, which
+    maps scipy's bundled OpenBLAS (about 2.6 MB of resident memory), so
+    ``check`` and a run whose rounds all skip the solve never load them.
+    The extension is loaded without running ``scipy.linalg``'s package
+    ``__init__``, which pulls in numpy.f2py, numpy.testing and numpy.ma
+    through scipy's array-API layer, none of which is used here, and
+    costs about half of a command's start-up.  Raises ImportError naming
+    ``scipy.linalg._flapack`` when the extension cannot be found."""
+    import scipy
+
     name = "scipy.linalg._flapack"
     spec = PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
     if spec is None:
@@ -110,7 +120,9 @@ def _load_gtsv():
     return module.dgtsv
 
 
-_gtsv = _load_gtsv()
+def _gtsv(*args):
+    """LAPACK ``dgtsv`` on ``args``, loaded by the first call."""
+    return _load_gtsv()(*args)
 
 
 @dataclass(frozen=True)

@@ -90,13 +90,24 @@ class DoubleExp(GrowthFunction):
             return np.exp(np.asarray(s, dtype=float))
 
 
+def _horner(c, s):
+    """sum c[k] s**k by Horner's rule, the operations of numpy.polynomial's
+    polyval"""
+    p = c[-1] + s * 0
+    for ck in reversed(c[:-1]):
+        p = ck + p * s
+    return p
+
+
 class DoubleExpMinusPoly(GrowthFunction):
     """F(s) = e**(e**s) - P(s) for a polynomial P.
 
     ``coeffs[k]`` is the coefficient of s**k.  The log value is computed
     as e**s + log1p(-P(s) * e**(-e**s)) so the double exponential never
     has to be materialized; where P(s) >= e**(e**s) the value is not
-    positive and log_value returns -inf.
+    positive and log_value returns -inf.  Where P(s) itself overflows,
+    the sign of F is decided in the log domain, by comparing log|P(s)|
+    with e**s.
     """
 
     def __init__(self, coeffs):
@@ -107,12 +118,22 @@ class DoubleExpMinusPoly(GrowthFunction):
             raise ValueError(f"coeffs must be finite, got {self.coeffs}")
 
     def _poly(self, s):
-        # Horner's rule, the operations of numpy.polynomial's polyval
-        c = self.coeffs
-        p = c[-1] + s * 0
-        for ck in reversed(c[:-1]):
-            p = ck + p * s
-        return p
+        return _horner(self.coeffs, s)
+
+    def _log_abs_poly(self, s):
+        """log|P(s)| and the sign of P(s) at finite s, without overflow:
+        P(s) = c * sum (c_k / c) s**k for |s| <= 1, and c * s**d * sum
+        (c_k / c) s**(k - d) for |s| > 1, with c = max |c_k| and d the
+        degree, so neither sum exceeds d + 1 in size."""
+        c = max(map(abs, self.coeffs))
+        scaled = [ck / c for ck in self.coeffs]
+        d = len(scaled) - 1
+        far = np.abs(s) > 1.0
+        x = np.where(far, 1.0 / s, s)
+        h = np.where(far, _horner(scaled[::-1], x), _horner(scaled, x))
+        log_abs = math.log(c) + np.where(far, d * np.log(np.abs(s)), 0.0)
+        sign = np.where(far, np.sign(s) ** d, 1.0) * np.sign(h)
+        return log_abs + np.log(np.abs(h)), sign
 
     def value(self, s):
         s = np.asarray(s, dtype=float)
@@ -124,8 +145,20 @@ class DoubleExpMinusPoly(GrowthFunction):
         with np.errstate(over="ignore", under="ignore", divide="ignore",
                          invalid="ignore"):
             e = np.exp(s)
-            rel = self._poly(s) * np.exp(-e)   # P(s) / e^(e^s)
+            p = self._poly(s)
+            rel = p * np.exp(-e)   # P(s) / e^(e^s)
             corr = np.where(rel < 1.0, np.log1p(-np.minimum(rel, 1.0)), -np.inf)
+            # where P(s) overflows rel is inf * 0 = NaN: with t = log|P(s)|
+            # - e^s, F = e^(e^s) (1 - e^t) for P > 0 and e^(e^s) (1 + e^t)
+            # for P < 0
+            over = np.isinf(p)
+            if over.any():
+                log_abs, sign = self._log_abs_poly(s[over])
+                t = log_abs - e[over]
+                corr[over] = np.where(
+                    sign > 0.0,
+                    np.where(t < 0.0, np.log1p(-np.exp(t)), -np.inf),
+                    np.logaddexp(0.0, t))
         return e + corr
 
 

@@ -4,7 +4,10 @@ Importing ``scipy.linalg`` costs about half of a command's start-up, so
 the library must not load it, nor ``numpy.polynomial`` (1.6 ms; a Horner
 loop does its one job).  Every module a command needs must be loaded
 when the library is imported, so no import lands inside a command's
-timed path.  Both are checked in a fresh interpreter.
+timed path, with one exception: LAPACK.  scipy and its ``_flapack``
+extension, which maps scipy's bundled OpenBLAS, load on the first
+``?gtsv`` call, so ``check`` and a run whose rounds all skip the solve
+never load them.  Both are checked in a fresh interpreter.
 """
 
 import json
@@ -17,19 +20,37 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "demos" / "configs"
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
+# the modules each command adds to those the import of the CLI loaded
 SCRIPT = """
 import contextlib, io, json, sys
 import rdcertify.cli as cli
-heavy = [name for name in ("scipy.linalg", "numpy.polynomial")
-         if name in sys.modules]
-before = set(sys.modules)
-codes = []
+heavy = [name for name in ("scipy", "scipy.linalg", "scipy.linalg._flapack",
+                           "numpy.polynomial") if name in sys.modules]
+codes, added = [], []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
+        before = set(sys.modules)
         codes.append(cli.main(argv))
-print(json.dumps({"heavy": heavy, "codes": codes,
-                  "added": sorted(set(sys.modules) - before)}))
+        added.append(sorted(set(sys.modules) - before))
+print(json.dumps({"heavy": heavy, "codes": codes, "added": added}))
 """
+
+# the modules scipy's package init adds to those the import of the CLI loaded
+SCIPY_INIT = """
+import json, sys
+import rdcertify.cli
+before = set(sys.modules)
+import scipy
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def launch(script, *args, cwd):
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], cwd=cwd, env=ENV,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def test_commands_load_no_module_after_import(tmp_path):
@@ -39,13 +60,14 @@ def test_commands_load_no_module_after_import(tmp_path):
     (tmp_path / "poly.ini").write_text(poly)
     argvs = [["check", str(CONFIGS / f"{name}.ini")]
              for name in ("combustion_bump", "absorption_decay", "blowup")]
-    argvs += [["check", "poly.ini"],
+    # the blow-up example's uniform data skip every solve
+    argvs += [["check", "poly.ini"], ["run", str(CONFIGS / "blowup.ini")],
               ["run", str(CONFIGS / "combustion_bump.ini")]]
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(argvs)], cwd=tmp_path,
-        env=ENV, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = launch(SCRIPT, json.dumps(argvs), cwd=tmp_path)
     assert out["heavy"] == []
-    assert out["codes"] == [0, 0, 3, 0, 0]
-    assert out["added"] == []
+    assert out["codes"] == [0, 0, 3, 0, 2, 0]
+    assert out["added"][:5] == [[]] * 5
+    # the first ?gtsv call loads scipy's package init and _flapack alone
+    scipy_init = launch(SCIPY_INIT, cwd=tmp_path)
+    assert "scipy" in scipy_init and "scipy.linalg" not in scipy_init
+    assert out["added"][5] == sorted(scipy_init + ["scipy.linalg._flapack"])

@@ -112,9 +112,16 @@ def test_diffusion_solve_bit_identical_to_solve_banded(n):
 
 
 def test_diffusion_solve_is_scipys_gtsv_wrapper():
-    # loaded without scipy.linalg's package init, but the same object
+    # loaded by the first ?gtsv call without scipy.linalg's package init,
+    # but the same object, and kept for the rest of the process
     gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
-    assert integrator._gtsv is gtsv
+    integrator._load_gtsv.cache_clear()
+    grid = Grid(9, 1.0)
+    for coeff in (0.5, 1.0, 2.0):
+        solve_diffusion_implicit(np.cos(grid.nodes()), coeff, 0.1, grid)
+    info = integrator._load_gtsv.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert integrator._load_gtsv() is gtsv
 
 
 def gtsv_reference(band, x):

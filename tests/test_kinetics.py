@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -174,6 +175,58 @@ def test_double_exp_minus_poly_nonpositive_region():
     assert float(growth.value(0.0)) == pytest.approx(math.e - 10.0)
     assert float(growth.log_value(0.0)) == -math.inf
     assert np.isfinite(float(growth.log_value(2.0)))
+
+
+def decimal_log_value(coeffs, s):
+    """log F(s) of DoubleExpMinusPoly(coeffs) at the double s, from 60
+    significant digits of F(s), or -inf where F(s) <= 0."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = Decimal(float(s))
+        f = x.exp().exp() - sum(Decimal(c) * x ** k
+                                for k, c in enumerate(coeffs))
+        return float(f.ln()) if f > 0 else -math.inf
+
+
+def test_double_exp_minus_poly_where_the_polynomial_overflows():
+    # P(s) = 1e308 (1 + s) is inf in double, yet e^(e^s) outgrows it just
+    # past s = 6.565: F <= 0 there, F > 0 from 6.57 on
+    growth = DoubleExpMinusPoly((1e308, 1e308))
+    s = np.array([6.565, 6.57, 6.6, 6.7, 7.0, 10.0])
+    with np.errstate(over="ignore"):
+        assert np.isinf(growth._poly(s)).all()
+    want = [decimal_log_value(growth.coeffs, x) for x in s]
+    assert want[0] == -math.inf and np.isfinite(want[1:]).all()
+    got = growth.log_value(s)
+    assert got[0] == -math.inf
+    np.testing.assert_allclose(got[1:], want[1:], rtol=1e-15)
+    assert [float(growth.log_value(x)) for x in s] == got.tolist()
+
+
+def test_threshold_where_the_polynomial_overflows():
+    # F / e^s > 1/2 from the grid point after 6.565, where F turns positive
+    A = kinetics.find_threshold_A(DoubleExpMinusPoly((1e308, 1e308)), Exp(),
+                                  0.5)
+    assert A == kinetics._THRESHOLD_GRID[1313] == 6.565
+
+
+def test_double_exp_minus_poly_keeps_its_bits_where_the_polynomial_is_finite():
+    # the formula e^s + log1p(-P(s) e^(-e^s)), on the threshold grid and
+    # past it, for coefficients of both signs
+    rng = np.random.default_rng(3)
+    s = np.concatenate([kinetics._THRESHOLD_GRID, rng.uniform(-30, 30, 200)])
+    for count in range(1, 5):
+        for _ in range(10):
+            growth = DoubleExpMinusPoly(rng.uniform(-1.0, 1.0, count)
+                                        * 10.0 ** rng.integers(0, 300))
+            with np.errstate(all="ignore"):
+                e, p = np.exp(s), growth._poly(s)
+                rel = p * np.exp(-e)
+                want = e + np.where(rel < 1.0,
+                                    np.log1p(-np.minimum(rel, 1.0)), -np.inf)
+            finite = np.isfinite(p)
+            got = growth.log_value(s)
+            assert got[finite].tobytes() == want[finite].tobytes()
 
 
 def test_poly_is_polyval_bit_for_bit():

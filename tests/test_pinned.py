@@ -11,8 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 import rdcertify.cli as cli
+from rdcertify import integrator
 from rdcertify.integrator import run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -72,6 +74,28 @@ def test_in_process(name, tmp_path, monkeypatch, capsys):
     check(entry, cli.main(entry["argv"]), *capsys.readouterr(), tmp_path)
     assert [row_digest(series) for series, _ in runs] == (
         [entry["rows"]] if "rows" in entry else [])
+
+
+@pytest.mark.parametrize("name", ["check-absorption_decay", "check-blowup",
+                                  "check-combustion_bump", "run-blowup",
+                                  "run-combustion_bump"])
+def test_without_lapack(name, tmp_path, monkeypatch, capsys):
+    # scipy without its _flapack extension: only a ?gtsv call notices,
+    # and the run that makes one writes nothing
+    entry = prepare(name, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RD_CERTIFY_SEED", raising=False)
+    integrator._load_gtsv.cache_clear()
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    if name == "run-combustion_bump":
+        with pytest.raises(ImportError) as exc:
+            cli.main(entry["argv"])
+        assert exc.value.name == "scipy.linalg._flapack"
+        assert exc.value.name in str(exc.value)
+        assert [path.name for path in tmp_path.iterdir()] == [entry["argv"][1]]
+        assert capsys.readouterr() == ("", "")
+    else:
+        check(entry, cli.main(entry["argv"]), *capsys.readouterr(), tmp_path)
 
 
 def launch(command, name, cwd, **env):
