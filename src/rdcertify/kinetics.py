@@ -120,6 +120,11 @@ class DoubleExpMinusPoly(GrowthFunction):
     def _poly(self, s):
         return _horner(self.coeffs, s)
 
+    def _poly_in_F(self, s):
+        """P(s), with P(0) at s = inf: F(inf) = +inf for every P, but
+        Horner's P(inf) is inf * 0 or inf - inf, which makes F NaN."""
+        return self._poly(np.where(s == np.inf, 0.0, s))
+
     def _log_abs_poly(self, s):
         """log|P(s)| and the sign of P(s) at finite s, without overflow:
         P(s) = c * sum (c_k / c) s**k for |s| <= 1, and c * s**d * sum
@@ -138,14 +143,14 @@ class DoubleExpMinusPoly(GrowthFunction):
     def value(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore"):
-            return np.exp(np.exp(s)) - self._poly(s)
+            return np.exp(np.exp(s)) - self._poly_in_F(s)
 
     def log_value(self, s):
         s = np.asarray(s, dtype=float)
         with np.errstate(over="ignore", under="ignore", divide="ignore",
                          invalid="ignore"):
             e = np.exp(s)
-            p = self._poly(s)
+            p = self._poly_in_F(s)
             rel = p * np.exp(-e)   # P(s) / e^(e^s)
             corr = np.where(rel < 1.0, np.log1p(-np.minimum(rel, 1.0)), -np.inf)
             # where P(s) overflows rel is inf * 0 = NaN: with t = log|P(s)|

@@ -6,9 +6,11 @@ The control-of-mass condition
 
 is checked on a bounded box [0, edge]^2, sampled once by ``sample_box``:
 the kinetics at a deterministic lattice plus an equal number of seeded
-uniform points.  The points depend on (edge, n_per_axis, seed) alone,
-so consecutive samples of the same box share one read-only pair of
-point arrays; only the kinetics are evaluated afresh.
+uniform points, numpy's ``default_rng(seed).uniform`` bit for bit, drawn
+here so that no command imports ``numpy.random``.  The points depend on
+(edge, n_per_axis, seed) alone, so consecutive samples of the same box
+share one read-only pair of point arrays, and the draw is made once per
+seed; only the kinetics are evaluated afresh.
 ``check_mass_control`` (one mu) and ``search_mu`` (mu = 1, 1/2, ...,
 2**-20) share one judging loop, which judges the sample's own arrays
 under a mask of the points with u + v >= C, and build one report, for
@@ -40,8 +42,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-# loaded on import, not inside a command's timed path
-from numpy.random import default_rng
 
 from .mesh import ParamError, check_nonnegative, check_positive
 
@@ -104,14 +104,71 @@ class BoxSample:
     g: np.ndarray
 
 
+# SeedSequence's hash of the seed, then PCG64 (O'Neill 2014): a 128-bit
+# LCG with XSL-RR output
+_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(const: int, step: int):
+    """SeedSequence's hashmix of a 32-bit word; each call multiplies its
+    hash constant by ``step``."""
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * step & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_state(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``."""
+    entropy = [seed >> k & _M32
+               for k in range(0, max(seed.bit_length(), 1), 32)]
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in (entropy + [0] * 3)[:4]]
+    for src, dst in ((a, b) for a in range(4) for b in range(4) if a != b):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    words = list(map(_hashmix(0x8B51F9DD, 0x58F38DED), pool * 2))
+    return [lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])]
+
+
+@functools.lru_cache(maxsize=1)
+def _uniform(seed: int, count: int) -> np.ndarray:
+    """``default_rng(seed).random(count)``, bit for bit, read-only."""
+    # seeded from w = (state, stream): inc = 2 * stream + 1, then a step
+    # from 0, + state and a step; a draw steps, then outputs
+    w = _seed_state(seed)
+    inc = (w[2] << 65 | w[3] << 1 | 1) & _M128
+    s = ((inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc) & _M128
+    hi, lo = np.empty(count, np.uint64), np.empty(count, np.uint64)
+    high, low = memoryview(hi), memoryview(lo)
+    for i in range(count):
+        s = (s * _PCG_MULT + inc) & _M128
+        high[i] = s >> 64
+        low[i] = s & _M64
+    x, rot = hi ^ lo, hi >> 58   # XSL-RR: hi ^ lo rotated by the top 6 bits
+    out = ((x >> rot | x << (-rot & 63)) >> 11) * 2.0 ** -53
+    out.flags.writeable = False
+    return out
+
+
 @functools.lru_cache(maxsize=1)
 def _points(edge: float, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     # the box's points, kept for the next sample of the same box; only
     # the last box's pair stays alive
     axis = np.linspace(0.0, edge, n)
-    rand = default_rng(seed).uniform(0.0, edge, size=(n * n, 2))
-    u = np.concatenate([np.tile(axis, n), rand[:, 0]])
-    v = np.concatenate([np.repeat(axis, n), rand[:, 1]])
+    # default_rng(seed).uniform(0.0, edge, (n * n, 2)): 0.0 + edge * d
+    rand = edge * _uniform(seed, 2 * n * n)
+    u = np.concatenate([np.tile(axis, n), rand[0::2]])
+    v = np.concatenate([np.repeat(axis, n), rand[1::2]])
     u.flags.writeable = v.flags.writeable = False
     return u, v
 
@@ -123,6 +180,8 @@ def sample_box(model, edge: float, n_per_axis: int,
     if not n_per_axis >= 2:
         raise ValueError(f"n_per_axis must be >= 2, got {n_per_axis}")
     edge, n, seed = float(edge), int(n_per_axis), int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     u, v = _points(edge, n, seed)
     with np.errstate(over="ignore", invalid="ignore"):
         f, g = model.rates(u, v)

@@ -2,12 +2,16 @@
 
 Importing ``scipy.linalg`` costs about half of a command's start-up, so
 the library must not load it, nor ``numpy.polynomial`` (1.6 ms; a Horner
-loop does its one job).  Every module a command needs must be loaded
-when the library is imported, so no import lands inside a command's
-timed path, with one exception: LAPACK.  scipy and its ``_flapack``
-extension, which maps scipy's bundled OpenBLAS, load on the first
-``?gtsv`` call, so ``check`` and a run whose rounds all skip the solve
-never load them.  Both are checked in a fresh interpreter.
+loop does its one job), nor ``numpy.random``, whose ten extension modules
+and ``secrets`` -> ``hashlib`` -> ``_hashlib`` (OpenSSL's libcrypto) cost
+about 6 MB of resident memory (``verify`` draws the seeded points of
+numpy's ``default_rng`` stream itself); no command loads these four.
+Every module a command needs must be loaded when the library is
+imported, so no import lands inside a command's timed path, with one
+exception: LAPACK.  scipy and its ``_flapack`` extension, which maps
+scipy's bundled OpenBLAS, load on the first ``?gtsv`` call, so ``check``
+and a run whose rounds all skip the solve never load them.  Both are
+checked in a fresh interpreter.
 """
 
 import json
@@ -24,15 +28,18 @@ ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 SCRIPT = """
 import contextlib, io, json, sys
 import rdcertify.cli as cli
+NEVER = ("numpy.polynomial", "numpy.random", "secrets", "_hashlib")
 heavy = [name for name in ("scipy", "scipy.linalg", "scipy.linalg._flapack",
-                           "numpy.polynomial") if name in sys.modules]
+                           *NEVER) if name in sys.modules]
 codes, added = [], []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         before = set(sys.modules)
         codes.append(cli.main(argv))
         added.append(sorted(set(sys.modules) - before))
-print(json.dumps({"heavy": heavy, "codes": codes, "added": added}))
+never = [name for name in NEVER if name in sys.modules]
+print(json.dumps({"heavy": heavy, "codes": codes, "added": added,
+                  "never": never}))
 """
 
 # the modules scipy's package init adds to those the import of the CLI loaded
@@ -65,6 +72,8 @@ def test_commands_load_no_module_after_import(tmp_path):
               ["run", str(CONFIGS / "combustion_bump.ini")]]
     out = launch(SCRIPT, json.dumps(argvs), cwd=tmp_path)
     assert out["heavy"] == []
+    # nor does any command, the one that loads scipy included
+    assert out["never"] == []
     assert out["codes"] == [0, 0, 3, 0, 2, 0]
     assert out["added"][:5] == [[]] * 5
     # the first ?gtsv call loads scipy's package init and _flapack alone

@@ -229,6 +229,24 @@ def test_double_exp_minus_poly_keeps_its_bits_where_the_polynomial_is_finite():
             assert got[finite].tobytes() == want[finite].tobytes()
 
 
+@pytest.mark.parametrize("coeffs", [(0.5,), (1, 2), (1e308, 1e308),
+                                    (-1, 0, 3)])
+def test_double_exp_minus_poly_is_inf_at_inf(coeffs):
+    # F(inf) = +inf for every P, though Horner's P(inf) is inf * 0 or
+    # inf - inf; finite s keep the formulas' bits
+    law = DoubleExpMinusPoly(coeffs)
+    assert law.value(np.inf) == law.log_value(np.inf) == math.inf
+    s = np.concatenate([np.linspace(0.0, 800.0, 4001),
+                        [6.565, 6.6, 7.0, 10.0, np.inf]])
+    with np.errstate(all="ignore"):
+        value = np.exp(np.exp(s[:-1])) - law._poly(s[:-1])
+        got = law.value(s), law.log_value(s)
+        log_value = [law.log_value(x) for x in s[:-1]]
+    assert got[0][:-1].tobytes() == value.tobytes()
+    assert got[1][:-1].tobytes() == np.array(log_value).tobytes()
+    assert got[0][-1] == got[1][-1] == math.inf
+
+
 def test_poly_is_polyval_bit_for_bit():
     # the Horner loop written out does polyval's operations in its order
     from numpy.polynomial.polynomial import polyval

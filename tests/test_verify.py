@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rdcertify import verify
 from rdcertify.integrator import SchemeConfig, SimState, TimeSeries, run
 from rdcertify.kinetics import (Absorption, BlowupExample, Combustion, Exp,
                                 Power, ReactionModel)
@@ -112,6 +113,8 @@ def test_mass_control_validates_arguments():
         sample_box(Combustion(1), 10.0, 1)
     with pytest.raises(ValueError):
         sample_box(Combustion(1), 0.0, 11)
+    with pytest.raises(ValueError, match="seed"):   # as default_rng(-1)
+        sample_box(Combustion(1), 10.0, 11, seed=-1)
     # C outside [0, inf) or an infinite mu is refused by name (an
     # infinite C or mu once left no point to judge: a vacuous pass)
     for call, param in (
@@ -136,8 +139,14 @@ def test_search_mu_finds_largest_passing():
     assert failed.mu == 2.0 ** -20
 
 
-def test_sample_box_points_are_the_lattice_then_seeded_points():
-    n, edge, seed = 9, 4.0, 123
+# seeds of one to seven 32-bit words: SeedSequence hashes up to four
+# into its pool and mixes the rest in (2**128 + 3 and 10**60)
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, DEFAULT_SEED,
+                                  2 ** 64 + 1, 2 ** 128 + 3, 10 ** 60])
+@pytest.mark.parametrize("n", [9, 64])   # and the CLI's n_per_axis
+@pytest.mark.parametrize("edge", [4.0, 13.37, 1e-300, 1e300])
+def test_sample_box_points_are_the_lattice_then_seeded_points(seed, n, edge):
+    # the seeded points are numpy's default_rng stream, bit for bit
     sample = sample_box(BlowupExample(), edge, n, seed=seed)
     axis = np.linspace(0.0, edge, n)
     rand = np.random.default_rng(seed).uniform(0.0, edge, size=(n * n, 2))
@@ -145,7 +154,8 @@ def test_sample_box_points_are_the_lattice_then_seeded_points():
     v = np.concatenate([np.repeat(axis, n), rand[:, 1]])
     assert sample.u.tobytes() == u.tobytes()
     assert sample.v.tobytes() == v.tobytes()
-    f, g = BlowupExample().rates(u, v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, g = BlowupExample().rates(u, v)
     assert sample.f.tobytes() == f.tobytes()
     assert sample.g.tobytes() == g.tobytes()
     # the points are shared by the samples of one box, so read-only
@@ -155,8 +165,11 @@ def test_sample_box_points_are_the_lattice_then_seeded_points():
         assert not points.flags.writeable
         with pytest.raises(ValueError):
             points[0] = 1.0
+    # another box of the same seed and n scales the one draw
+    misses = verify._uniform.cache_info().misses
     other = sample_box(Combustion(1), 2.0 * edge, n, seed=seed)
     assert other.u.tobytes() == (2.0 * u).tobytes()
+    assert verify._uniform.cache_info().misses == misses
 
 
 def reference_check(sample, C, mu):
