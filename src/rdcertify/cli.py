@@ -1,8 +1,27 @@
 """Driver: INI config parsing, experiment runs, reports, CSV output.
 
-Config files are INI-style with ``key = value`` lines, ``#`` comments,
-and case-sensitive keys; unknown sections or keys are rejected.  The
-sections are::
+Config files are INI documents in the grammar configparser reads with
+``delimiters=("=",)``, ``comment_prefixes=("#",)``, ``strict=True``,
+``empty_lines_in_values=False``, no interpolation and case-sensitive
+keys; ``tests/test_cli.py`` checks :func:`_ini` against configparser on
+seeded random documents.  The grammar:
+
+* the text is split into lines at ``\n`` only, each line stripped;
+* a blank line or one starting with ``#`` is skipped and ends a value;
+  there are no inline comments, and a ``;`` line has no ``=``;
+* a line indented deeper than the key line above it continues that
+  key's value, the parts joined with ``\n``;
+* ``[name]`` heads a section, the name running to the last ``]``; text
+  after it is ignored, so ``[a] x`` heads section ``a``;
+* any other line is ``key = value``, split at the first ``=`` and both
+  sides stripped, so ``k = a = b`` sets ``k`` to ``a = b``;
+* a section reads its own keys, then the ``[DEFAULT]`` keys it does not
+  set, as written (no interpolation);
+* refused, naming the 1-based line: a line before any header, a
+  section twice (``[DEFAULT]`` may come again), a key twice in one
+  section, ``[DEFAULT]`` included, a line without ``=``, an empty key.
+
+Unknown sections or keys are rejected.  The sections are::
 
     [model]      kind = combustion | absorption | blowup_example
                  m (combustion), F, G, lam (absorption),
@@ -68,7 +87,6 @@ and a ``nodes`` list as long as the grid are the parser's own.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 # argparse's gettext imports locale when the first parser is built
 import locale  # noqa: F401
@@ -181,23 +199,66 @@ _KNOWN_SECTIONS = ("model", "grid", "scheme", "functional",
                    "initial_u", "initial_v", "output")
 
 
-def _read(cp, name: str, readers: dict, required=()) -> dict:
+def _ini(text: str) -> dict[str, dict[str, str]]:
+    """The sections of an INI document, in order, each mapping its own
+    keys and then the ``[DEFAULT]`` keys it does not set to their texts.
+    The grammar is in the module docstring; a document outside it raises
+    ConfigError naming the 1-based line."""
+    sections, defaults = {}, {}
+    table = key = None      # the current section; the key of an open value
+    for number, line in enumerate(text.split("\n"), 1):
+        value = line.strip()
+        if not value or value[0] == "#":
+            key = None
+            continue
+        indent = len(line) - len(line.lstrip())
+        if key is not None and indent > key_indent:
+            table[key] += "\n" + value
+            continue
+        key = None
+        if value[0] == "[" and (end := value.rfind("]")) > 1:
+            name = value[1:end]
+            if name in sections:
+                why = f"section [{name}] appears twice"
+            elif name == "DEFAULT":
+                table = defaults
+                continue
+            else:
+                table = sections[name] = {}
+                continue
+        else:
+            left, equals, right = value.partition("=")
+            left = left.rstrip()
+            if table is None:
+                why = "it comes before any section header"
+            elif not equals:
+                why = f"{value!r} has no '='"
+            elif not left:
+                why = "empty key"
+            elif left in table:
+                why = f"key {left!r} appears twice in [{name}]"
+            else:
+                key, key_indent, table[left] = left, indent, right.strip()
+                continue
+        raise ConfigError("config",
+                          f"unparseable INI document: line {number}: {why}")
+    for own in sections.values():
+        for key, value in defaults.items():
+            own.setdefault(key, value)
+    return sections
+
+
+def _read(sections, name: str, readers: dict, required=()) -> dict:
     """The keys section ``name`` sets, each converted by its reader; an
     unset key is left out, so the library's default applies.  A missing
     required key, a key with no reader and a text its reader refuses
     raise ConfigError naming ``name.key``."""
-    if not cp.has_section(name):
-        texts, order = {}, ()
-    else:
-        # the texts in one raw read, in SectionProxy's key order: the
-        # section's own keys, then [DEFAULT]'s
-        texts, order = dict(cp.items(name, raw=True)), cp.options(name)
+    texts = sections.get(name, {})
     for key in required:
         if key not in texts:
             raise ConfigError(f"{name}.{key}", "missing required key")
     values = {}
-    for key in order:
-        text = texts[key]
+    for key, text in texts.items():
         if key not in readers:
             raise ConfigError(f"{name}.{key}", "unknown key")
         try:
@@ -207,9 +268,9 @@ def _read(cp, name: str, readers: dict, required=()) -> dict:
     return values
 
 
-def _kind(cp, name: str, kinds) -> str:
+def _kind(sections, name: str, kinds) -> str:
     """The section's required ``kind``, one of ``kinds``."""
-    kind = cp.get(name, "kind", fallback=None)
+    kind = sections.get(name, {}).get("kind")
     if kind is None:
         raise ConfigError(f"{name}.kind", "missing required key")
     if kind not in kinds:
@@ -225,33 +286,26 @@ def parse_config_text(text: str) -> RunConfig:
     The range rules are the library's; the ParamError it raises comes
     out as a ConfigError naming the config key.
     """
-    cp = configparser.ConfigParser(
-        delimiters=("=",), comment_prefixes=("#",),
-        inline_comment_prefixes=None, interpolation=None, strict=True,
-        empty_lines_in_values=False)
-    cp.optionxform = str
-    try:
-        cp.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError("config", f"unparseable INI document: {exc}")
-
-    for section in cp.sections():
+    sections = _ini(text)
+    for section in sections:
         if section not in _KNOWN_SECTIONS:
             raise ConfigError(section, "unknown section")
 
-    build, readers, required = _MODELS[_kind(cp, "model", _MODELS)]
-    values = _read(cp, "model", {"kind": str, **readers, **_CLAIMS}, required)
+    build, readers, required = _MODELS[_kind(sections, "model", _MODELS)]
+    values = _read(sections, "model", {"kind": str, **readers, **_CLAIMS},
+                   required)
     model = build(**{key: values[key] for key in readers if key in values})
     # a claim overrides the model's own, after any threshold search
     for key in _CLAIMS:
         setattr(model, key, values.get(key, getattr(model, key)))
 
-    grid = Grid(**_read(cp, "grid", *_GRID_KEYS))
-    scheme = SchemeConfig(**_read(cp, "scheme", *_SCHEME_KEYS))
-    functional = _read(cp, "functional", {"p": int, "theta": float})
-    u0 = _initial_field(cp, "initial_u", grid)
-    v0 = _initial_field(cp, "initial_v", grid)
-    output = _read(cp, "output", {"csv": str, "report": str, "log_every": int})
+    grid = Grid(**_read(sections, "grid", *_GRID_KEYS))
+    scheme = SchemeConfig(**_read(sections, "scheme", *_SCHEME_KEYS))
+    functional = _read(sections, "functional", {"p": int, "theta": float})
+    u0 = _initial_field(sections, "initial_u", grid)
+    v0 = _initial_field(sections, "initial_v", grid)
+    output = _read(sections, "output",
+                   {"csv": str, "report": str, "log_every": int})
     log_every = output.get("log_every", 1)
     if log_every < 1:
         raise ConfigError("output.log_every", f"must be >= 1, got {log_every}")
@@ -270,10 +324,10 @@ def parse_config_text(text: str) -> RunConfig:
                      log_every=log_every)
 
 
-def _initial_field(cp, name: str, grid: Grid) -> np.ndarray:
-    kind = _kind(cp, name, _FIELDS)
+def _initial_field(sections, name: str, grid: Grid) -> np.ndarray:
+    kind = _kind(sections, name, _FIELDS)
     readers = _FIELDS[kind]
-    values = _read(cp, name, {"kind": str, **readers},
+    values = _read(sections, name, {"kind": str, **readers},
                    [key for key in readers if key != "baseline"])
     if kind == "uniform":
         return np.full(grid.n_nodes, values["value"])

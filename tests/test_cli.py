@@ -1,5 +1,7 @@
+import configparser  # the reference grammar of cli._ini
 import dataclasses
 import math
+import random
 import re
 import warnings
 
@@ -279,6 +281,83 @@ def test_default_keys_come_after_the_sections_own():
     with pytest.raises(ConfigError) as err:
         parse_config_text("[DEFAULT]\nzzz = 1\n" + COMBUSTION_ZERO)
     assert str(err.value) == "config error at model.zzz: unknown key"
+
+
+# Line fragments for the differential test of cli._ini: [DEFAULT], a
+# header with trailing text, continuation lines at two depths, blank and
+# comment lines inside a value, "\r" and "\x0b" (str.splitlines would
+# split there, configparser does not), a ";" line, "= v", "k = a = b".
+INI_FRAGMENTS = [
+    "[a]", "[b]", "[DEFAULT]", "[a] x", "[DEFAULT] y", "[]", "[a]]",
+    "[ a ]", "[b]=z", "k = 1", "k=2", "K = 3", "k =", "j = a = b", "= v",
+    "  = v", "  cont", "    deeper", "\tcont", "# c", "  # c", "; c", "",
+    "   ", "k = 1\r", "k = 1\rj = 2", "j = \x0bi = 3", "x", "  x",
+    "kind = uniform",
+]
+
+
+def _configparser_sections(text):
+    """Each section's merged key texts, in order, as configparser reads
+    ``text`` under the settings the cli module docstring lists; None if
+    refused."""
+    cp = configparser.ConfigParser(
+        delimiters=("=",), comment_prefixes=("#",),
+        inline_comment_prefixes=None, interpolation=None, strict=True,
+        empty_lines_in_values=False)
+    cp.optionxform = str
+    try:
+        cp.read_string(text)
+    except configparser.Error:
+        return None
+    return {name: [(key, cp.get(name, key)) for key in cp.options(name)]
+            for name in cp.sections()}
+
+
+def test_ini_reader_matches_configparser():
+    # cli._ini and configparser agree on accept/refuse, on each
+    # section's merged texts and on their key order
+    rng = random.Random(0)
+    accepted = 0
+    for _ in range(2000):
+        text = "\n".join(rng.choices(INI_FRAGMENTS, k=rng.randint(1, 8)))
+        try:
+            got = {name: list(texts.items())
+                   for name, texts in cli._ini(text).items()}
+        except ConfigError as exc:
+            assert "unparseable INI document: line " in str(exc)
+            got = None
+        assert got == _configparser_sections(text), repr(text)
+        accepted += got is not None
+    assert 100 < accepted < 1900
+    # inherited keys after the section's own; a continuation is joined
+    # with "\n"; "[a] x" heads section "a"; [DEFAULT] may come twice
+    assert cli._ini("[DEFAULT]\nk = 0\nz = 1\n[a] x\nj = a = b\n  more"
+                    "\n[DEFAULT]\nk2 = 2\n[b]\nk = 3\n") == {
+        "a": {"j": "a = b\nmore", "k": "0", "z": "1", "k2": "2"},
+        "b": {"k": "3", "z": "1", "k2": "2"}}
+    # but a [DEFAULT] key may not
+    with pytest.raises(ConfigError, match="line 4: key 'k' appears twice"):
+        cli._ini("[DEFAULT]\nk = 1\n[DEFAULT]\nk = 2\n")
+
+
+@pytest.mark.parametrize("line,old,new", [
+    (2, "\n[model]", "\nn_nodes = 21\n[model]"),
+    (19, "[initial_v]", "[initial_u]"),
+    (5, "m = 1", "m = 1\nkind = absorption"),
+    (5, "m = 1", "m = 1\nm 2"),
+    (5, "m = 1", "m = 1\n= 2"),
+], ids=["no-header", "duplicate-section", "duplicate-key", "no-equals",
+        "empty-key"])
+def test_unparseable_config_exit_one(tmp_path, capsys, line, old, new):
+    # each class of document outside the grammar exits 1 naming its line
+    path = tmp_path / "bad.ini"
+    path.write_text(COMBUSTION_ZERO.replace(old, new, 1))
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error at config: unparseable INI "
+                          f"document: line {line}: ")
+    assert "Traceback" not in err and err.count("\n") == 1
 
 
 def test_claim_overrides_applied():

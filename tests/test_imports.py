@@ -5,7 +5,8 @@ the library must not load it, nor ``numpy.polynomial`` (1.6 ms; a Horner
 loop does its one job), nor ``numpy.random``, whose ten extension modules
 and ``secrets`` -> ``hashlib`` -> ``_hashlib`` (OpenSSL's libcrypto) cost
 about 6 MB of resident memory (``verify`` draws the seeded points of
-numpy's ``default_rng`` stream itself); no command loads these four.
+numpy's ``default_rng`` stream itself), nor ``configparser`` (the CLI
+reads its INI grammar itself); no command loads these five.
 Every module a command needs must be loaded when the library is
 imported, so no import lands inside a command's timed path, with one
 exception: LAPACK.  scipy and its ``_flapack`` extension, which maps
@@ -28,7 +29,8 @@ ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 SCRIPT = """
 import contextlib, io, json, sys
 import rdcertify.cli as cli
-NEVER = ("numpy.polynomial", "numpy.random", "secrets", "_hashlib")
+NEVER = ("numpy.polynomial", "numpy.random", "secrets", "_hashlib",
+         "configparser")
 heavy = [name for name in ("scipy", "scipy.linalg", "scipy.linalg._flapack",
                            *NEVER) if name in sys.modules]
 codes, added = [], []
