@@ -464,15 +464,17 @@ def cmd_check(config_path) -> int:
 
 def cmd_theta(a: float, b: float, mu: float, p: int,
               theta: float | None = None) -> int:
-    """Print the weight sequence and its conditions; 0 when they hold,
-    else 3.  Invalid arguments raise the library's ParamError."""
+    """Print the weight sequence of the functional for the pair (a, b)
+    and its conditions; 0 when they hold, else 3.  Arguments that break
+    a rule of ``lyapunov.FunctionalParams`` raise its ParamError, so
+    every functional printed meets the conditions."""
     params = lyapunov.build_params(a, b, mu, 0.0, p, 0.0, 0.0, theta=theta)
-    report = lyapunov.check_conditions(params, a, b)
+    report = lyapunov.check_conditions(params)
     logs = params.log_theta_seq()
     ratios = np.exp(logs[:-1] - logs[1:])
-    print(f"theta_sq_lower_bound: {report.theta_sq_bound!r}")
+    print(f"theta_sq_lower_bound: {params.theta_sq_bound!r}")
     print(f"theta: {params.theta!r}")
-    print(f"theta_sq: {report.theta_sq!r}")
+    print(f"theta_sq: {params.theta ** 2!r}")
     print("log_theta_sequence: " + ",".join(_fmt(x) for x in logs))
     print("theta_ratios: " + ",".join(_fmt(x) for x in ratios))
     print(f"condition_theta: {'pass' if report.theta_condition_ok else 'fail'}")

@@ -120,11 +120,6 @@ def _load_gtsv():
     return module.dgtsv
 
 
-def _gtsv(*args):
-    """LAPACK ``dgtsv`` on ``args``, loaded by the first call."""
-    return _load_gtsv()(*args)
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """Diffusion pair, horizon, and step-control knobs."""
@@ -179,7 +174,8 @@ class SchemeConfig:
 
 @dataclass
 class SimState:
-    """Solution pair at time t plus the current step-size suggestion."""
+    """Solution pair at time t plus the size of the next step: the step
+    control's suggestion, capped at t_end - t."""
 
     t: float
     u: np.ndarray
@@ -299,8 +295,8 @@ def _solve(blocks, x: np.ndarray, out=None) -> None:
     rs = [h * c / spacing_sq for h in hs for c in coeffs][-len(x):]
     lower, diag, upper = _band(rs, x.shape[1], out)
     # overwrite_dl, _d, _du and _b, passed positionally
-    *_, info = _gtsv(lower[:-1], diag, upper[:-1], x.reshape(-1),
-                     True, True, True, True)
+    *_, info = _load_gtsv()(lower[:-1], diag, upper[:-1], x.reshape(-1),
+                            True, True, True, True)
     if info != 0:
         raise np.linalg.LinAlgError(f"?gtsv failed with info = {info}")
     x += shift
@@ -402,8 +398,9 @@ def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
     ``rates0`` is ``model.rates`` at the state, and ``work`` the trials'
     ``_workspace`` for the grid (allocated here when None; ``run`` passes
     one for the whole run).  A rejected trial halves dt; the state is
-    None when halving would drop below dt_min.  ``run`` judges the
-    outcome, from the sup norms the result carries.
+    None when halving would drop below dt_min.  The new state's dt is
+    the step control's suggestion, capped at ``cfg.t_end`` minus its t.
+    ``run`` judges the outcome, from the sup norms the result carries.
     """
     w, dt = np.array((state.u, state.v)), state.dt
     rates0 = np.asarray(rates0, dtype=float)
@@ -419,9 +416,9 @@ def step_imex(state: SimState, model, cfg: SchemeConfig, grid: Grid,
         factor = 2.0
     else:
         factor = min(2.0, max(0.2, 0.9 * (cfg.rtol * scale / err) ** (1 / 3)))
-    dt_next = min(cfg.dt_max, max(cfg.dt_min, dt * factor))
-    return StepResult(SimState(state.t + dt, w_new[0], w_new[1], dt_next), dt,
-                      sups)
+    t = state.t + dt
+    dt_next = min(cfg.dt_max, max(cfg.dt_min, dt * factor), cfg.t_end - t)
+    return StepResult(SimState(t, w_new[0], w_new[1], dt_next), dt, sups)
 
 
 def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
@@ -440,11 +437,17 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     state's t when its ``sup_u + sup_v`` is above the threshold or not
     finite, ``blowup`` at the current t when the kinetics there are not
     finite, and ``dt_underflow`` at it when the step lands no state.
-    Identical inputs produce a bit-identical series.  A grid too fine
-    for the diffusion solve raises ParamError naming ``length``, and
-    initial data that is not finite, or negative while positivity is
-    enforced, one naming ``u0`` or ``v0``.
+    Identical inputs produce a bit-identical series.  A functional
+    built for a diffusion pair other than ``cfg``'s raises ParamError
+    naming ``a`` or ``b``, a grid too fine for the diffusion solve one
+    naming ``length``, and initial data that is not finite, or negative
+    while positivity is enforced, one naming ``u0`` or ``v0``.
     """
+    if (functional.a, functional.b) != (cfg.a, cfg.b):
+        name = "a" if functional.a != cfg.a else "b"
+        raise ParamError(name, "the functional is built for (a, b) = "
+                         f"({functional.a}, {functional.b}), the scheme has "
+                         f"({cfg.a}, {cfg.b})")
     u = as_field(u0, grid).copy()
     v = as_field(v0, grid).copy()
     cfg.check_grid(grid)
@@ -453,7 +456,8 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     u_bar0, v_bar0 = functional.u_bar0, functional.v_bar0
     row_size = (functional.p + 1) * grid.n_nodes
     t_stop = cfg.t_end * (1.0 - 1e-12)
-    state, dt_used = SimState(0.0, u, v, cfg.dt_init), cfg.dt_init
+    state = SimState(0.0, u, v, min(cfg.dt_init, cfg.t_end))
+    dt_used = cfg.dt_init
     sup_u, sup_v = sup_norm(u), sup_norm(v)
     work = _workspace(grid.n_nodes)
     ts, sups, dts, queue, diagnostics = [], [], [], [], []
@@ -467,7 +471,7 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
             first_violation = verify.monitor_bounds(state, u_bar0, v_bar0)
         queue.append(((state.u, state.v), rates))
         if row_size * len(queue) >= DIAGNOSTICS_BLOCK:
-            diagnostics.append(_diagnostics(queue, cfg, grid, functional))
+            diagnostics.append(_diagnostics(queue, grid, functional))
 
         # the threshold judges the states a step reached, not the data
         if len(ts) > 1 and not sup_u + sup_v <= cfg.blowup_threshold:
@@ -477,16 +481,14 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
         elif not np.logical_and.reduce(np.isfinite(rates), axis=None):
             verdict = Verdict("blowup", state.t)
         else:
-            trial = SimState(state.t, state.u, state.v,
-                             min(state.dt, cfg.t_end - state.t))
-            result = step_imex(trial, model, cfg, grid, rates, work)
+            result = step_imex(state, model, cfg, grid, rates, work)
             if result.state is None:
                 verdict = Verdict("dt_underflow", state.t)
             else:
                 state, dt_used, (sup_u, sup_v) = result
 
     if queue:
-        diagnostics.append(_diagnostics(queue, cfg, grid, functional))
+        diagnostics.append(_diagnostics(queue, grid, functional))
     sup_u, sup_v = np.array(sups).T
     series = TimeSeries(np.array(ts), sup_u, sup_v,
                         *np.concatenate(diagnostics, axis=1), np.array(dts),
@@ -496,10 +498,10 @@ def run(model, cfg: SchemeConfig, grid: Grid, u0, v0,
     return series, verdict
 
 
-def _diagnostics(queue, cfg, grid, functional) -> np.ndarray:
+def _diagnostics(queue, grid, functional) -> np.ndarray:
     """The (3, k) rows L, I and J of the k queued states, from one
     ``lyapunov.diagnostics_block`` call; the queue is emptied."""
     states, rates = zip(*queue)
     queue.clear()
-    return lyapunov.diagnostics_block(functional, grid, cfg.a, cfg.b,
-                                      np.array(states), np.array(rates))
+    return lyapunov.diagnostics_block(functional, grid, np.array(states),
+                                      np.array(rates))

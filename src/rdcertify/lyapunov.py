@@ -27,17 +27,22 @@ so they stay representable, with exact signs and zero sets unless a
 large theta or p log theta underflows a rescaled weight to 0 (theta =
 1e100 at p = 4 zeroes I and J above the bounds).
 
+A ``FunctionalParams`` is the functional for one diffusion pair (a, b),
+which it holds: construction is the one site of every rule on a, b, p,
+theta, mu and C, so every instance meets the weight conditions for its
+pair, and the functions here read the pair from it.
+
 ``diagnostics_block`` gives L, I and J of a block of states in one
 pass, with one gate per state: while the fields are finite, no node
 lies above its bound, every difference quotient squares to a finite
-number and a + b and the rates are finite, every term has a zero factor
-that meets no inf, so the state gets L = 0.0, I = -0.0 (-p(p-1) times a
-zero integral, ``-0`` in the CSV) and J = 0.0 without the sums.  The
-other states get the full sums of all three, as one block, which keep
-their inf and NaN results.  Each state's numbers are bit for bit those
-of ``diagnostics``, the same function on a block of one.  The weights
-and binomials are derived from the fields of ``FunctionalParams`` on
-each access.
+number and the rates are finite, every term has a zero factor that
+meets no inf (a + b is finite for every instance), so the state gets
+L = 0.0, I = -0.0 (-p(p-1) times a zero integral, ``-0`` in the CSV)
+and J = 0.0 without the sums.  The other states get the full sums of
+all three, as one block, which keep their inf and NaN results.  Each
+state's numbers are bit for bit those of ``diagnostics``, the same
+function on a block of one.  The weights and binomials are derived from
+the fields of ``FunctionalParams`` on each access.
 """
 
 from __future__ import annotations
@@ -65,36 +70,62 @@ _SAFE_P = 1000
 
 @dataclass(frozen=True)
 class FunctionalParams:
-    """Everything the functional needs: degree p, ratio theta, the first
-    two weights (as logs), the mass-control constants, and the candidate
-    bounds derived from the initial data.
+    """The functional for one diffusion pair: the pair (a, b), degree p,
+    ratio theta, the mass-control constants mu and C, and the candidate
+    bounds derived from the initial data.  The first two weights are
+    theta_0 = mu/2 and theta_1 = 1, so theta_0/theta_1 < mu.
 
-    Every instance has an integer p in [2, 1000], a theta > 0 whose
-    square is finite, and finite log weights, so the weights and
-    binomials are finite; otherwise construction raises ParamError
-    naming ``p`` or ``theta``.  Those constants are properties, derived
-    from the fields on each access, so they cannot go stale under
+    Construction is the one site of the rules on a, b, p, theta, mu and
+    C, checked in this order: a, b and mu finite and > 0, C finite and
+    >= 0, a default theta^2 = 1.1 (a+b)^2/(4ab) that is finite (else
+    the error names whichever of a and b lies farther from 1 in log
+    scale), theta > 1, mu/2 not underflowing to 0, an integer p in
+    [2, 1000], a finite theta^2, and theta^2 > (a+b)^2/(4ab); a
+    violation raises ParamError naming the parameter.  So every
+    instance passes ``check_conditions``, and its weights, binomials
+    and a + b are finite.  Those constants are properties, derived from
+    the fields on each access, so they cannot go stale under
     ``dataclasses.replace``.
     """
 
+    a: float
+    b: float
     p: int
     theta: float
-    log_theta0: float
-    log_theta1: float
     mu: float
     C: float
     u_bar0: float
     v_bar0: float
 
     def __post_init__(self):
+        check_positive(a=self.a, b=self.b, mu=self.mu)
+        check_nonnegative(C=self.C)
+        bound = self.theta_sq_bound
+        if not 1.1 * bound < math.inf:
+            far_a = abs(math.log(self.a)) >= abs(math.log(self.b))
+            raise ParamError("a" if far_a else "b",
+                             f"the diffusion pair a = {self.a}, b = {self.b} "
+                             "has no finite default theta^2 = 1.1 (a+b)^2/(4ab)")
+        if not self.theta > 1.0:
+            raise ParamError("theta", f"theta must be > 1, got {self.theta}")
+        if not self.mu / 2.0 > 0:
+            raise ParamError("mu", f"mu = {self.mu} is too small: the first "
+                             "weight theta0 = mu/2 underflows to 0")
         if not (isinstance(self.p, int) and 2 <= self.p <= _SAFE_P):
             raise ParamError("p", f"p must be an integer in [2, {_SAFE_P}], "
                              f"got {self.p}")
         # theta * theta is inf where theta ** 2 would raise OverflowError
-        for value in (self.theta * self.theta, self.log_theta0, self.log_theta1):
-            if not (self.theta > 0 and math.isfinite(value)):
-                raise ParamError("theta", "need theta > 0, and theta^2 and the "
-                                 f"log weights finite; got {self.theta}, {value}")
+        if not math.isfinite(self.theta * self.theta):
+            raise ParamError("theta", f"theta^2 must be finite, got theta = "
+                             f"{self.theta}")
+        if not self.theta ** 2 > bound:
+            raise ParamError("theta", f"theta^2 = {self.theta ** 2} violates "
+                             f"the condition theta^2 > (a+b)^2/(4ab) = {bound}")
+
+    @property
+    def theta_sq_bound(self) -> float:
+        """(a+b)^2/(4ab): theta^2 must exceed it for T_i to be semidefinite."""
+        return _theta_sq_bound(self.a, self.b)
 
     @property
     def log_theta(self) -> float:
@@ -102,12 +133,11 @@ class FunctionalParams:
 
     def log_theta_seq(self) -> np.ndarray:
         """log theta_i for i = 0..p from the closed form
-        log theta_i = log theta_0 + i*(log theta_1 - log theta_0)
-                      + i*(i-1)*log theta."""
+        log theta_i = (1 - i) log theta_0 + i*(i-1)*log theta,
+        with log theta_0 = log(mu/2) and log theta_1 = 0."""
         i = np.arange(self.p + 1, dtype=float)
-        return (self.log_theta0
-                + i * (self.log_theta1 - self.log_theta0)
-                + i * (i - 1.0) * self.log_theta)
+        log_theta0 = math.log(self.mu / 2.0)
+        return log_theta0 - i * log_theta0 + i * (i - 1.0) * self.log_theta
 
     @property
     def weights(self) -> np.ndarray:
@@ -135,57 +165,27 @@ class FunctionalParams:
 
 
 def _theta_sq_bound(a: float, b: float) -> float:
-    """(a+b)^2/(4ab): theta^2 must exceed it for T_i to be semidefinite.
-    A bound whose default theta^2 = 1.1 * bound is not finite raises
-    ParamError naming whichever of a and b lies farther from 1 in log
-    scale."""
+    """(a+b)^2/(4ab), or inf where it overflows or 4ab underflows to 0."""
     try:
-        bound = (a + b) ** 2 / (4.0 * a * b)
+        return (a + b) ** 2 / (4.0 * a * b)
     except (OverflowError, ZeroDivisionError):
-        bound = math.inf
-    if not 1.1 * bound < math.inf:
-        name = "a" if abs(math.log(a)) >= abs(math.log(b)) else "b"
-        raise ParamError(name, f"the diffusion pair a = {a}, b = {b} has no "
-                         "finite default theta^2 = 1.1 (a+b)^2/(4ab)")
-    return bound
+        return math.inf
 
 
 def build_params(a: float, b: float, mu: float, C: float, p: int,
                  u0, v0, theta: float | None = None) -> FunctionalParams:
-    """Validate and assemble functional parameters.
-
-    theta defaults to sqrt(1.1 * max((a+b)^2/(4ab), 1)); a supplied
-    theta must satisfy theta > 1 and theta^2 > (a+b)^2/(4ab).  The first
-    weights are theta0 = mu/2 and theta1 = 1, so theta0/theta1 < mu; mu/2
-    must not underflow to 0.  C must be finite and >= 0, u0, v0 finite,
-    and the default theta^2 = 1.1 * bound finite; a violation raises
-    ParamError naming the parameter.  The candidate bounds are
-    max(C, sup u0) and max(C, sup v0).
+    """The functional for the pair (a, b), with the candidate bounds
+    max(C, sup u0) and max(C, sup v0) of finite initial data (else
+    ParamError naming ``u0`` or ``v0``).  theta defaults to
+    sqrt(1.1 * max((a+b)^2/(4ab), 1)); every other rule is
+    ``FunctionalParams``'s.
     """
-    check_positive(a=a, b=b, mu=mu)
-    check_nonnegative(C=C)
     check_finite_data(u0, v0)
-    sup_u, sup_v = sup_norm(u0), sup_norm(v0)
-
-    bound = _theta_sq_bound(a, b)
     if theta is None:
-        theta = math.sqrt(1.1 * max(bound, 1.0))
-    elif not theta > 1.0:
-        raise ParamError("theta", f"theta must be > 1, got {theta}")
-
-    theta0 = mu / 2.0
-    if not theta0 > 0:
-        raise ParamError("mu", f"mu = {mu} is too small: the first weight "
-                         "theta0 = mu/2 underflows to 0")
-
-    params = FunctionalParams(p=p, theta=float(theta),
-                              log_theta0=math.log(theta0), log_theta1=0.0,
-                              mu=mu, C=float(C), u_bar0=max(float(C), sup_u),
-                              v_bar0=max(float(C), sup_v))
-    if not params.theta ** 2 > bound:     # a finite square, as constructed
-        raise ParamError("theta", f"theta^2 = {params.theta ** 2} violates "
-                         f"the condition theta^2 > (a+b)^2/(4ab) = {bound}")
-    return params
+        theta = math.sqrt(1.1 * max(_theta_sq_bound(a, b), 1.0))
+    return FunctionalParams(a=a, b=b, p=p, theta=float(theta), mu=mu,
+                            C=float(C), u_bar0=max(float(C), sup_norm(u0)),
+                            v_bar0=max(float(C), sup_norm(v0)))
 
 
 @dataclass(frozen=True)
@@ -196,8 +196,6 @@ class ConditionReport:
     recurrence_ok: bool           # |log residual| <= scaled RECURRENCE_TOL
     recurrence_residual: float
     mu_condition_ok: bool         # theta_i/theta_{i+1} < mu for all i
-    theta_sq: float
-    theta_sq_bound: float
 
     @property
     def passed(self) -> bool:
@@ -205,10 +203,8 @@ class ConditionReport:
                 and self.mu_condition_ok)
 
 
-def check_conditions(params: FunctionalParams, a: float, b: float) -> ConditionReport:
-    """Verify the weight conditions for the given diffusion pair."""
-    bound = _theta_sq_bound(a, b)
-    theta_sq = params.theta ** 2
+def check_conditions(params: FunctionalParams) -> ConditionReport:
+    """Verify the weight conditions for the functional's diffusion pair."""
     logs = params.log_theta_seq()
     resid = logs[:-2] + logs[2:] - 2.0 * logs[1:-1] - 2.0 * params.log_theta
     residual = float(np.max(np.abs(resid)))
@@ -216,12 +212,10 @@ def check_conditions(params: FunctionalParams, a: float, b: float) -> ConditionR
     log_mu = math.log(params.mu)
     mu_ok = bool(np.all(logs[:-1] - logs[1:] < log_mu))
     return ConditionReport(
-        theta_condition_ok=theta_sq > bound,
+        theta_condition_ok=params.theta ** 2 > params.theta_sq_bound,
         recurrence_ok=residual <= tol,
         recurrence_residual=residual,
         mu_condition_ok=mu_ok,
-        theta_sq=theta_sq,
-        theta_sq_bound=bound,
     )
 
 
@@ -237,9 +231,8 @@ def _quadratic(a, b, w0, w1, w2, sU, sV, xi, eta):
             + b * w0 * sV * eta ** 2)
 
 
-def quadratic_Ti(params: FunctionalParams, i: int, a: float, b: float,
-                 sgnU, sgnV, xi, eta):
-    """The gradient quadratic
+def quadratic_Ti(params: FunctionalParams, i: int, sgnU, sgnV, xi, eta):
+    """The gradient quadratic, for the functional's pair (a, b),
 
         a*theta_{i+2}*sgnU*xi^2 + (a+b)*theta_{i+1}*sgnU*sgnV*xi*eta
         + b*theta_i*sgnV*eta^2
@@ -251,9 +244,9 @@ def quadratic_Ti(params: FunctionalParams, i: int, a: float, b: float,
     if not 0 <= i <= params.p - 2:
         raise IndexError(f"quadratic index {i} outside 0..{params.p - 2}")
     l0, l1, l2 = params.log_theta_seq()[i:i + 3]
-    out = _quadratic(a, b, math.exp(l0 - l1), 1.0, math.exp(l2 - l1),
-                     sgnU, sgnV, np.asarray(xi, dtype=float),
-                     np.asarray(eta, dtype=float))
+    out = _quadratic(params.a, params.b, math.exp(l0 - l1), 1.0,
+                     math.exp(l2 - l1), sgnU, sgnV,
+                     np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -265,8 +258,8 @@ def _sum_rows(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def diagnostics(params: FunctionalParams, state, grid: Grid, a: float,
-                b: float, rates) -> tuple[float, float, float]:
+def diagnostics(params: FunctionalParams, state, grid: Grid,
+                rates) -> tuple[float, float, float]:
     """(L, I, J) of one state; ``rates`` is ``model.rates`` at the state.
 
     L is the trapezoid integral of the nodal H values (inf flags overflow
@@ -285,12 +278,12 @@ def diagnostics(params: FunctionalParams, state, grid: Grid, a: float,
     fields = np.array([(as_field(state.u, grid), as_field(state.v, grid))])
     stacked = np.empty_like(fields)
     stacked[0, 0], stacked[0, 1] = rates
-    L, I, J = diagnostics_block(params, grid, a, b, fields, stacked)
+    L, I, J = diagnostics_block(params, grid, fields, stacked)
     return float(L[0]), float(I[0]), float(J[0])
 
 
-def diagnostics_block(params: FunctionalParams, grid: Grid, a: float,
-                      b: float, fields, rates) -> np.ndarray:
+def diagnostics_block(params: FunctionalParams, grid: Grid, fields,
+                      rates) -> np.ndarray:
     """Rows (L, I, J) of a block of k states: ``fields[j]`` is the pair
     (u, v) of state j and ``rates[j]`` the pair (f, g) there, each of
     shape (k, 2, n_nodes).
@@ -312,11 +305,11 @@ def diagnostics_block(params: FunctionalParams, grid: Grid, a: float,
         lo, hi = fields.min(axis=2), fields.max(axis=2)
         # below the bounds every term has a zero factor; the sums give
         # these signed zeros unless a zero factor meets an inf, which a
-        # slope that squares past double precision, a + b or the rates
-        # could bring
+        # slope that squares past double precision or the rates could
+        # bring (a + b is finite for every instance)
         gated = ((hi - lo).max(axis=1) / grid.spacing <= _SAFE_SLOPE)
         gated &= (hi <= (params.u_bar0, params.v_bar0)).all(axis=1)
-        gated &= np.isfinite(rates).all(axis=(1, 2)) & math.isfinite(a + b)
+        gated &= np.isfinite(rates).all(axis=(1, 2))
         if gated.all():
             return out
         rows = np.flatnonzero(~gated)
@@ -352,7 +345,8 @@ def diagnostics_block(params: FunctionalParams, grid: Grid, a: float,
         du, dv = np.gradient(fields[rows], grid.spacing, axis=2).swapaxes(0, 1)
         Upow = np.array([U ** k for k in range(p)])
         Vpow = np.array([V ** k for k in range(p)])
-        T = _quadratic(a, b, th[:-2], th[1:-1], th[2:], sU, sV, du, dv)
+        T = _quadratic(params.a, params.b, th[:-2], th[1:-1], th[2:], sU, sV,
+                       du, dv)
         I_sum = _sum_rows(binomials[p - 2][:, None, None] * T
                           * Upow[:p - 1] * Vpow[p - 2::-1])
         J_sum = _sum_rows(binomials[p - 1][:, None, None]
@@ -368,16 +362,15 @@ def diagnostics_block(params: FunctionalParams, grid: Grid, a: float,
 
 def lyapunov_L(params: FunctionalParams, state, grid: Grid) -> float:
     """L of ``diagnostics``."""
-    return diagnostics(params, state, grid, 1.0, 1.0, (0.0, 0.0))[0]
+    return diagnostics(params, state, grid, (0.0, 0.0))[0]
 
 
-def dissipation_I(params: FunctionalParams, state, grid: Grid,
-                  a: float, b: float) -> float:
+def dissipation_I(params: FunctionalParams, state, grid: Grid) -> float:
     """I of ``diagnostics``."""
-    return diagnostics(params, state, grid, a, b, (0.0, 0.0))[1]
+    return diagnostics(params, state, grid, (0.0, 0.0))[1]
 
 
 def reaction_J(params: FunctionalParams, state, grid: Grid, model) -> float:
     """J of ``diagnostics``, with the rates of ``model`` at the state."""
     rates = model.rates(as_field(state.u, grid), as_field(state.v, grid))
-    return diagnostics(params, state, grid, 1.0, 1.0, rates)[2]
+    return diagnostics(params, state, grid, rates)[2]

@@ -169,15 +169,14 @@ def test_criterion_1_theta_machinery():
         mu = float(rng.uniform(0.05, 4.0))
         p = int(rng.integers(2, 13))
         params = build_params(a, b, mu, 0.0, p, np.zeros(3), np.zeros(3))
-        rep = check_conditions(params, a, b)
+        rep = check_conditions(params)
         checks.append(rep.passed and rep.recurrence_residual <= 1e-9)
         xi = rng.uniform(-10.0, 10.0, size=10000)
         eta = rng.uniform(-10.0, 10.0, size=10000)
         ok = True
         for i in range(p - 1):
             for sU, sV in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                vals = np.asarray(quadratic_Ti(params, i, a, b, sU, sV,
-                                               xi, eta))
+                vals = np.asarray(quadratic_Ti(params, i, sU, sV, xi, eta))
                 ok = ok and bool(np.all(vals >= 0.0))
         checks.append(ok)
     report(1, [("all 100 random configurations", all(checks))])

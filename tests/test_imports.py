@@ -12,7 +12,9 @@ imported, so no import lands inside a command's timed path, with one
 exception: LAPACK.  scipy and its ``_flapack`` extension, which maps
 scipy's bundled OpenBLAS, load on the first ``?gtsv`` call, so ``check``
 and a run whose rounds all skip the solve never load them.  Both are
-checked in a fresh interpreter.
+checked in a fresh interpreter, on the package this process imports:
+the source tree under the tier-1 command's ``PYTHONPATH=src``, the
+installed package without it (as CI runs this file).
 """
 
 import json
@@ -21,9 +23,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import rdcertify
+
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "demos" / "configs"
-ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+ENV = {**os.environ,
+       "PYTHONPATH": str(Path(rdcertify.__file__).resolve().parents[1])}
 
 # the modules each command adds to those the import of the CLI loaded
 SCRIPT = """

@@ -130,9 +130,9 @@ def gtsv_reference(band, x):
     values."""
     copies = band[:, -x.size:].copy()
     shift = x[:, :1].copy()
-    *_, solution, info = integrator._gtsv(copies[0, :-1], copies[1],
-                                          copies[2, :-1],
-                                          (x - shift).reshape(-1))
+    *_, solution, info = integrator._load_gtsv()(copies[0, :-1], copies[1],
+                                                 copies[2, :-1],
+                                                 (x - shift).reshape(-1))
     assert info == 0
     return solution.reshape(x.shape) + shift
 
@@ -163,7 +163,7 @@ def test_diffusion_solve_skips_constant_rows_exactly(monkeypatch):
             names[at] = "bump"
             cases.append(names)
         cases.append(rng.choice(sorted(constant), k).tolist())
-    gtsv, band_of, calls = integrator._gtsv, integrator._band, []
+    gtsv, band_of, calls = integrator._load_gtsv(), integrator._band, []
 
     def counted_gtsv(*args):
         calls.append("gtsv")
@@ -173,7 +173,7 @@ def test_diffusion_solve_skips_constant_rows_exactly(monkeypatch):
         calls.append("band")
         return band_of(*args)
 
-    monkeypatch.setattr(integrator, "_gtsv", counted_gtsv)
+    monkeypatch.setattr(integrator, "_load_gtsv", lambda: counted_gtsv)
     monkeypatch.setattr(integrator, "_band", counted_band)
     out = np.empty((3, 6 * n))
     for names in cases:
@@ -195,8 +195,8 @@ def test_uniform_data_makes_no_band_and_no_gtsv_call(monkeypatch):
     # Uniform data stays uniform, so a run from it writes no band and
     # makes no ?gtsv call, while each of its trials still calls _solve
     # for 6, 4 and 2 fields; a run from a bump writes one band for each
-    # ?gtsv call, one per round.
-    calls, fields = {"_band": 0, "_gtsv": 0, "_trial": 0}, []
+    # ?gtsv call, one per round.  _solve loads ?gtsv once per call.
+    calls, fields = {"_band": 0, "_load_gtsv": 0, "_trial": 0}, []
 
     def counting(name):
         f = getattr(integrator, name)
@@ -225,7 +225,7 @@ def test_uniform_data_makes_no_band_and_no_gtsv_call(monkeypatch):
     trials = calls["_trial"]
     assert trials >= len(series) - 1 > 10
     assert fields == [6, 4, 2] * trials
-    assert calls["_band"] == calls["_gtsv"] == 0
+    assert calls["_band"] == calls["_load_gtsv"] == 0
     assert np.ptp(series.final_state.u) == np.ptp(series.final_state.v) == 0
 
     calls.update(dict.fromkeys(calls, 0))
@@ -234,12 +234,12 @@ def test_uniform_data_makes_no_band_and_no_gtsv_call(monkeypatch):
     u0, v0 = np.ones(21), 0.5 + 0.1 * np.cos(np.pi * grid.nodes())
     cfg = SchemeConfig(a=1.0, b=2.0, t_end=0.3, rtol=1e-5)
     series, verdict = run(Combustion(1), cfg, grid, u0, v0,
-                          heat_params(u0, v0))
+                          heat_params(u0, v0, a=1.0, b=2.0))
     assert verdict.kind == "completed"
     trials = calls["_trial"]
     assert trials >= len(series) - 1 > 10
     assert fields == [6, 4, 2] * trials
-    assert calls["_band"] == calls["_gtsv"] == 3 * trials
+    assert calls["_band"] == calls["_load_gtsv"] == 3 * trials
 
 
 def test_diffusion_solve_validates_arguments():
@@ -438,7 +438,7 @@ def test_run_combustion_equilibrium():
     zeros = np.zeros(11)
     cfg = SchemeConfig(a=1.0, b=2.0, t_end=1.0, rtol=1e-6)
     series, verdict = run(Combustion(1), cfg, grid, zeros, zeros,
-                          heat_params(zeros, zeros))
+                          heat_params(zeros, zeros, a=1.0, b=2.0))
     assert verdict.kind == "completed"
     assert np.all(series.sup_u == 0.0)
     assert np.all(series.sup_v == 0.0)
@@ -471,8 +471,23 @@ def test_run_positivity_guard():
     assert st.u.min() >= 0.0
     assert st.v.min() >= 0.0
     # negative data is refused while the guard is on
-    with pytest.raises(ValueError):
-        run(Combustion(1), cfg, grid, -u0, v0, heat_params(u0, v0))
+    with pytest.raises(ParamError) as err:
+        run(Combustion(1), cfg, grid, -u0, v0,
+            heat_params(u0, v0, a=1.0, b=2.0))
+    assert err.value.param == "u0"
+
+
+@pytest.mark.parametrize("a, b, name", [(1.0, 1.0, "b"), (2.0, 2.0, "a"),
+                                        (2.0, 1.0, "a")])
+def test_run_refuses_a_functional_for_another_pair(a, b, name):
+    # the functional's weights meet theta^2 > (a+b)^2/(4ab) for the pair
+    # it was built for alone
+    grid = Grid(11, 1.0)
+    u0 = v0 = np.ones(11)
+    cfg = SchemeConfig(a=1.0, b=2.0, t_end=0.1)
+    with pytest.raises(ParamError, match="built for") as err:
+        run(Combustion(1), cfg, grid, u0, v0, heat_params(u0, v0, a=a, b=b))
+    assert err.value.param == name
 
 
 @pytest.mark.parametrize("guard,dt_used,u_min", [

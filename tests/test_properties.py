@@ -1,6 +1,7 @@
-"""Property tests: the sign of I, the sign of the J integrand, the θ²
-condition, positivity and mass balance of a step, and the monotone
-structure of the sampled mass-control check, over drawn inputs.
+"""Property tests: the sign of I, the sign of the J integrand, the
+functional's conditions holding for every instance it can build,
+positivity and mass balance of a step, and the monotone structure of
+the sampled mass-control check, over drawn inputs.
 
 The draws are derandomized, so every run tries the same examples.
 """
@@ -21,7 +22,7 @@ from rdcertify.integrator import (NEGATIVITY_TOL, SchemeConfig, SimState,
 from rdcertify.kinetics import (Absorption, BlowupExample, Combustion, Exp,
                                 ReactionModel)
 from rdcertify.lyapunov import build_params, check_conditions, diagnostics
-from rdcertify.mesh import Grid, integrate
+from rdcertify.mesh import Grid, ParamError, integrate
 from rdcertify.verify import check_mass_control, sample_box, search_mu
 
 PROPERTIES = settings(derandomize=True, database=None, deadline=None,
@@ -39,11 +40,39 @@ def nodal(n, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# I <= 0 whenever the weight conditions hold
+# Every functional meets its conditions, so I <= 0
 # ---------------------------------------------------------------------------
 
+def maybe_bad(good):
+    """Floats from ``good``, or any float: inf, NaN, 0, negative and
+    subnormal values included."""
+    return st.one_of(good, st.floats())
+
+
+@PROPERTIES
+@given(a=maybe_bad(positive(1e-3, 1e3)), b=maybe_bad(positive(1e-3, 1e3)),
+       mu=maybe_bad(positive(1e-3, 10.0)), C=maybe_bad(st.floats(0.0, 2.0)),
+       p=st.integers(0, 1010),
+       theta=st.one_of(st.none(), st.floats(0.5, 4.0), st.floats()))
+def test_every_functional_passes_its_conditions(a, b, mu, C, p, theta):
+    # construction either refuses, naming a parameter, or gives a
+    # functional that meets the weight conditions for its pair
+    data = np.ones(3)
+    try:
+        params = build_params(a, b, mu, C, p, data, data, theta=theta)
+    except ParamError as err:
+        assert err.param in ("a", "b", "mu", "C", "p", "theta")
+        # the default theta meets its rules, and p is refused only
+        # outside [2, 1000]
+        assert err.param != "theta" or theta is not None
+        assert err.param != "p" or not 2 <= p <= 1000
+    else:
+        assert (params.a, params.b) == (a, b)
+        assert check_conditions(params).passed
+
+
 def draw_functional(draw):
-    """(a, b, params, n): weights for constant initial data on n nodes."""
+    """(params, n): weights for constant initial data on n nodes."""
     a, b = draw(positive(1e-2, 1e2)), draw(positive(1e-2, 1e2))
     p = draw(st.integers(2, 8))
     # theta^2 = (1 + delta) (a+b)^2/(4ab), so theta^2 > the bound > 1
@@ -53,27 +82,25 @@ def draw_functional(draw):
     n = draw(st.integers(3, 12))
     u0 = np.full(n, draw(st.floats(0.0, 2.0)))
     v0 = np.full(n, draw(st.floats(0.0, 2.0)))
-    return a, b, build_params(a, b, mu, C, p, u0, v0, theta=theta), n
+    return build_params(a, b, mu, C, p, u0, v0, theta=theta), n
 
 
 @st.composite
 def functional_and_state(draw):
-    a, b, params, n = draw_functional(draw)
+    params, n = draw_functional(draw)
     # excursions of up to 5 past each bound, clipped at 0
     u = np.maximum(params.u_bar0 + draw(nodal(n, -2.0, 5.0)), 0.0)
     v = np.maximum(params.v_bar0 + draw(nodal(n, -2.0, 5.0)), 0.0)
-    return a, b, params, Grid(n, draw(positive(0.1, 10.0))), u, v
+    return params, Grid(n, draw(positive(0.1, 10.0))), u, v
 
 
 @PROPERTIES
 @given(functional_and_state())
 def test_dissipation_is_nonpositive(drawn):
-    a, b, params, grid, u, v = drawn
-    assume(check_conditions(params, a, b).passed)
+    params, grid, u, v = drawn
     assume((u > params.u_bar0).any() or (v > params.v_bar0).any())
     state = SimState(0.0, u, v, 1e-3)
-    _, I, _ = diagnostics(params, state, grid, a, b,
-                          Combustion(1).rates(u, v))
+    _, I, _ = diagnostics(params, state, grid, Combustion(1).rates(u, v))
     assert I <= 0.0
 
 
@@ -83,12 +110,12 @@ def functional_above_bounds(draw):
     every node, with rates that have the control-of-mass structure
     f <= f + mu g <= 0 there.  The bounds are at least C, so the state
     lies in the region u + v >= C where the structure is claimed."""
-    a, b, params, n = draw_functional(draw)
+    params, n = draw_functional(draw)
     u = params.u_bar0 + draw(nodal(n, 1e-3, 5.0))
     v = params.v_bar0 + draw(nodal(n, 1e-3, 5.0))
     g = draw(nodal(n, 0.0, 10.0))
     f = -params.mu * g - draw(nodal(n, 0.0, 10.0))
-    return a, b, params, Grid(n, draw(positive(0.1, 10.0))), u, v, f, g
+    return params, Grid(n, draw(positive(0.1, 10.0))), u, v, f, g
 
 
 @PROPERTIES
@@ -97,10 +124,8 @@ def test_reaction_integrand_is_nonpositive_above_both_bounds(drawn):
     # theta_{i+1} f + theta_i g <= theta_{i+1} (f + mu g) <= 0 term by
     # term, since theta_i / theta_{i+1} < mu and g >= 0: so J <= 0 for a
     # state whose every node lies in the set
-    a, b, params, grid, u, v, f, g = drawn
-    assume(check_conditions(params, a, b).passed)
-    _, _, J = diagnostics(params, SimState(0.0, u, v, 1e-3), grid, a, b,
-                          (f, g))
+    params, grid, u, v, f, g = drawn
+    _, _, J = diagnostics(params, SimState(0.0, u, v, 1e-3), grid, (f, g))
     assert J <= 0.0
 
 
@@ -112,12 +137,16 @@ def test_conditions_fail_once_theta_sq_crosses_its_bound(a, b, p, mu, delta,
                                                          above):
     data = np.ones(3)
     params = build_params(a, b, mu, 0.0, p, data, data)
-    bound = check_conditions(params, a, b).theta_sq_bound
+    bound = params.theta_sq_bound
     theta = math.sqrt(bound * (1.0 + delta if above else 1.0 - delta))
-    # build_params refuses such a theta; check_conditions judges any
-    report = check_conditions(dataclasses.replace(params, theta=theta), a, b)
-    assert report.theta_condition_ok == above
-    assert report.passed == above
+    # construction refuses a theta^2 at or below the bound, the one site
+    # of the condition, so no instance fails it
+    if above:
+        assert check_conditions(dataclasses.replace(params, theta=theta)).passed
+    else:
+        with pytest.raises(ParamError) as err:
+            dataclasses.replace(params, theta=theta)
+        assert err.value.param == "theta"
 
 
 # ---------------------------------------------------------------------------
