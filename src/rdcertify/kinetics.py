@@ -227,8 +227,9 @@ class ReactionModel:
 
 
 def _fields(u, v):
-    # u and v as float arrays of one shape, so that the pair (u F, u G)
-    # or (u - u^2, u) can be stacked on a new first axis
+    # u and v as float arrays of one shape, so that one mask of u serves
+    # both of Absorption's products and the pair (u - u^2, u) can be
+    # stacked on a new first axis
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
@@ -255,11 +256,17 @@ class Absorption(ReactionModel):
 
     def rates(self, u, v):
         u, v = _fields(u, v)
-        # u F(v) and u G(v) in one pass, 0 where u is (0 * inf = 0); a
-        # product, or F(v) - P(v), may overflow to inf or inf - inf
+        # u F(v) and u G(v), each 0 where u is (0 * inf = 0), under one
+        # mask; a product, or F(v) - P(v), may overflow to inf or inf -
+        # inf.  Two products, not one on a stacked (2, n) pair: every
+        # temporary stays one field in size, below glibc's 128 KiB mmap
+        # threshold at a sampled box's 8,192 points, so a process that
+        # checks many claims reuses heap memory instead of mapping and
+        # faulting in fresh pages on every claim
+        zero = u == 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            Fv, Gv = self.F.value(v), self.G.value(v)
-            uF, uG = np.where(u == 0.0, 0.0, u * np.array((Fv, Gv)))
+            uF = np.where(zero, 0.0, u * self.F.value(v))
+            uG = np.where(zero, 0.0, u * self.G.value(v))
         return -uF, uG
 
 
@@ -295,12 +302,16 @@ class BlowupExample(ReactionModel):
     def rates(self, u, v):
         u, v = _fields(u, v)
         # f and g in one pass, each 0 where its factor of v^2 is, at
-        # u = 1 as at u = 0 (0 * inf = 0); base has at least one axis,
-        # so the product is an array to zero in place
+        # u = 1 as at u = 0 (0 * inf = 0).  One stack, which keeps the
+        # integrator's per-trial calls on small grids cheap; it has at
+        # least one axis, so it is multiplied by v^2 and zeroed in
+        # place, and a call on a sampled box's points builds one (2, n)
+        # array, not two (see Absorption.rates for why that counts)
         with np.errstate(over="ignore", invalid="ignore"):
-            base = np.array((u - u * u, u))
-            fg = base * (v * v)
-        fg[base == 0.0] = 0.0
+            fg = np.array((u - u * u, u))
+            zero = fg == 0.0
+            fg *= v * v
+        fg[zero] = 0.0
         return fg
 
 

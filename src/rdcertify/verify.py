@@ -297,10 +297,10 @@ def check_g_nonneg(sample: BoxSample) -> GNonNegReport:
     bad = np.flatnonzero(finite & (g < 0.0))[:MAX_WITNESSES]
     # the witnesses' (u, v, g), read out per array
     violations = list(zip(*(a[bad].tolist() for a in (u, v, g))))
+    tested = int(np.count_nonzero(finite))
     return GNonNegReport(
-        passed=not violations, edge=sample.edge,
-        samples_tested=int(finite.sum()),
-        samples_indeterminate=int((~finite).sum()), violations=violations)
+        passed=not violations, edge=sample.edge, samples_tested=tested,
+        samples_indeterminate=n - tested, violations=violations)
 
 
 def default_box(C: float, u_bar0: float, v_bar0: float) -> float:

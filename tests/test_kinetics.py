@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -12,6 +13,7 @@ from rdcertify.kinetics import (Absorption, BlowupExample, Combustion,
                                 find_threshold_A, growth_from_spec)
 from rdcertify import kinetics
 from rdcertify.mesh import ParamError
+from rdcertify.verify import sample_box
 
 
 def evaluate(model, u, v):
@@ -113,20 +115,46 @@ def two_pass_rates(model, u, v):
 def test_one_pass_rates_match_the_formulas_bit_for_bit(model):
     # every (u, v) of the grid below, where v^2, e^v or F(v) overflows
     # and u, or 1 - u, is 0: f = 0 at u = 1, v = inf for BlowupExample,
-    # and f = -0.0 where u = 0 for Absorption and Combustion
+    # and f = -0.0 where u = 0 for Absorption and Combustion.  u = -0.0
+    # passes the positivity clip np.maximum(u, 0.0), so it reaches rates
     u, v = (np.array(axis) for axis in zip(*itertools.product(
-        [0.0, 1e-300, 0.5, 1.0], [0.0, 2.0, 1e200, 800.0, np.inf])))
+        [0.0, -0.0, 1e-300, 0.5, 1.0], [0.0, 2.0, 1e200, 800.0, np.inf])))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         f, g = model.rates(u, v)
-        stacked = np.array(model.rates(u.reshape(4, 5), v.reshape(4, 5)))
-        rows = [model.rates(*pair) for pair in zip(u.reshape(4, 5),
-                                                   v.reshape(4, 5))]
+        stacked = np.array(model.rates(u.reshape(5, 5), v.reshape(5, 5)))
+        rows = [model.rates(*pair) for pair in zip(u.reshape(5, 5),
+                                                   v.reshape(5, 5))]
     want_f, want_g = two_pass_rates(model, u, v)
     assert np.asarray(f).tobytes() == want_f.tobytes()
     assert np.asarray(g).tobytes() == want_g.tobytes()
     assert stacked.tobytes() == np.array(rows).swapaxes(0, 1).tobytes()
     assert stacked.reshape(2, -1).tobytes() == np.array((f, g)).tobytes()
+
+
+@pytest.mark.parametrize("model", [
+    Absorption(Exp(), Exp()), Absorption(DoubleExp(), Power(2.0)),
+    BlowupExample(), Combustion(1),
+])
+def test_rates_on_a_sampled_box_keep_temporaries_to_one_field(model):
+    # a stacked (2, N) temporary is 128 KiB at a box's 8,192 points,
+    # glibc's mmap threshold: a process checking many claims would map
+    # and fault it in afresh on every claim.  The traced peak of one
+    # call, results included, stays below 4 N doubles
+    sample = sample_box(model, 10.0, 64)
+    u, v = sample.u, sample.v
+    assert u.size == 8192
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, g = model.rates(u, v)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert f.shape == g.shape == u.shape
+    assert peak < 4 * u.size * u.itemsize
 
 
 @pytest.mark.parametrize("model", [

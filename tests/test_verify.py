@@ -276,6 +276,19 @@ def test_g_nonneg_catalog_models():
         assert check_g_nonneg(sample_box(model, 10.0, 31)).passed
 
 
+def test_g_nonneg_counts_split_the_lattice():
+    # e^v overflows past v ~ 709.78: those lattice points with u > 0 have
+    # g = inf and count as indeterminate, the rest as tested
+    sample = sample_box(Combustion(1), 1000.0, 31)
+    report = check_g_nonneg(sample)
+    g = sample.g[:31 ** 2]
+    assert report.samples_tested == int(np.isfinite(g).sum()) > 0
+    assert report.samples_indeterminate == int(np.isinf(g).sum()) > 0
+    assert report.samples_tested + report.samples_indeterminate == 31 ** 2
+    assert {type(report.samples_tested),
+            type(report.samples_indeterminate)} == {int}
+
+
 def test_g_nonneg_catches_sign_flip():
     sample = sample_box(SignFlip(), 2.0, 21)
     report = check_g_nonneg(sample)
