@@ -21,11 +21,16 @@ Each round solves the suffix of the fields still stepping (6, 4, then
 2) in one ``?gtsv`` call on the band of those fields' blocks, with
 r = (dt/k) * {a, b} / h^2, written for that call.  The entries that
 would couple neighbouring blocks are zero, so each field gets the bits
-of its own solve.  A round whose fields are all constant in space, and
-none of them zero, is its own solution (a constant lies in the Neumann
-kernel): it writes no band and calls no ``?gtsv``.  Uniform data stays
-uniform bit for bit, so a run from it, like the paper's blow-up
-example, writes no band and makes no ``?gtsv`` call.  ``?gtsv`` is
+of its own solve.  One pass judges a round.  The solve works on the
+fields' deviations from their first values, which are all zero only
+when every field equals its first value and that value is finite.  A
+round whose fields are all constant in space, and none of them zero, is
+its own solution (a constant lies in the Neumann kernel): after one
+comparison and one reduction it writes no band and calls no ``?gtsv``.
+Any other round is rejected before its band when a deviation is not
+finite: a stage that is not, or one whose spread overflows.  Uniform
+data stays uniform bit for bit, so a run from it, like the paper's
+blow-up example, writes no band and makes no ``?gtsv`` call.  ``?gtsv`` is
 LAPACK's ``dgtsv`` from scipy, which the first call loads
 (``_load_gtsv``), so such a run never loads scipy.  With d1 = T2 - T1
 and d2 = T3 - T2 the Aitken-Neville tableau is
@@ -238,11 +243,13 @@ def solve_diffusion_implicit(f, coeff: float, dt: float, grid: Grid) -> np.ndarr
     super-diagonal, without its per-call input validation.  The solve
     works on the deviation from f[0]: constants lie in the Neumann
     kernel, so a constant input returns exactly, with no round-off noise
-    to re-excite stiff reaction modes on homogeneous states.
+    to re-excite stiff reaction modes on homogeneous states.  An f that
+    is not finite is solved all the same (``?gtsv`` spreads its inf and
+    NaN).
     """
     check_positive(coeff=coeff, dt=dt)
     w = as_field(f, grid).copy()
-    _solve(([dt], [coeff], grid.spacing ** 2), w[None])
+    _solve(([dt], [coeff], grid.spacing ** 2), w[None], reject=False)
     return w
 
 
@@ -267,30 +274,39 @@ def _band(rs, n: int, out=None) -> np.ndarray:
     return band.reshape(3, -1)
 
 
-def _solve(blocks, x: np.ndarray, out=None) -> None:
+def _solve(blocks, x: np.ndarray, out=None, *, reject=True) -> bool:
     """Overwrite the rows of ``x``, a C-contiguous (k, n) array that
     ``?gtsv`` solves in place, with the solution of the last k blocks
     named by ``blocks`` = (hs, coeffs, spacing_sq) for those right-hand
-    sides, each taken on its deviation from its first value.  The
-    blocks are I - h*c*Lap, r = h * c / spacing_sq, for h in hs and c in
-    coeffs, in that order.
+    sides, each taken on its deviation from its first value, and return
+    True.  The blocks are I - h*c*Lap, r = h * c / spacing_sq, for h in
+    hs and c in coeffs, in that order.
 
-    A call whose rows are all constant and none of them zero is its own
-    solution, bit for bit: its deviations are all +0 or -0, which
-    ``?gtsv`` turns into zeros, and a zero plus a nonzero shift is the
-    shift.  So ``x`` is restored, and no band is written and no
+    One pass judges the call.  The deviations are all +0 or -0 only
+    when every row equals its first value and that value is finite.  If
+    then no row is zero, the call is its own solution, bit for bit:
+    ``?gtsv`` turns such deviations into zeros, and a zero plus a
+    nonzero shift is the shift.  So ``x`` is left as it is, after that
+    one comparison and reduction, and no band is written and no
     ``?gtsv`` called.  A row of zeros still goes to ``?gtsv``: where its
     elimination swaps rows (r above about 2) it returns -0 for a +0
-    right-hand side, and adding a shift of -0 keeps that -0.
+    right-hand side, and adding a shift of -0 keeps that -0.  Any other
+    call takes the deviations in place; with ``reject``, one that is
+    not finite (a row that is not, or a spread that overflows) returns
+    False, ``x`` then holding the deviations; without it, such rows are
+    solved like any other.
 
-    Otherwise the k blocks' band is written into ``out`` (``_band``; a
-    (3, >= x.size) buffer, allocated when None), which ``?gtsv`` then
-    overwrites."""
+    A call that is solved writes the k blocks' band into ``out``
+    (``_band``; a (3, >= x.size) buffer, allocated when None), which
+    ``?gtsv`` then overwrites."""
+    first = x[:, 0].tolist()
+    if (np.logical_and.reduce(x == x[:, :1], axis=None)
+            and 0.0 not in first and all(map(math.isfinite, first))):
+        return True
     shift = x[:, :1].copy()
     x -= shift
-    if not x.any() and 0.0 not in shift.ravel().tolist():
-        x += shift
-        return
+    if reject and not np.logical_and.reduce(np.isfinite(x), axis=None):
+        return False
     hs, coeffs, spacing_sq = blocks
     rs = [h * c / spacing_sq for h in hs for c in coeffs][-len(x):]
     lower, diag, upper = _band(rs, x.shape[1], out)
@@ -300,6 +316,7 @@ def _solve(blocks, x: np.ndarray, out=None) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"?gtsv failed with info = {info}")
     x += shift
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +333,8 @@ def _workspace(n: int) -> np.ndarray:
 def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     """One extrapolated trial of size dt from the pair stacked as the
     rows of ``w``: the accepted ``(w_new, err, scale, sups)``, or None
-    when it is rejected (a non-finite reaction stage, or a NaN err or
-    minimum).
+    when it is rejected (a reaction stage or its deviation not finite,
+    or a NaN err or minimum).
 
     Level k in 1, 2, 3 takes k substeps of size dt/k from w.  The levels
     do not depend on each other until the tableau, so they advance side
@@ -327,10 +344,12 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     levels it steps, so a full trial makes 2 calls.  Row 3 of the
     workspace ``work`` (``_workspace``) holds the levels' fields [L1u,
     L1v, L2u, L2v, L3u, L3v]; each round writes its reaction stages into
-    the suffix of the levels it steps, rejects the trial if any is not
-    finite, and solves that suffix in place in one ``_solve`` call: 6,
-    4, then 2 fields, whose blocks' band ``_solve`` writes into rows 0-2
-    of ``work`` unless the fields are all constant in space and nonzero.
+    the suffix of the levels it steps and hands that suffix to one
+    ``_solve`` call, 6, 4, then 2 fields, which judges it in one pass:
+    the trial is rejected when a stage, or a stage's deviation from its
+    field's first value, is not finite, and otherwise the suffix is
+    solved in place, with its blocks' band written into rows 0-2 of
+    ``work`` unless the fields are all constant in space and nonzero.
     The row then holds T1, T2 and T3.  The kept state is T33 and err is
     sup|T32 - T22|, the tableau and error test of the module docstring;
     ``w_new`` is a new array, not a view of ``work``.
@@ -359,9 +378,8 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
                 rates = np.asarray(model.rates(stages[:, 0], stages[:, 1]),
                                    dtype=float).swapaxes(0, 1)
                 stages += steps[j:] * rates
-            if not np.logical_and.reduce(np.isfinite(stages), axis=None):
+            if not _solve(blocks, stages.reshape(-1, n), work[:3]):
                 return None
-            _solve(blocks, stages.reshape(-1, n), work[:3])
 
         T2, T3 = levels[1:]
         d1, d2 = levels[1:] - levels[:-1]

@@ -311,7 +311,7 @@ class BlowupExample(ReactionModel):
             fg = np.array((u - u * u, u))
             zero = fg == 0.0
             fg *= v * v
-        fg[zero] = 0.0
+        np.copyto(fg, 0.0, where=zero)
         return fg
 
 

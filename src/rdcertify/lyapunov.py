@@ -298,31 +298,42 @@ def diagnostics_block(params: FunctionalParams, grid: Grid, fields,
     rates = np.asarray(rates, dtype=float)
     out = np.zeros((3, len(fields)))
     out[1] = -0.0
+    # the reductions call the ufuncs' own: ndarray.all/max/min go through
+    # numpy's Python wrappers first
     with np.errstate(over="ignore", invalid="ignore"):
         # NaN propagates into min and max, and a difference quotient is
         # at most (max - min) / spacing, so two reductions screen a pair:
         # a finite spread also says that both fields are finite
-        lo, hi = fields.min(axis=2), fields.max(axis=2)
+        lo = np.minimum.reduce(fields, axis=2)
+        hi = np.maximum.reduce(fields, axis=2)
         # below the bounds every term has a zero factor; the sums give
         # these signed zeros unless a zero factor meets an inf, which a
         # slope that squares past double precision or the rates could
         # bring (a + b is finite for every instance)
-        gated = ((hi - lo).max(axis=1) / grid.spacing <= _SAFE_SLOPE)
-        gated &= (hi <= (params.u_bar0, params.v_bar0)).all(axis=1)
-        gated &= np.isfinite(rates).all(axis=(1, 2))
-        if gated.all():
+        spread = np.maximum.reduce(hi - lo, axis=1)
+        gated = spread / grid.spacing <= _SAFE_SLOPE
+        gated &= np.logical_and.reduce(hi <= (params.u_bar0, params.v_bar0),
+                                       axis=1)
+        gated &= np.logical_and.reduce(np.isfinite(rates), axis=(1, 2))
+        n_gated = np.count_nonzero(gated)
+        if n_gated == len(gated):
             return out
-        rows = np.flatnonzero(~gated)
-        L, I, J = out
-        u, v = fields[rows, 0], fields[rows, 1]
-        f, g = rates[rows, 0], rates[rows, 1]
-        finite = (np.isfinite(lo[rows]) & np.isfinite(hi[rows])).all(axis=1)
+        # the rows that get the sums: all of them, unless some are gated
+        rows = slice(None)
+        if n_gated:
+            rows = np.flatnonzero(~gated)
+            fields, rates = fields[rows], rates[rows]
+            lo, hi = lo[rows], hi[rows]
+        u, v = fields[:, 0], fields[:, 1]
+        f, g = rates[:, 0], rates[:, 1]
+        finite = np.logical_and.reduce(np.isfinite(lo) & np.isfinite(hi),
+                                       axis=1)
 
         p, binomials = params.p, params.binomials
         U = np.maximum(u - params.u_bar0, 0.0)
         V = np.maximum(v - params.v_bar0, 0.0)
-        L[rows] = math.inf
-        if finite.any():
+        L = np.full(len(fields), math.inf)
+        if np.logical_or.reduce(finite):
             Uf, Vf = U[finite, None], V[finite, None]
             i = np.arange(p + 1)[:, None]
             terms = (binomials[p][:, None] * params.weights[:, None]
@@ -332,8 +343,8 @@ def diagnostics_block(params: FunctionalParams, grid: Grid, fields,
             # largest first.
             terms = np.where(np.isnan(terms), 0.0, terms)
             ordered = np.sort(terms, axis=1)[:, ::-1]
-            L[rows[finite]] = integrate(_sum_rows(ordered.swapaxes(0, 1)),
-                                        grid)
+            L[finite] = integrate(_sum_rows(ordered.swapaxes(0, 1)), grid)
+        out[0, rows] = L
 
         # I and J share the rows U^i, V^i for i < p, each ``U ** i`` with
         # an int i (an array of exponents, as in L, can differ in the last
@@ -342,7 +353,7 @@ def diagnostics_block(params: FunctionalParams, grid: Grid, fields,
         # goes through the operations of the term-by-term sum, in order.
         sU, sV = (U > 0.0).astype(float), (V > 0.0).astype(float)
         th = params.normalized_weights[:, None, None]
-        du, dv = np.gradient(fields[rows], grid.spacing, axis=2).swapaxes(0, 1)
+        du, dv = _slopes(fields, grid.spacing).swapaxes(0, 1)
         Upow = np.array([U ** k for k in range(p)])
         Vpow = np.array([V ** k for k in range(p)])
         T = _quadratic(params.a, params.b, th[:-2], th[1:-1], th[2:], sU, sV,
@@ -352,9 +363,24 @@ def diagnostics_block(params: FunctionalParams, grid: Grid, fields,
         J_sum = _sum_rows(binomials[p - 1][:, None, None]
                           * (th[1:] * sU * f + th[:-1] * sV * g)
                           * Upow * Vpow[::-1])
-        I[rows] = -p * (p - 1) * integrate(I_sum, grid)
-        J[rows] = p * integrate(J_sum, grid)
+        out[1, rows] = -p * (p - 1) * integrate(I_sum, grid)
+        out[2, rows] = p * integrate(J_sum, grid)
         return out
+
+
+def _slopes(fields: np.ndarray, spacing: float) -> np.ndarray:
+    """The difference quotients of ``fields`` along its last axis, bit for
+    bit those of ``np.gradient(fields, spacing, axis=-1)``: central in
+    the interior, one-sided (edge order 1) at the two ends, each the
+    same subtraction and division in the same order, without the
+    wrapper's argument handling."""
+    slopes = np.empty_like(fields)
+    np.subtract(fields[..., 2:], fields[..., :-2], out=slopes[..., 1:-1])
+    slopes[..., 1:-1] /= 2.0 * spacing
+    np.subtract(fields[..., 1], fields[..., 0], out=slopes[..., 0])
+    np.subtract(fields[..., -1], fields[..., -2], out=slopes[..., -1])
+    slopes[..., ::slopes.shape[-1] - 1] /= spacing
+    return slopes
 
 
 # The three quantities one at a time.  Nothing in the library calls

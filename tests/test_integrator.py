@@ -137,6 +137,25 @@ def gtsv_reference(band, x):
     return solution.reshape(x.shape) + shift
 
 
+def count_bands_and_gtsv(monkeypatch) -> list:
+    """The list that "band" and "gtsv" are appended to, in call order,
+    once ``integrator._band`` and ``integrator._load_gtsv`` are
+    substituted by counting wrappers."""
+    gtsv, band_of, calls = integrator._load_gtsv(), integrator._band, []
+
+    def counted_gtsv(*args):
+        calls.append("gtsv")
+        return gtsv(*args)
+
+    def counted_band(*args):
+        calls.append("band")
+        return band_of(*args)
+
+    monkeypatch.setattr(integrator, "_load_gtsv", lambda: counted_gtsv)
+    monkeypatch.setattr(integrator, "_band", counted_band)
+    return calls
+
+
 def test_diffusion_solve_skips_constant_rows_exactly(monkeypatch):
     # A call whose rows are all constant and nonzero writes no band and
     # calls no ?gtsv, and every call keeps the bits of the plain solve:
@@ -163,18 +182,7 @@ def test_diffusion_solve_skips_constant_rows_exactly(monkeypatch):
             names[at] = "bump"
             cases.append(names)
         cases.append(rng.choice(sorted(constant), k).tolist())
-    gtsv, band_of, calls = integrator._load_gtsv(), integrator._band, []
-
-    def counted_gtsv(*args):
-        calls.append("gtsv")
-        return gtsv(*args)
-
-    def counted_band(*args):
-        calls.append("band")
-        return band_of(*args)
-
-    monkeypatch.setattr(integrator, "_load_gtsv", lambda: counted_gtsv)
-    monkeypatch.setattr(integrator, "_band", counted_band)
+    calls = count_bands_and_gtsv(monkeypatch)
     out = np.empty((3, 6 * n))
     for names in cases:
         x = np.array([rows[name] for name in names])
@@ -240,6 +248,95 @@ def test_uniform_data_makes_no_band_and_no_gtsv_call(monkeypatch):
     assert trials >= len(series) - 1 > 10
     assert fields == [6, 4, 2] * trials
     assert calls["_band"] == calls["_load_gtsv"] == 3 * trials
+
+
+class NaNRates:
+    # f is NaN everywhere: the stages of a trial's second round are not
+    # finite, while its first round's come from the rates handed to it
+    calls = 0
+
+    def rates(self, u, v):
+        self.calls += 1
+        return np.full_like(u, np.nan), np.zeros_like(v)
+
+
+def test_overflowing_deviation_is_rejected_before_any_band(monkeypatch):
+    # The first round's stages are finite, but u's spread overflows: its
+    # deviation from u[0] is inf.  The round's one judge rejects the trial
+    # there, with no band written and no ?gtsv call.
+    calls = count_bands_and_gtsv(monkeypatch)
+    grid = Grid(5, 1.0)
+    w = np.array([[-1e308, 0.0, 1e308, 0.5, -1e308], np.ones(5)])
+    cfg = SchemeConfig(a=1.0, b=1.0, t_end=1.0, enforce_positivity=False)
+    model = NaNRates()
+    with np.errstate(over="ignore"):
+        assert np.isinf(w[0] - w[0, 0]).any() and np.isfinite(w).all()
+    assert integrator._trial(w, 1e-3, np.zeros((2, 5)), model, cfg, grid,
+                             integrator._workspace(5)) is None
+    assert calls == [] and model.calls == 0
+
+
+@pytest.mark.parametrize("bad", ["inf_shift", "nan_inside",
+                                 "constant_inf_row", "nan_later_round"])
+def test_non_finite_stage_is_rejected_before_its_band(bad, monkeypatch):
+    # A stage that is not finite rejects the trial in its round, before
+    # that round writes a band: an inf first value (the shift, whose own
+    # deviation is inf - inf), a NaN inside a row, a row of -inf, which
+    # is constant in space but not its own solution, and NaN rates in the
+    # second round, after the first round's one band and ?gtsv call.
+    calls = count_bands_and_gtsv(monkeypatch)
+    n = 6
+    grid = Grid(n, 1.0)
+    w = np.array([1.0 + 0.1 * np.cos(np.arange(n)), np.full(n, 0.5)])
+    rates0 = np.zeros((2, n))
+    if bad == "inf_shift":
+        rates0[0, 0] = np.inf
+    elif bad == "nan_inside":
+        rates0[1, 3] = np.nan
+    elif bad == "constant_inf_row":
+        rates0[1] = -np.inf
+        w[0] = 1.0
+    cfg = SchemeConfig(a=1.0, b=2.0, t_end=1.0)
+    model = NaNRates()
+    assert integrator._trial(w, 1e-2, rates0, model, cfg, grid,
+                             integrator._workspace(n)) is None
+    later = bad == "nan_later_round"
+    assert calls == (["band", "gtsv"] if later else [])
+    assert model.calls == later
+
+
+# int64 views of the doubles -NaN (the NaN that x86-64 arithmetic makes),
+# +NaN and +inf
+NEG_NAN, POS_NAN, POS_INF = (-0x8000000000000, 0x7ff8000000000000,
+                             0x7ff0000000000000)
+
+
+@pytest.mark.parametrize("f, pinned", [
+    ([1.0, np.inf, 1.0, 1.0, 1.0, 1.0, 1.0], [NEG_NAN] * 5 + [POS_INF] * 2),
+    ([np.inf, 2.0, 3.0, 2.0, 1.0, 0.0, 1.0], [NEG_NAN] * 7),
+    ([1.0, 2.0, np.nan, 1.0, 1.0, 1.0, 1.0], [POS_NAN] * 7),
+    ([-np.inf] * 7, [NEG_NAN] * 7),
+    ([-1e308, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0], [NEG_NAN] * 5 + [POS_INF] * 2),
+])
+def test_diffusion_solve_of_a_non_finite_rhs_keeps_its_bits(f, pinned):
+    # solve_diffusion_implicit solves a right-hand side that is not
+    # finite, or whose spread overflows, as it always did: the pinned
+    # bits, those of the plain ?gtsv solve on its deviations, shifted
+    # back, and never the deviations themselves
+    grid = Grid(7, 1.0)
+    f = np.array(f)
+    coeff, dt = 1.5, 0.02
+    band = integrator._band([dt * coeff / grid.spacing ** 2], 7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = gtsv_reference(band, f[None])[0]
+        got = solve_diffusion_implicit(f, coeff, dt, grid)
+        deviations = f - f[0]
+    assert got.view(np.int64).tolist() == pinned
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    # a row of -inf has all-NaN deviations and solution alike
+    if not np.isnan(deviations).all():
+        assert not np.array_equal(got.view(np.int64),
+                                  deviations.view(np.int64))
 
 
 def test_diffusion_solve_validates_arguments():

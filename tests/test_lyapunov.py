@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rdcertify import lyapunov
 from rdcertify.integrator import SimState
 from rdcertify.kinetics import BlowupExample, Combustion
 from rdcertify.lyapunov import (FunctionalParams, build_params,
@@ -634,9 +635,11 @@ def test_diagnostics_matches_the_three_functions(case, p):
 @pytest.mark.parametrize("p", [2, 3, 4, 8])
 def test_diagnostics_block_rows_match_one_state_calls(p, n):
     # a block mixes gated rows, rows above the bounds, rows with an inf or
-    # NaN field and rows whose rates are not finite; each row of the block
-    # keeps the bits of the one-state call.  A row above the bounds at one
-    # node only lets one node's rounding reach L.
+    # NaN field and rows whose rates are not finite; next to it, a block
+    # of the same rows without the gated ones (the "below" kind), which
+    # takes the sums on every row.  Each row of either block keeps the
+    # bits of the one-state call.  A row above the bounds at one node
+    # only lets one node's rounding reach L.
     grid = Grid(n, 1.0)
     rng = np.random.default_rng(100 * p + n)
     params = build_params(0.7, 2.5, 0.5, 0.0, p, ZEROS, ZEROS)
@@ -665,11 +668,44 @@ def test_diagnostics_block_rows_match_one_state_calls(p, n):
                 [math.inf, -math.inf, math.nan])
         fields.append((u, v))
         rates.append((f, g))
-    block = diagnostics_block(params, grid, np.array(fields),
-                              np.array(rates))
-    assert block.shape == (3, len(kinds))
-    for j, ((u, v), row_rates) in enumerate(zip(fields, rates)):
-        alone = diagnostics(params, SimState(0.0, u, v, 1e-3), grid,
-                            row_rates)
-        assert [x.hex() for x in block[:, j].tolist()] == \
-            [x.hex() for x in alone], kinds[j]
+    ungated = [j for j, kind in enumerate(kinds) if kind != "below"]
+    for chosen in (list(range(len(kinds))), ungated):
+        block = diagnostics_block(params, grid, np.array(fields)[chosen],
+                                  np.array(rates)[chosen])
+        assert block.shape == (3, len(chosen))
+        for column, j in enumerate(chosen):
+            (u, v), row_rates = fields[j], rates[j]
+            alone = diagnostics(params, SimState(0.0, u, v, 1e-3), grid,
+                                row_rates)
+            assert [x.hex() for x in block[:, column].tolist()] == \
+                [x.hex() for x in alone], kinds[j]
+
+
+@pytest.mark.parametrize("n", [3, 31])
+def test_slopes_are_np_gradient_bit_for_bit(n):
+    # the written-out difference quotients against np.gradient's along the
+    # nodes, on a (k, 2, n) block like diagnostics_block's: random values
+    # across the double range, constants, signed zeros, +-inf and NaN
+    rng = np.random.default_rng(n)
+    shape = (5, 2, n)
+    scale = 10.0 ** rng.integers(-300, 300, size=shape)
+    nonfinite = rng.choice([math.inf, -math.inf, math.nan], size=shape)
+    cases = {
+        "random": rng.normal(size=shape) * scale,
+        "constant": np.repeat(rng.normal(size=(5, 2, 1)), n, axis=2),
+        "signed_zeros": np.where(rng.random(shape) < 0.5, 0.0, -0.0),
+        "inf": np.where(rng.random(shape) < 0.3,
+                        rng.choice([math.inf, -math.inf], size=shape),
+                        rng.normal(size=shape)),
+        "nan": np.where(rng.random(shape) < 0.3, math.nan,
+                        rng.normal(size=shape)),
+        "mixed": np.where(rng.random(shape) < 0.3, nonfinite, scale),
+    }
+    for length in (1.0, 7.3):
+        spacing = Grid(n, length).spacing
+        for name, fields in cases.items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = lyapunov._slopes(fields, spacing)
+                expect = np.gradient(fields, spacing, axis=2)
+            assert np.array_equal(got.view(np.int64),
+                                  expect.view(np.int64)), (name, length)
