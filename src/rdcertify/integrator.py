@@ -16,23 +16,26 @@ third rounds each evaluate the kinetics once, on the stacked fields of
 the levels they step, so a full trial makes 2 ``rates`` calls beyond
 the one at the state.  The six fields [L1u, L1v, L2u, L2v, L3u, L3v]
 sit in one row of a workspace that ``run`` allocates once, so that no
-trial allocates the levels' fields or the band ``?gtsv`` overwrites.
-Each round solves the suffix of the fields still stepping (6, 4, then
-2) in one ``?gtsv`` call on the band of those fields' blocks, with
-r = (dt/k) * {a, b} / h^2, written for that call.  The entries that
-would couple neighbouring blocks are zero, so each field gets the bits
-of its own solve.  One pass judges a round.  The solve works on the
-fields' deviations from their first values, which are all zero only
-when every field equals its first value and that value is finite.  A
-round whose fields are all constant in space, and none of them zero, is
-its own solution (a constant lies in the Neumann kernel): after one
-comparison and one reduction it writes no band and calls no ``?gtsv``.
-Any other round is rejected before its band when a deviation is not
-finite: a stage that is not, or one whose spread overflows.  Uniform
-data stays uniform bit for bit, so a run from it, like the paper's
-blow-up example, writes no band and makes no ``?gtsv`` call.  ``?gtsv`` is
-LAPACK's ``dgtsv`` from scipy, which the first call loads
-(``_load_gtsv``), so such a run never loads scipy.  With d1 = T2 - T1
+trial allocates the levels' fields or its solves' factor.  Each field's
+block I - (dt/k) * {a, b} * Lap, halved in its first and last rows
+(the trapezoid weights of ``mesh.integrate``), is symmetric positive
+definite, and LAPACK's ``?pttrf`` factors it as LDL^T without pivoting
+(Golub & Van Loan, *Matrix Computations*, 4.3).  A trial's first round
+that reaches a solve factors its six blocks, r = (dt/k) * {a, b} / h^2,
+in the workspace with one ``?pttrf`` call, and each round solves the
+fields still stepping (6, 4, then 2) with one ``?pttrs`` call on that
+factor's suffix; the entries that would couple neighbouring blocks are
+zero, so each field gets the bits of its own solve.  One pass judges a
+round.  The solve works on the fields' deviations from their first
+values, which are all zero only when every field equals its first value
+and that value is finite.  A round whose fields are all constant in
+space, and none of them zero, is its own solution (a constant lies in
+the Neumann kernel): after one comparison and one reduction it makes no
+LAPACK call.  Any other round is rejected before its solve when a
+deviation is not finite: a stage that is not, or one whose spread
+overflows.  Uniform data stays uniform bit for bit, so a run from it,
+like the paper's blow-up example, makes no LAPACK call, and never loads
+scipy, which the first solve loads (``_load_lapack``).  With d1 = T2 - T1
 and d2 = T3 - T2 the Aitken-Neville tableau is
 
     T22 = T2 + d1,   T32 = T3 + 2 d2,   T33 = T3 + (3.5 d2 - 0.5 d1),
@@ -102,14 +105,14 @@ DIAGNOSTICS_BLOCK = 4096
 
 
 @functools.cache
-def _load_gtsv():
-    """LAPACK ``dgtsv`` from scipy's f2py extension ``_flapack``: the
-    wrapper ``scipy.linalg.get_lapack_funcs(("gtsv",), np.float64)``
-    returns, loaded once per process, by the first ``?gtsv`` call.
-    Importing the library loads neither scipy nor ``_flapack``, which
-    maps scipy's bundled OpenBLAS (about 2.6 MB of resident memory), so
-    ``check`` and a run whose rounds all skip the solve never load them.
-    The extension is loaded without running ``scipy.linalg``'s package
+def _load_lapack():
+    """LAPACK ``dpttrf`` and ``dpttrs`` from scipy's f2py extension
+    ``_flapack``, the wrappers that ``scipy.linalg.get_lapack_funcs``
+    returns, loaded once per process, by the first solve.  Importing the
+    library loads neither scipy nor ``_flapack``, which maps scipy's
+    bundled OpenBLAS (about 2.6 MB of resident memory), so ``check`` and
+    a run whose rounds all skip the solve never load them.  The
+    extension is loaded without running ``scipy.linalg``'s package
     ``__init__``, which pulls in numpy.f2py, numpy.testing and numpy.ma
     through scipy's array-API layer, none of which is used here, and
     costs about half of a command's start-up.  Raises ImportError naming
@@ -122,7 +125,7 @@ def _load_gtsv():
         raise ImportError(f"cannot find {name}", name=name)
     module = module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.dgtsv
+    return module.dpttrf, module.dpttrs
 
 
 @dataclass(frozen=True)
@@ -237,84 +240,78 @@ def solve_diffusion_implicit(f, coeff: float, dt: float, grid: Grid) -> np.ndarr
     """Backward Euler diffusion: solve (I - dt*coeff*Lap) w = f.
 
     The matrix rows mirror the reflected-ghost Laplacian stencil, so the
-    system is tridiagonal and strictly diagonally dominant.  It is
-    solved by LAPACK ``?gtsv``, called directly: the routine that
-    ``scipy.linalg.solve_banded`` uses for one sub- and one
-    super-diagonal, without its per-call input validation.  The solve
+    system is tridiagonal; halved in its first and last rows, it is
+    symmetric positive definite, and LAPACK ``?pttrf`` and ``?pttrs``
+    solve it, called directly: the pair ``scipy.linalg.solveh_banded``
+    runs (as ``?ptsv``), without its per-call input validation.  The solve
     works on the deviation from f[0]: constants lie in the Neumann
     kernel, so a constant input returns exactly, with no round-off noise
     to re-excite stiff reaction modes on homogeneous states.  An f that
-    is not finite is solved all the same (``?gtsv`` spreads its inf and
-    NaN).
+    is not finite is solved all the same (``?pttrs`` spreads its inf
+    and NaN).
     """
     check_positive(coeff=coeff, dt=dt)
     w = as_field(f, grid).copy()
-    _solve(([dt], [coeff], grid.spacing ** 2), w[None], reject=False)
+    _solve(([dt], [coeff], grid.spacing ** 2), w[None], np.empty((2, w.size)),
+           reject=False)
     return w
 
 
-def _band(rs, n: int, out=None) -> np.ndarray:
-    """The (3, len(rs) * n) rows lower, diag, upper of the block-diagonal
-    matrix with one block I - dt*coeff*Lap of n rows per r =
-    dt*coeff/h^2 in ``rs``, written into the first columns of ``out``, a
-    (3, >= len(rs) * n) buffer, when given.  The last entry of the lower
-    and upper rows pads them to full length, and the entries that would
-    couple neighbouring blocks are zero, so ``?gtsv``'s elimination
-    passes each block's rows through the arithmetic of that block
-    solved alone."""
-    k = len(rs)
-    band = (np.empty((3, k, n)) if out is None
-            else out[:, :k * n].reshape(3, k, n))
-    # per block the lower, diag and upper entries -r, 1 + 2r and -r, and
-    # -2r where row 0 couples twice to node 1 and the last row to node n-2
-    stencil = np.array([(-r, 1.0 + 2.0 * r, -r, -2.0 * r) for r in rs]).T
-    band[:] = stencil[:3, :, None]
-    band[0, :, -2] = band[2, :, 0] = stencil[3]
-    band[::2, :, -1] = 0.0  # no coupling between blocks
-    return band.reshape(3, -1)
-
-
-def _solve(blocks, x: np.ndarray, out=None, *, reject=True) -> bool:
+def _solve(blocks, x: np.ndarray, factor, factored=False, *, reject=True):
     """Overwrite the rows of ``x``, a C-contiguous (k, n) array that
-    ``?gtsv`` solves in place, with the solution of the last k blocks
+    ``?pttrs`` solves in place, with the solution of the last k blocks
     named by ``blocks`` = (hs, coeffs, spacing_sq) for those right-hand
-    sides, each taken on its deviation from its first value, and return
-    True.  The blocks are I - h*c*Lap, r = h * c / spacing_sq, for h in
-    hs and c in coeffs, in that order.
+    sides, each taken on its deviation from its first value.  The blocks
+    are I - h*c*Lap, r = h * c / spacing_sq, for h in hs and c in
+    coeffs, in that order; ``factor``, a (2, n * len(hs) * len(coeffs))
+    buffer, holds their factor if ``factored``.  Return None when the
+    call is rejected, else whether ``factor`` holds it.
 
     One pass judges the call.  The deviations are all +0 or -0 only
     when every row equals its first value and that value is finite.  If
-    then no row is zero, the call is its own solution, bit for bit:
-    ``?gtsv`` turns such deviations into zeros, and a zero plus a
-    nonzero shift is the shift.  So ``x`` is left as it is, after that
-    one comparison and reduction, and no band is written and no
-    ``?gtsv`` called.  A row of zeros still goes to ``?gtsv``: where its
-    elimination swaps rows (r above about 2) it returns -0 for a +0
-    right-hand side, and adding a shift of -0 keeps that -0.  Any other
-    call takes the deviations in place; with ``reject``, one that is
-    not finite (a row that is not, or a spread that overflows) returns
-    False, ``x`` then holding the deviations; without it, such rows are
-    solved like any other.
+    then no row is zero, the call is its own solution, bit for bit: the
+    solve turns such deviations into zeros, and a zero plus a nonzero
+    shift is the shift.  So ``x`` is left as it is, after that one
+    comparison and reduction, with no LAPACK call.  A row of zeros still
+    goes to the solve, which returns +0 where the row may hold -0.  Any
+    other call takes the deviations in place; with ``reject``, one that
+    is not finite (a row that is not, or a spread that overflows) is
+    rejected, ``x`` then holding the deviations; without it, such rows
+    are solved like any other.
 
-    A call that is solved writes the k blocks' band into ``out``
-    (``_band``; a (3, >= x.size) buffer, allocated when None), which
-    ``?gtsv`` then overwrites."""
+    A call that is solved, unless ``factored``, writes every block's
+    diagonal 1 + 2r, halved in its first and last rows, which makes the
+    block symmetric positive definite, and its off-diagonal -r, with 0
+    at each join between blocks, into ``factor`` and factors them in
+    place with one ``?pttrf``.  It then halves the deviations' end rows
+    and runs one ``?pttrs`` on the suffix of the factor that its k
+    blocks take.  The joins being zero, each block keeps the bits of its
+    own factor and solve."""
     first = x[:, 0].tolist()
     if (np.logical_and.reduce(x == x[:, :1], axis=None)
             and 0.0 not in first and all(map(math.isfinite, first))):
-        return True
+        return factored
     shift = x[:, :1].copy()
     x -= shift
     if reject and not np.logical_and.reduce(np.isfinite(x), axis=None):
-        return False
-    hs, coeffs, spacing_sq = blocks
-    rs = [h * c / spacing_sq for h in hs for c in coeffs][-len(x):]
-    lower, diag, upper = _band(rs, x.shape[1], out)
-    # overwrite_dl, _d, _du and _b, passed positionally
-    *_, info = _load_gtsv()(lower[:-1], diag, upper[:-1], x.reshape(-1),
-                            True, True, True, True)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"?gtsv failed with info = {info}")
+        return None
+    n = x.shape[1]
+    pttrf, pttrs = _load_lapack()
+    if not factored:
+        hs, coeffs, spacing_sq = blocks
+        rs = np.array([[h * c / spacing_sq] for h in hs for c in coeffs])
+        diag, off = factor.reshape(2, -1, n)
+        diag[:] = 1.0 + 2.0 * rs
+        diag[:, ::n - 1] *= 0.5
+        off[:] = -rs
+        off[:, -1] = 0.0
+        # overwrite_d and _e, passed positionally
+        *_, info = pttrf(factor[0], factor[1, :-1], True, True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"?pttrf failed with info = {info}")
+    x[:, ::n - 1] *= 0.5
+    d, e = factor[:, -x.size:]
+    pttrs(d, e[:-1], x.reshape(-1), True)       # overwrite_b
     x += shift
     return True
 
@@ -325,9 +322,9 @@ def _solve(blocks, x: np.ndarray, out=None, *, reject=True) -> bool:
 
 def _workspace(n: int) -> np.ndarray:
     """The buffers of one trial at n nodes, reused from trial to trial:
-    rows 0-2 the band that each ``?gtsv`` call is handed and overwrites,
-    row 3 the six fields of the three levels."""
-    return np.empty((4, 6 * n))
+    rows 0-1 the ``?pttrf`` factor of its six blocks, row 2 the six
+    fields of the three levels."""
+    return np.empty((3, 6 * n))
 
 
 def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
@@ -341,18 +338,19 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     by side in three rounds: the first substep of levels 1-3, from
     ``rates0``; the second of levels 2-3 and the third of level 3, each
     after one ``model.rates`` call on the stacked (k, n) fields of the
-    levels it steps, so a full trial makes 2 calls.  Row 3 of the
+    levels it steps, so a full trial makes 2 calls.  Row 2 of the
     workspace ``work`` (``_workspace``) holds the levels' fields [L1u,
     L1v, L2u, L2v, L3u, L3v]; each round writes its reaction stages into
     the suffix of the levels it steps and hands that suffix to one
     ``_solve`` call, 6, 4, then 2 fields, which judges it in one pass:
     the trial is rejected when a stage, or a stage's deviation from its
     field's first value, is not finite, and otherwise the suffix is
-    solved in place, with its blocks' band written into rows 0-2 of
-    ``work`` unless the fields are all constant in space and nonzero.
-    The row then holds T1, T2 and T3.  The kept state is T33 and err is
-    sup|T32 - T22|, the tableau and error test of the module docstring;
-    ``w_new`` is a new array, not a view of ``work``.
+    solved in place, unless its fields are all constant in space and
+    nonzero, by one ``?pttrs`` on the ``?pttrf`` factor that the trial's
+    first solved round writes into rows 0-1 of ``work``.  The row then
+    holds T1, T2 and T3.  T33 is kept and err is sup|T32 - T22|, the
+    tableau and error test of the module docstring; ``w_new`` is a new
+    array, not a view of ``work``.
 
     The whole trial, its two ``model.rates`` calls included, runs in one
     ``np.errstate`` that ignores overflow and invalid values, so a trial
@@ -363,8 +361,9 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
     n = grid.n_nodes
     hs = [dt / k for k in (1, 2, 3)]
     blocks = (hs, (cfg.a, cfg.b), grid.spacing ** 2)
-    levels = work[3].reshape(3, 2, n)
+    factor, levels = work[:2], work[2].reshape(3, 2, n)
     steps = np.array(hs)[:, None, None]
+    factored = False
     # the reductions call the ufuncs' own: ndarray.all/max/min go through
     # numpy's Python wrappers first
     with np.errstate(over="ignore", invalid="ignore"):
@@ -378,7 +377,8 @@ def _trial(w, dt, rates0, model, cfg: SchemeConfig, grid: Grid, work):
                 rates = np.asarray(model.rates(stages[:, 0], stages[:, 1]),
                                    dtype=float).swapaxes(0, 1)
                 stages += steps[j:] * rates
-            if not _solve(blocks, stages.reshape(-1, n), work[:3]):
+            factored = _solve(blocks, stages.reshape(-1, n), factor, factored)
+            if factored is None:
                 return None
 
         T2, T3 = levels[1:]

@@ -10,11 +10,11 @@ reads its INI grammar itself); no command loads these five.
 Every module a command needs must be loaded when the library is
 imported, so no import lands inside a command's timed path, with one
 exception: LAPACK.  scipy and its ``_flapack`` extension, which maps
-scipy's bundled OpenBLAS, load on the first ``?gtsv`` call, so ``check``
-and a run whose rounds all skip the solve never load them.  Both are
-checked in a fresh interpreter, on the package this process imports:
-the source tree under the tier-1 command's ``PYTHONPATH=src``, the
-installed package without it (as CI runs this file).
+scipy's bundled OpenBLAS, load on the first solve's ``?pttrf`` call, so
+``check`` and a run whose rounds all skip the solve never load them.
+Both are checked in a fresh interpreter, on the package this process
+imports: the source tree under the tier-1 command's ``PYTHONPATH=src``,
+the installed package without it (as CI runs this file).
 """
 
 import json
@@ -83,7 +83,7 @@ def test_commands_load_no_module_after_import(tmp_path):
     assert out["never"] == []
     assert out["codes"] == [0, 0, 3, 0, 2, 0]
     assert out["added"][:5] == [[]] * 5
-    # the first ?gtsv call loads scipy's package init and _flapack alone
+    # the first ?pttrf call loads scipy's package init and _flapack alone
     scipy_init = launch(SCIPY_INIT, cwd=tmp_path)
     assert "scipy" in scipy_init and "scipy.linalg" not in scipy_init
     assert out["added"][5] == sorted(scipy_init + ["scipy.linalg._flapack"])

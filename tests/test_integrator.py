@@ -1,10 +1,11 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import get_lapack_funcs, solve_banded
+from scipy.linalg import get_lapack_funcs, solveh_banded
 
 import rdcertify.integrator as integrator
 from rdcertify.cli import parse_config_text
@@ -68,104 +69,116 @@ def test_diffusion_solve_residual():
         assert sup_norm(residual) <= 1e-12 * sup_norm(f)
 
 
-def banded_reference(f, r):
-    # the one-block band handed to solve_banded((1, 1), ...), with the
-    # same shift by f[0]
+# the largest r = dt * coeff / h^2 that SchemeConfig.check_grid accepts:
+# 2r = 2^53 - 1 is the largest c with 1 + c > c
+R_MAX = 2.0 ** 52 - 0.5
+
+
+def solveh_reference(f, r):
+    # the one-block band, symmetrized by halving its first and last rows
+    # and handed to solveh_banded (upper form, so ?ptsv), with the same
+    # shift by f[0] and the same halving of the right-hand side
     n = len(f)
-    ab = np.empty((3, n))
+    ab = np.empty((2, n))
     ab[0] = -r
-    ab[0, 1] = -2.0 * r
     ab[1] = 1.0 + 2.0 * r
-    ab[2] = -r
-    ab[2, n - 2] = -2.0 * r
-    return solve_banded((1, 1), ab, f - f[0]) + f[0]
+    ab[1, ::n - 1] *= 0.5
+    rhs = f - f[0]
+    rhs[::n - 1] *= 0.5
+    return solveh_banded(ab, rhs, check_finite=False) + f[0]
+
+
+def test_check_grid_accepts_r_up_to_r_max():
+    grid = Grid(3, 2.0)                         # h = 1, so r = dt
+    for r, accepted in ((R_MAX, True), (2.0 ** 52, False)):
+        cfg = SchemeConfig(a=1.0, b=1.0, t_end=r, dt_max=r)
+        if accepted:
+            cfg.check_grid(grid)
+        else:
+            with pytest.raises(ParamError) as exc:
+                cfg.check_grid(grid)
+            assert exc.value.param == "length"
 
 
 @pytest.mark.parametrize("n", [3, 31, 2001])
-def test_diffusion_solve_bit_identical_to_solve_banded(n):
+def test_diffusion_solve_bit_identical_to_solveh_banded(n):
     grid = Grid(n, 1.0)
     h2 = grid.spacing ** 2
     rng = np.random.default_rng(n)
     coeff = 1.5
-    ratios = np.logspace(-12, 3, 16)                # dt*coeff/h^2
+    ratios = np.logspace(-12, 15, 28)               # dt*coeff/h^2
     for ratio in ratios:
         dt = ratio * h2 / coeff
         f = rng.normal(size=n)
-        expect = banded_reference(f, dt * coeff / h2)
+        expect = solveh_reference(f, dt * coeff / h2)
         assert np.array_equal(solve_diffusion_implicit(f, coeff, dt, grid),
                               expect)
     # a trial's 6 blocks with a different r per block (given as h = r
-    # with c = h^2 = 1), and the suffixes of 4 and 2 blocks that its
-    # later rounds solve, all through one shared out buffer, NaN-filled
-    # so that a read of anything a call did not write shows: every block
-    # keeps the bits of its own solve
-    out = np.empty((3, 6 * n))
-    for _ in range(4):
+    # with c = h^2 = 1), up to the largest r check_grid accepts, and the
+    # suffixes of 4 and 2 blocks that its later rounds solve on the one
+    # factor the first writes, in a buffer NaN-filled so that a read of
+    # anything a call did not write shows: every block keeps the bits of
+    # its own factor and solve, and ?pttrf raises no LinAlgError
+    below = R_MAX - rng.integers(0, 2 ** 20, 8) / 2.0
+    ratios = np.concatenate((ratios, [R_MAX], below, 10 ** rng.uniform(
+        12, math.log10(R_MAX), 8)))
+    assert ratios.max() == R_MAX
+    out = np.empty((2, 6 * n))
+    for _ in range(8):
         rs = rng.permutation(ratios)[:6]
         rhs = rng.normal(size=(6, n))
         out.fill(np.nan)
+        factored = False
         for blocks in (6, 4, 2):
             x = rhs[-blocks:].copy()
-            integrator._solve((rs, (1.0,), 1.0), x, out)
+            factored = integrator._solve((rs, (1.0,), 1.0), x, out, factored)
+            assert factored is True
             for row, f, r in zip(x, rhs[-blocks:], rs[-blocks:]):
-                assert np.array_equal(row, banded_reference(f, r))
+                assert np.array_equal(row, solveh_reference(f, r))
 
 
 def test_diffusion_solve_is_scipys_gtsv_wrapper():
-    # loaded by the first ?gtsv call without scipy.linalg's package init,
-    # but the same object, and kept for the rest of the process
-    gtsv, = get_lapack_funcs(("gtsv",), dtype=np.float64)
-    integrator._load_gtsv.cache_clear()
+    # ?pttrf and ?pttrs, loaded by the first solve without scipy.linalg's
+    # package init, but the same objects, and kept for the rest of the
+    # process
+    pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=np.float64)
+    integrator._load_lapack.cache_clear()
     grid = Grid(9, 1.0)
     for coeff in (0.5, 1.0, 2.0):
         solve_diffusion_implicit(np.cos(grid.nodes()), coeff, 0.1, grid)
-    info = integrator._load_gtsv.cache_info()
+    info = integrator._load_lapack.cache_info()
     assert (info.misses, info.hits) == (1, 2)
-    assert integrator._load_gtsv() is gtsv
+    loaded = integrator._load_lapack()
+    assert loaded[0] is pttrf and loaded[1] is pttrs
 
 
-def gtsv_reference(band, x):
-    """``_solve`` without its skip: ``?gtsv`` on a copy of the band's
-    suffix for the rows' deviations from their first values, plus those
-    values."""
-    copies = band[:, -x.size:].copy()
-    shift = x[:, :1].copy()
-    *_, solution, info = integrator._load_gtsv()(copies[0, :-1], copies[1],
-                                                 copies[2, :-1],
-                                                 (x - shift).reshape(-1))
-    assert info == 0
-    return solution.reshape(x.shape) + shift
+def count_lapack_calls(monkeypatch) -> list:
+    """The list that "pttrf" and "pttrs" are appended to, in call order,
+    once ``integrator._load_lapack`` hands out counting wrappers."""
+    pttrf, pttrs = integrator._load_lapack()
+    calls = []
 
+    def counted(name, routine):
+        def call(*args):
+            calls.append(name)
+            return routine(*args)
+        return call
 
-def count_bands_and_gtsv(monkeypatch) -> list:
-    """The list that "band" and "gtsv" are appended to, in call order,
-    once ``integrator._band`` and ``integrator._load_gtsv`` are
-    substituted by counting wrappers."""
-    gtsv, band_of, calls = integrator._load_gtsv(), integrator._band, []
-
-    def counted_gtsv(*args):
-        calls.append("gtsv")
-        return gtsv(*args)
-
-    def counted_band(*args):
-        calls.append("band")
-        return band_of(*args)
-
-    monkeypatch.setattr(integrator, "_load_gtsv", lambda: counted_gtsv)
-    monkeypatch.setattr(integrator, "_band", counted_band)
+    wrappers = counted("pttrf", pttrf), counted("pttrs", pttrs)
+    monkeypatch.setattr(integrator, "_load_lapack", lambda: wrappers)
     return calls
 
 
 def test_diffusion_solve_skips_constant_rows_exactly(monkeypatch):
-    # A call whose rows are all constant and nonzero writes no band and
-    # calls no ?gtsv, and every call keeps the bits of the plain solve:
-    # rows of signed zeros (the last blocks' r > 2 makes ?gtsv swap
-    # rows, and return -0 at node n - 2 for +0 deviations), constants at
-    # the ends of the double range, and one row that is not constant
-    # among constant ones.
+    # A call whose rows are all constant and nonzero writes no factor and
+    # makes no LAPACK call, and every call keeps the bits of the plain
+    # solve: rows of signed zeros (the solve returns +0 at every node, so
+    # a -0 does not come back), constants at the ends of the double
+    # range, and one row that is not constant among constant ones.  A
+    # call handed a factor it already wrote makes one ?pttrs and no
+    # ?pttrf, and a skipped call hands back the state it was given.
     n = 7
     rs = [1e-3, 0.5, 3.0, 40.0, 1e4, 2.5]
-    band = integrator._band(rs, n)
     rows = {"+0": np.zeros(n), "-0": np.full(n, -0.0),
             "+0 mixed": np.where(np.arange(n) % 3, -0.0, 0.0),
             "-0 mixed": np.where(np.arange(n) % 2, 0.0, -0.0),
@@ -182,46 +195,53 @@ def test_diffusion_solve_skips_constant_rows_exactly(monkeypatch):
             names[at] = "bump"
             cases.append(names)
         cases.append(rng.choice(sorted(constant), k).tolist())
-    calls = count_bands_and_gtsv(monkeypatch)
-    out = np.empty((3, 6 * n))
+    calls = count_lapack_calls(monkeypatch)
+    out = np.empty((2, 6 * n))
     for names in cases:
         x = np.array([rows[name] for name in names])
-        expect = gtsv_reference(band, x)
-        calls.clear()
-        out.fill(np.nan)
-        integrator._solve((rs, (1.0,), 1.0), x, out)
-        assert np.array_equal(x.view(np.int64), expect.view(np.int64)), names
+        expect = [solveh_reference(row, r) for row, r in zip(x, rs[-len(x):])]
         skipped = constant.issuperset(names)
-        assert calls == ([] if skipped else ["band", "gtsv"]), names
-        if skipped:
-            assert np.array_equal(x, [rows[name] for name in names])
-            assert np.isnan(out).all(), names
+        for factored in (False, True):
+            got = x.copy()
+            calls.clear()
+            if not factored:
+                out.fill(np.nan)
+            state = integrator._solve((rs, (1.0,), 1.0), got, out, factored)
+            assert np.array_equal(got.view(np.int64),
+                                  np.array(expect).view(np.int64)), names
+            if skipped:
+                assert state is factored and calls == [], names
+                assert np.array_equal(got, x)
+                assert np.isnan(out).all(), names
+            else:
+                assert state is True, names
+                assert calls == (["pttrs"] if factored
+                                 else ["pttrf", "pttrs"]), names
     assert {len(names) for names in cases} == {1, 2, 4, 6}
+    # the zero rows come back +0 at every node
+    x = np.array([rows["-0"], rows["+0 mixed"], rows["-0 mixed"]])
+    integrator._solve((rs, (1.0,), 1.0), x, out)
+    assert not np.signbit(x).any()
 
 
 def test_uniform_data_makes_no_band_and_no_gtsv_call(monkeypatch):
-    # Uniform data stays uniform, so a run from it writes no band and
-    # makes no ?gtsv call, while each of its trials still calls _solve
-    # for 6, 4 and 2 fields; a run from a bump writes one band for each
-    # ?gtsv call, one per round.  _solve loads ?gtsv once per call.
-    calls, fields = {"_band": 0, "_load_gtsv": 0, "_trial": 0}, []
+    # Uniform data stays uniform, so a run from it makes no ?pttrf and no
+    # ?pttrs call, while each of its trials still calls _solve for 6, 4
+    # and 2 fields; a run from a bump makes one ?pttrf per trial, in its
+    # first round, and one ?pttrs per round.
+    calls = count_lapack_calls(monkeypatch)
+    trials, fields = [], []
+    trial, solve = integrator._trial, integrator._solve
 
-    def counting(name):
-        f = getattr(integrator, name)
+    def counting_trial(*args):
+        trials.append(1)
+        return trial(*args)
 
-        def counted(*args):
-            calls[name] += 1
-            return f(*args)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(integrator, name, counting(name))
-    solve = integrator._solve
-
-    def counting_solve(blocks, rhs, out=None):
+    def counting_solve(blocks, rhs, *args):
         fields.append(len(rhs))
-        return solve(blocks, rhs, out)
+        return solve(blocks, rhs, *args)
 
+    monkeypatch.setattr(integrator, "_trial", counting_trial)
     monkeypatch.setattr(integrator, "_solve", counting_solve)
     grid = Grid(15, 1.0)
     u0, v0 = np.full(15, 0.75), np.ones(15)
@@ -230,13 +250,12 @@ def test_uniform_data_makes_no_band_and_no_gtsv_call(monkeypatch):
     series, verdict = run(BlowupExample(), cfg, grid, u0, v0,
                           heat_params(u0, v0))
     assert verdict.kind == "blowup"
-    trials = calls["_trial"]
-    assert trials >= len(series) - 1 > 10
-    assert fields == [6, 4, 2] * trials
-    assert calls["_band"] == calls["_load_gtsv"] == 0
+    assert len(trials) >= len(series) - 1 > 10
+    assert fields == [6, 4, 2] * len(trials)
+    assert calls == []
     assert np.ptp(series.final_state.u) == np.ptp(series.final_state.v) == 0
 
-    calls.update(dict.fromkeys(calls, 0))
+    trials.clear()
     fields.clear()
     grid = Grid(21, 1.0)
     u0, v0 = np.ones(21), 0.5 + 0.1 * np.cos(np.pi * grid.nodes())
@@ -244,10 +263,9 @@ def test_uniform_data_makes_no_band_and_no_gtsv_call(monkeypatch):
     series, verdict = run(Combustion(1), cfg, grid, u0, v0,
                           heat_params(u0, v0, a=1.0, b=2.0))
     assert verdict.kind == "completed"
-    trials = calls["_trial"]
-    assert trials >= len(series) - 1 > 10
-    assert fields == [6, 4, 2] * trials
-    assert calls["_band"] == calls["_load_gtsv"] == 3 * trials
+    assert len(trials) >= len(series) - 1 > 10
+    assert fields == [6, 4, 2] * len(trials)
+    assert calls == ["pttrf", "pttrs", "pttrs", "pttrs"] * len(trials)
 
 
 class NaNRates:
@@ -263,28 +281,31 @@ class NaNRates:
 def test_overflowing_deviation_is_rejected_before_any_band(monkeypatch):
     # The first round's stages are finite, but u's spread overflows: its
     # deviation from u[0] is inf.  The round's one judge rejects the trial
-    # there, with no band written and no ?gtsv call.
-    calls = count_bands_and_gtsv(monkeypatch)
+    # there, with no factor written and no LAPACK call.
+    calls = count_lapack_calls(monkeypatch)
     grid = Grid(5, 1.0)
     w = np.array([[-1e308, 0.0, 1e308, 0.5, -1e308], np.ones(5)])
     cfg = SchemeConfig(a=1.0, b=1.0, t_end=1.0, enforce_positivity=False)
     model = NaNRates()
     with np.errstate(over="ignore"):
         assert np.isinf(w[0] - w[0, 0]).any() and np.isfinite(w).all()
+    work = np.full_like(integrator._workspace(5), np.nan)
     assert integrator._trial(w, 1e-3, np.zeros((2, 5)), model, cfg, grid,
-                             integrator._workspace(5)) is None
+                             work) is None
     assert calls == [] and model.calls == 0
+    assert np.isnan(work[:2]).all()
 
 
 @pytest.mark.parametrize("bad", ["inf_shift", "nan_inside",
                                  "constant_inf_row", "nan_later_round"])
 def test_non_finite_stage_is_rejected_before_its_band(bad, monkeypatch):
     # A stage that is not finite rejects the trial in its round, before
-    # that round writes a band: an inf first value (the shift, whose own
-    # deviation is inf - inf), a NaN inside a row, a row of -inf, which
-    # is constant in space but not its own solution, and NaN rates in the
-    # second round, after the first round's one band and ?gtsv call.
-    calls = count_bands_and_gtsv(monkeypatch)
+    # any factorization or solve: an inf first value (the shift, whose
+    # own deviation is inf - inf), a NaN inside a row, a row of -inf,
+    # which is constant in space but not its own solution, and NaN rates
+    # in the second round, after the first round's one ?pttrf and one
+    # ?pttrs call.
+    calls = count_lapack_calls(monkeypatch)
     n = 6
     grid = Grid(n, 1.0)
     w = np.array([1.0 + 0.1 * np.cos(np.arange(n)), np.full(n, 0.5)])
@@ -301,7 +322,7 @@ def test_non_finite_stage_is_rejected_before_its_band(bad, monkeypatch):
     assert integrator._trial(w, 1e-2, rates0, model, cfg, grid,
                              integrator._workspace(n)) is None
     later = bad == "nan_later_round"
-    assert calls == (["band", "gtsv"] if later else [])
+    assert calls == (["pttrf", "pttrs"] if later else [])
     assert model.calls == later
 
 
@@ -312,23 +333,22 @@ NEG_NAN, POS_NAN, POS_INF = (-0x8000000000000, 0x7ff8000000000000,
 
 
 @pytest.mark.parametrize("f, pinned", [
-    ([1.0, np.inf, 1.0, 1.0, 1.0, 1.0, 1.0], [NEG_NAN] * 5 + [POS_INF] * 2),
+    ([1.0, np.inf, 1.0, 1.0, 1.0, 1.0, 1.0], [POS_INF] * 7),
     ([np.inf, 2.0, 3.0, 2.0, 1.0, 0.0, 1.0], [NEG_NAN] * 7),
     ([1.0, 2.0, np.nan, 1.0, 1.0, 1.0, 1.0], [POS_NAN] * 7),
     ([-np.inf] * 7, [NEG_NAN] * 7),
-    ([-1e308, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0], [NEG_NAN] * 5 + [POS_INF] * 2),
+    ([-1e308, 0.0, 1e308, 0.0, 0.0, 0.0, 0.0], [POS_INF] * 7),
 ])
 def test_diffusion_solve_of_a_non_finite_rhs_keeps_its_bits(f, pinned):
     # solve_diffusion_implicit solves a right-hand side that is not
-    # finite, or whose spread overflows, as it always did: the pinned
-    # bits, those of the plain ?gtsv solve on its deviations, shifted
-    # back, and never the deviations themselves
+    # finite, or whose spread overflows, like any other: the pinned
+    # bits, those of the plain ?pttrf and ?pttrs solve on its deviations,
+    # shifted back, and never the deviations themselves
     grid = Grid(7, 1.0)
     f = np.array(f)
     coeff, dt = 1.5, 0.02
-    band = integrator._band([dt * coeff / grid.spacing ** 2], 7)
     with np.errstate(over="ignore", invalid="ignore"):
-        expect = gtsv_reference(band, f[None])[0]
+        expect = solveh_reference(f, dt * coeff / grid.spacing ** 2)
         got = solve_diffusion_implicit(f, coeff, dt, grid)
         deviations = f - f[0]
     assert got.view(np.int64).tolist() == pinned
@@ -337,6 +357,44 @@ def test_diffusion_solve_of_a_non_finite_rhs_keeps_its_bits(f, pinned):
     if not np.isnan(deviations).all():
         assert not np.array_equal(got.view(np.int64),
                                   deviations.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [3, 31, 2001])
+def test_diffusion_solve_keeps_mass_and_sign(n):
+    # What the symmetric form gives, at seeded r = dt over [1e-12, R_MAX]
+    # (h = 1, coeff = 1), each r one that check_grid accepts.  Mass: the
+    # columns of the halved block sum to the trapezoid weights, so the
+    # solution's trapezoid mass is the right-hand side's (the flux
+    # balance of the mesh docstring), up to the LDL^T solve's backward
+    # error, at most 4 eps |M| in each entry of the block M (Higham,
+    # *Accuracy and Stability of Numerical Algorithms*, 9.6), summed over
+    # n columns of size up to 1 + 4r.  That bound is loose once r passes
+    # about 1 / (n eps).  Sign: with no pivoting every multiplier has one
+    # sign, so deviations of one sign from f[0] solve to one sign, bit
+    # for bit: f >= f[0] gives w >= f[0], and a nonnegative f with
+    # f[0] = 0 a nonnegative w.  Any other nonnegative f gives w >= 0 up
+    # to the rounding of the shift back by f[0].
+    grid = Grid(n, n - 1.0)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(n)
+    for r in np.exp(rng.uniform(math.log(1e-12), math.log(R_MAX), 40)):
+        SchemeConfig(a=1.0, b=1.0, t_end=r, dt_init=r, dt_min=r,
+                     dt_max=r).check_grid(grid)
+        f = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.5)
+        for g in (f, rng.normal(size=n)):
+            w = solve_diffusion_implicit(g, 1.0, r, grid)
+            drift = abs(integrate(w, grid) - integrate(g, grid))
+            assert drift <= 4.0 * n * eps * (1.0 + r) * integrate(np.abs(g),
+                                                                  grid)
+        assert solve_diffusion_implicit(f, 1.0, r, grid).min() >= (
+            -4.0 * eps * f[0])
+        for sign in (1.0, -1.0):
+            g = sign * f
+            for shift in (0.0, -0.0, 0.75, -3.0):
+                g[0] = shift
+                g[1:] = shift + sign * f[1:]
+                w = solve_diffusion_implicit(g, 1.0, r, grid)
+                assert (sign * (w - shift) >= 0.0).all()
 
 
 def test_diffusion_solve_validates_arguments():
@@ -662,7 +720,7 @@ def test_run_is_deterministic():
 
 def test_nonuniform_blowup_rows_pinned():
     # Every shipped blow-up run starts from uniform data, on which the
-    # diffusion solve returns its shift exactly; here the band and the
+    # diffusion solve returns its shift exactly; here the solves and the
     # stacked rates calls of the later rounds reach every row
     grid = Grid(31, 1.0)
     x = grid.nodes()
@@ -673,7 +731,7 @@ def test_nonuniform_blowup_rows_pinned():
                           heat_params(u0, v0))
     assert verdict == Verdict("completed")
     assert len(series) == 130
-    assert row_digest(series) == "24f3fa0b88893a44"
+    assert row_digest(series) == "e30c19946de60c31"
 
 
 def test_dt_underflow_verdict():
@@ -741,9 +799,9 @@ def test_workspace_reuse_matches_a_fresh_workspace(monkeypatch):
     rounds = []
     solve = integrator._solve
 
-    def counting_solve(band, rhs, copies=None):
+    def counting_solve(blocks, rhs, *args):
         rounds.append(len(rhs))
-        return solve(band, rhs, copies)
+        return solve(blocks, rhs, *args)
 
     monkeypatch.setattr(integrator, "_solve", counting_solve)
     grid = Grid(21, 1.0)
@@ -817,9 +875,9 @@ def test_rates_calls_per_row_and_trial(case, monkeypatch):
     fields = []
     solve = integrator._solve
 
-    def counting_solve(band, rhs, copies=None):
+    def counting_solve(blocks, rhs, *args):
         fields.append(len(rhs))
-        return solve(band, rhs, copies)
+        return solve(blocks, rhs, *args)
 
     monkeypatch.setattr(integrator, "_solve", counting_solve)
     if case == "completed":

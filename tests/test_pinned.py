@@ -80,12 +80,12 @@ def test_in_process(name, tmp_path, monkeypatch, capsys):
                                   "check-combustion_bump", "run-blowup",
                                   "run-combustion_bump"])
 def test_without_lapack(name, tmp_path, monkeypatch, capsys):
-    # scipy without its _flapack extension: only a ?gtsv call notices,
+    # scipy without its _flapack extension: only a solve notices,
     # and the run that makes one writes nothing
     entry = prepare(name, tmp_path)
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("RD_CERTIFY_SEED", raising=False)
-    integrator._load_gtsv.cache_clear()
+    integrator._load_lapack.cache_clear()
     monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
     if name == "run-combustion_bump":
         with pytest.raises(ImportError) as exc:
